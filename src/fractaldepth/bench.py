@@ -32,15 +32,6 @@ class SceneSpec:
     noise: float = 0.02
 
 
-def _hue_to_rgb(h: float) -> np.ndarray:
-    """Fully saturated hue (in [0,1)) to an RGB triple."""
-    x = h * 6.0
-    r = np.clip(abs(x - 3.0) - 1.0, 0.0, 1.0)
-    g = np.clip(2.0 - abs(x - 2.0), 0.0, 1.0)
-    b = np.clip(2.0 - abs(x - 4.0), 0.0, 1.0)
-    return np.array([r, g, b])
-
-
 def gen_scene(spec: SceneSpec):
     """Procedural RGB/depth pair: gradient background plus occluding shapes.
 

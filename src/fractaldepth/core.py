@@ -216,16 +216,11 @@ def split_patches_with_context(grid: np.ndarray, patch: int):
     if grid.shape[0] != grid.shape[1] or h % patch != 0:
         raise ResampleError(f"patch {patch} does not tile grid {grid.shape}")
     p = patch
-    n = h // p
     padded = np.pad(grid, p, mode="edge")
-    patches = split_patches(grid, p)
-    contexts = np.empty((n * n, 4, p, p))
-    for i in range(n):
-        for j in range(n):
-            r, c = p + i * p, p + j * p  # top-left of the center patch in padded coords
-            k = i * n + j
-            contexts[k, 0] = padded[r - p:r, c:c + p]          # top
-            contexts[k, 1] = padded[r + p:r + 2 * p, c:c + p]  # bottom
-            contexts[k, 2] = padded[r:r + p, c - p:c]          # left
-            contexts[k, 3] = padded[r:r + p, c + p:c + 2 * p]  # right
-    return patches, contexts
+    # each neighbor grid is the padded grid shifted by one patch
+    contexts = np.stack([split_patches(padded[:h, p:h + p], p),           # top
+                         split_patches(padded[2 * p:, p:h + p], p),       # bottom
+                         split_patches(padded[p:h + p, :h], p),           # left
+                         split_patches(padded[p:h + p, 2 * p:], p)],      # right
+                        axis=1)
+    return split_patches(grid, p), contexts

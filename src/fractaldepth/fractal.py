@@ -185,6 +185,7 @@ def generate(model: FractalModel, image: np.ndarray, rng: RngStream, tau: float 
     given (used by the analytic-noise oracle tests).
     """
     feats = vcfr.extract_features(image, model.cfg, model.conv)
+    T = model.sched.T
     latents, depths = [], []
     prev = None
     for level, lv in enumerate(model.plan.levels):
@@ -192,11 +193,19 @@ def generate(model: FractalModel, image: np.ndarray, rng: RngStream, tau: float 
         cond = _build_condition(model, feats, state, level)
         lrng = rng.child("level", level)
         z = lrng.normal((lv.token_count, lv.token_dim), "tokens", "init")
-        for t in range(model.sched.T, 0, -1):
+        if predictor is None:
+            # the condition and the time embeddings do not change along the
+            # chain: project them through W0 once, not at every step
+            mlp = model.mlps[level]
+            w0 = mlp.weights[0]
+            d = lv.token_dim
+            cond_pre = cond @ w0[d + model.time_dim:] + mlp.biases[0]
+            time_pre = time_embed(np.arange(1, T + 1), model.time_dim) @ w0[d:d + model.time_dim]
+        for t in range(T, 0, -1):
             if predictor is not None:
                 eps = np.asarray(predictor(level, z, t, cond), dtype=np.float64)
             else:
-                eps, _ = _predict(model, level, z, t, cond)
+                eps, _ = mlp_forward(mlp, z, cond_pre + time_pre[t - 1])
             if eps.shape != z.shape:
                 raise ShapeError(f"predictor output {eps.shape} != {z.shape}")
             noise = None

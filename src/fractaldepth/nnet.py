@@ -60,11 +60,15 @@ class MlpParams:
         return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
     def named(self, prefix: str) -> dict:
-        out = {}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out[f"{prefix}.w{i}"] = w
-            out[f"{prefix}.b{i}"] = b
-        return out
+        return _named_layers(self.weights, self.biases, prefix)
+
+
+def _named_layers(weights: list, biases: list, prefix: str) -> dict:
+    out = {}
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        out[f"{prefix}.w{i}"] = w
+        out[f"{prefix}.b{i}"] = b
+    return out
 
 
 def init_mlp(sizes, rng: RngStream, final_scale: float = 1.0) -> MlpParams:
@@ -81,20 +85,39 @@ def init_mlp(sizes, rng: RngStream, final_scale: float = 1.0) -> MlpParams:
     return MlpParams(weights=weights, biases=biases)
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray):
-    """Returns (output, cache); accepts a vector or a (batch, dim) matrix."""
+def mlp_forward(params: MlpParams, x: np.ndarray, pre0: np.ndarray = None):
+    """Returns (output, cache); accepts a vector or a (batch, dim) matrix.
+
+    ``pre0``, when given, is the layer-0 pre-activation contributed by the
+    input columns past ``x`` (their product with the rest of ``W0``, plus
+    ``b0``), so callers can project inputs that do not change between calls
+    once.  Layer 0 then computes ``x @ W0[:x.shape[1]] + pre0``.  The cache
+    of such a call holds only ``x`` and cannot be passed to
+    :func:`mlp_backward`.
+    """
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
     if squeeze:
         x = x[None, :]
-    if x.shape[1] != params.weights[0].shape[0]:
-        raise ShapeError(f"input dim {x.shape[1]} != first layer {params.weights[0].shape[0]}")
+    w0 = params.weights[0]
+    if pre0 is None:
+        if x.shape[1] != w0.shape[0]:
+            raise ShapeError(f"input dim {x.shape[1]} != first layer {w0.shape[0]}")
+    else:
+        pre0 = np.asarray(pre0, dtype=np.float64)
+        if (x.shape[1] > w0.shape[0]
+                or pre0.shape not in ((w0.shape[1],), (x.shape[0], w0.shape[1]))):
+            raise ShapeError(f"input dim {x.shape[1]} with pre0 {pre0.shape} does not fit "
+                             f"first layer {w0.shape}")
     inputs, preacts = [], []
     h = x
     n_layers = len(params.weights)
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         inputs.append(h)
-        a = h @ w + b
+        if i == 0 and pre0 is not None:
+            a = h @ w[:h.shape[1]] + pre0
+        else:
+            a = h @ w + b
         preacts.append(a)
         h = a if i == n_layers - 1 else silu(a)
     cache = (inputs, preacts, squeeze)
@@ -108,11 +131,7 @@ class MlpGrads:
     x: np.ndarray
 
     def named(self, prefix: str) -> dict:
-        out = {}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out[f"{prefix}.w{i}"] = w
-            out[f"{prefix}.b{i}"] = b
-        return out
+        return _named_layers(self.weights, self.biases, prefix)
 
 
 def mlp_backward(params: MlpParams, cache, grad_out: np.ndarray) -> MlpGrads:
@@ -123,6 +142,9 @@ def mlp_backward(params: MlpParams, cache, grad_out: np.ndarray) -> MlpGrads:
         g = g[None, :]
     if g.shape != preacts[-1].shape:
         raise ShapeError(f"output grad shape {g.shape} != {preacts[-1].shape}")
+    if inputs[0].shape[1] != params.weights[0].shape[0]:
+        raise ShapeError(f"cached input dim {inputs[0].shape[1]} != first layer "
+                         f"{params.weights[0].shape[0]}; a forward with pre0 has no backward")
     n_layers = len(params.weights)
     dws = [None] * n_layers
     dbs = [None] * n_layers

@@ -9,6 +9,8 @@ execution cannot change results.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -24,15 +26,27 @@ def _mix(h: int, v: int) -> int:
     return h
 
 
+@lru_cache(maxsize=256)
+def _str_hash(c: str) -> int:
+    # FNV-1a over the UTF-8 bytes; draw sites reuse a handful of names
+    h = 0xCBF29CE484222325
+    for byte in c.encode("utf-8"):
+        h = ((h ^ byte) * 0x100000001B3) & _MASK
+    return h
+
+
 def _component_to_int(c) -> int:
     if isinstance(c, (int, np.integer)):
         return int(c) & _MASK
     if isinstance(c, str):
-        h = 0xCBF29CE484222325
-        for byte in c.encode("utf-8"):
-            h = ((h ^ byte) * 0x100000001B3) & _MASK
-        return h
+        return _str_hash(c)
     raise TypeError(f"rng path components must be int or str, got {type(c)!r}")
+
+
+def _extend(h: int, ids: tuple) -> int:
+    for c in ids:
+        h = _mix(h, _component_to_int(c))
+    return h
 
 
 class RngStream:
@@ -41,15 +55,19 @@ class RngStream:
     def __init__(self, seed: int, prefix: tuple = ()):
         self.seed = int(seed)
         self.prefix = tuple(prefix)
+        # the prefix part of every draw's key, mixed once
+        self._key = _extend(self.seed & _MASK, self.prefix)
 
     def child(self, *ids) -> "RngStream":
         """Stream whose draws live under an extended path prefix."""
-        return RngStream(self.seed, self.prefix + ids)
+        out = object.__new__(RngStream)
+        out.seed = self.seed
+        out.prefix = self.prefix + ids
+        out._key = _extend(self._key, ids)
+        return out
 
     def generator(self, *ids) -> np.random.Generator:
-        h = self.seed & _MASK
-        for c in self.prefix + ids:
-            h = _mix(h, _component_to_int(c))
+        h = _extend(self._key, ids)
         # second key word decorrelates from a plain counter
         return np.random.Generator(np.random.Philox(key=[h, _mix(h, 0x5851F42D4C957F2D)]))
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ScaleConfig, latent_to_log_depth
 from .errors import ShapeError
@@ -26,21 +25,28 @@ from .rng import RngStream
 
 def conv3x3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """x: (H, W, Cin), w: (3, 3, Cin, Cout), b: (Cout). Edge padding keeps
-    constant inputs constant. Returns (pre-activation, windows cache)."""
+    constant inputs constant. Returns (pre-activation, padded input)."""
     xp = np.pad(x, ((1, 1), (1, 1), (0, 0)), mode="edge")
-    win = sliding_window_view(xp, (3, 3), axis=(0, 1))  # (H, W, Cin, 3, 3)
-    a = np.einsum("hwcij,ijcd->hwd", win, w, optimize=True) + b
-    return a, win
-
-
-def conv3x3_backward(grad_a: np.ndarray, win: np.ndarray, w: np.ndarray, x_shape):
-    """Gradients of the pre-activation wrt (x, w, b)."""
-    dw = np.einsum("hwcij,hwd->ijcd", win, grad_a, optimize=True)
-    db = grad_a.sum(axis=(0, 1))
-    h, wd, cin = x_shape
-    dxp = np.zeros((h + 2, wd + 2, cin))
+    h, wd, _ = x.shape
+    # one GEMM per kernel offset over the shifted input, accumulated in place
+    a = np.broadcast_to(b, (h, wd, w.shape[3])).copy()
     for di in range(3):
         for dj in range(3):
+            a += xp[di:di + h, dj:dj + wd] @ w[di, dj]
+    return a, xp
+
+
+def conv3x3_backward(grad_a: np.ndarray, xp: np.ndarray, w: np.ndarray):
+    """Gradients of the pre-activation wrt (x, w, b); ``xp`` is the padded
+    input returned by :func:`conv3x3_forward`."""
+    h, wd, cin = xp.shape[0] - 2, xp.shape[1] - 2, xp.shape[2]
+    g2 = grad_a.reshape(h * wd, -1)
+    db = g2.sum(axis=0)
+    dw = np.empty_like(w)
+    dxp = np.zeros(xp.shape)
+    for di in range(3):
+        for dj in range(3):
+            dw[di, dj] = xp[di:di + h, dj:dj + wd].reshape(h * wd, cin).T @ g2
             # grad wrt padded x at offset (di, dj) of each window
             dxp[di:di + h, dj:dj + wd] += grad_a @ w[di, dj].T
     # fold edge-replicated borders back onto the interior
@@ -94,22 +100,22 @@ def extract_features(image: np.ndarray, cfg: ScaleConfig, params: ConvPyramidPar
     res_final = cfg.final_resolution
     if image.shape != (res_final, res_final, 3):
         raise ShapeError(f"image shape {image.shape} != ({res_final}, {res_final}, 3)")
-    a1, win1 = conv3x3_forward(image, params.w1, params.b1)
+    a1, xp1 = conv3x3_forward(image, params.w1, params.b1)
     h1 = silu(a1)
-    a2, win2 = conv3x3_forward(h1, params.w2, params.b2)
+    a2, xp2 = conv3x3_forward(h1, params.w2, params.b2)
     f = silu(a2)
     feats = [_pool_to(f, res) for res, _ in cfg.levels]
     if not want_cache:
         return feats
-    cache = (image, a1, win1, h1, a2, win2, f.shape)
+    cache = (a1, xp1, a2, xp2)
     return feats, cache
 
 
 def extract_features_backward(grad_feats, cfg: ScaleConfig, params: ConvPyramidParams, cache) -> dict:
     """Accumulate per-level feature-grid gradients into conv parameter grads."""
-    image, a1, win1, h1, a2, win2, f_shape = cache
+    a1, xp1, a2, xp2 = cache
     res_final = cfg.final_resolution
-    df = np.zeros(f_shape)
+    df = np.zeros(a2.shape)
     for (res, _), g in zip(cfg.levels, grad_feats):
         if g is None:
             continue
@@ -117,9 +123,9 @@ def extract_features_backward(grad_feats, cfg: ScaleConfig, params: ConvPyramidP
         # average pooling spreads each output grad uniformly over its block
         df += np.repeat(np.repeat(g, b, axis=0), b, axis=1) / (b * b)
     da2 = df * silu_grad(a2)
-    dh1, dw2, db2 = conv3x3_backward(da2, win2, params.w2, h1.shape)
+    dh1, dw2, db2 = conv3x3_backward(da2, xp2, params.w2)
     da1 = dh1 * silu_grad(a1)
-    _, dw1, db1 = conv3x3_backward(da1, win1, params.w1, image.shape)
+    _, dw1, db1 = conv3x3_backward(da1, xp1, params.w1)
     return {"conv.w1": dw1, "conv.b1": db1, "conv.w2": dw2, "conv.b2": db2}
 
 

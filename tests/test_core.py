@@ -111,7 +111,32 @@ class TestNormalization:
             ScaleConfig(levels=((1, 1), (4, 1)), d_min=0.0)
 
 
+def split_patches_with_context_loop(grid, p):
+    """Reference: one token at a time from the edge-padded grid."""
+    n = grid.shape[0] // p
+    padded = np.pad(grid, p, mode="edge")
+    contexts = np.empty((n * n, 4, p, p))
+    for i in range(n):
+        for j in range(n):
+            r, c = p + i * p, p + j * p  # top-left of the center patch in padded coords
+            k = i * n + j
+            contexts[k, 0] = padded[r - p:r, c:c + p]          # top
+            contexts[k, 1] = padded[r + p:r + 2 * p, c:c + p]  # bottom
+            contexts[k, 2] = padded[r:r + p, c - p:c]          # left
+            contexts[k, 3] = padded[r:r + p, c + p:c + 2 * p]  # right
+    return split_patches(grid, p), contexts
+
+
 class TestPatches:
+    @given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 1000))
+    @settings(max_examples=40, deadline=None)
+    def test_context_matches_loop(self, n, patch, seed):
+        g = np.random.default_rng(seed).normal(size=(n * patch, n * patch))
+        patches, ctx = split_patches_with_context(g, patch)
+        ref_patches, ref_ctx = split_patches_with_context_loop(g, patch)
+        assert patches.shape == ref_patches.shape and ctx.shape == ref_ctx.shape
+        assert np.array_equal(patches, ref_patches) and np.array_equal(ctx, ref_ctx)
+
     def test_border_replication(self):
         g = np.array([[1.0, 2.0], [3.0, 4.0]])
         patches, ctx = split_patches_with_context(g, 1)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from fractaldepth.core import DepthMap, ScaleConfig, downsample_mean, log_normalize, upsample_bilinear
+from fractaldepth.core import (DepthMap, ScaleConfig, downsample_mean, log_normalize,
+                               named_scale_config, upsample_bilinear)
 from fractaldepth.diffusion import make_linear_schedule
 from fractaldepth.errors import ConfigError, ShapeError
-from fractaldepth.fractal import (decode_level_depth, encode_targets, generate, init_model,
-                                  load_model, save_model, save_trace, train_step)
+from fractaldepth.fractal import (_predict, decode_level_depth, encode_targets, generate,
+                                  init_model, load_model, save_model, save_trace, train_step)
 from fractaldepth.rng import RngStream
 
 CFG = ScaleConfig(levels=((1, 1), (4, 1), (8, 2)), d_min=0.1, d_max=10.0)
@@ -162,6 +163,35 @@ class TestGenerate:
 
         generate(model, image, RngStream(8, ("c",)), tau=0.0, predictor=count)
         assert tuple(seen[i] for i in range(3)) == model.plan.token_counts
+
+
+class TestGenerateHoistedCondition:
+    """generate projects each level's condition once per chain; a predictor
+    that feeds the full [z, time, cond] row to the MLP at every step is the
+    reference."""
+
+    @staticmethod
+    def _full_concat(model):
+        return lambda level, z, t, cond: _predict(model, level, z, t, cond)[0]
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    @pytest.mark.parametrize("levels", [((2, 1), (8, 2)), None], ids=["two_level", "desk"])
+    def test_matches_full_concat(self, levels, tau):
+        if levels is None:
+            cfg = named_scale_config("desk")
+            model = init_model(cfg, seed=3, sched=make_linear_schedule(60))
+        else:
+            cfg = ScaleConfig(levels=levels, d_min=0.1, d_max=10.0)
+            model = init_model(cfg, seed=3, sched=make_linear_schedule(30), hidden=(32, 32),
+                               feature_dim=4, time_dim=6)
+        res = cfg.final_resolution
+        image = np.random.default_rng(4).uniform(0, 1, (res, res, 3))
+        a = generate(model, image, RngStream(12, ("h",)), tau=tau)
+        b = generate(model, image, RngStream(12, ("h",)), tau=tau,
+                     predictor=self._full_concat(model))
+        for x, y in zip(a.latents, b.latents):
+            assert np.max(np.abs(x - y)) <= 1e-10
+        assert np.max(np.abs(a.final.values - b.final.values)) <= 1e-10
 
 
 class TestDecodeLevelDepth:

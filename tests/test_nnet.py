@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractaldepth.errors import ConfigError, NumericsError, ShapeError
 from fractaldepth.nnet import (AdamWState, LrSchedule, MlpParams, adamw_step, grad_check,
@@ -60,6 +62,37 @@ class TestMlpForward:
             mlp_forward(p, np.zeros(4))
 
 
+class TestMlpForwardPre0:
+    """A forward with the trailing input columns projected ahead of time."""
+
+    @given(st.integers(0, 9), st.integers(1, 6), st.integers(0, 1000))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_full_input(self, k, rows, seed):
+        p = init_mlp([9, 7, 7, 3], RngStream(seed, ("pre0",)))
+        x = RngStream(seed, ("x",)).normal((rows, 9))
+        w0, b0 = p.weights[0], p.biases[0]
+        y, _ = mlp_forward(p, x[:, :k], pre0=x[:, k:] @ w0[k:] + b0)
+        y_ref, _ = mlp_forward(p, x)
+        assert np.max(np.abs(y - y_ref)) <= 1e-12
+
+    def test_vector_input_takes_row_pre0(self):
+        p = init_mlp([5, 4, 2], RngStream(1))
+        x = RngStream(2).normal((5,), "x")
+        pre0 = x[3:] @ p.weights[0][3:] + p.biases[0]
+        y, _ = mlp_forward(p, x[:3], pre0=pre0)
+        assert y.shape == (2,)
+        assert np.max(np.abs(y - mlp_forward(p, x)[0])) <= 1e-12
+
+    def test_shape_mismatch(self):
+        p = init_mlp([5, 4, 2], RngStream(1))
+        with pytest.raises(ShapeError):
+            mlp_forward(p, np.zeros((2, 6)), pre0=np.zeros((2, 4)))
+        with pytest.raises(ShapeError):
+            mlp_forward(p, np.zeros((2, 3)), pre0=np.zeros((3, 4)))
+        with pytest.raises(ShapeError):
+            mlp_forward(p, np.zeros((2, 3)), pre0=np.zeros(5))
+
+
 class TestMlpBackward:
     def test_zero_grad(self):
         p = init_mlp([3, 5, 2], RngStream(0))
@@ -82,6 +115,15 @@ class TestMlpBackward:
         x = RngStream(4).normal((4,), "x")
         report = grad_check(p, x, tolerance=1e-4)
         assert report.passed, f"max rel error {report.max_rel_error}"
+
+    def test_pre0_cache_rejected(self):
+        # the cache of a pre0 forward holds only the narrowed input, so a
+        # backward would return a dW0 of the wrong shape
+        p = init_mlp([5, 4, 2], RngStream(7))
+        x = RngStream(8).normal((3, 5), "x")
+        _, cache = mlp_forward(p, x[:, :2], pre0=x[:, 2:] @ p.weights[0][2:] + p.biases[0])
+        with pytest.raises(ShapeError):
+            mlp_backward(p, cache, np.ones((3, 2)))
 
 
 class TestGradCheckHarness:

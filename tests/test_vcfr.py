@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from fractaldepth.core import ScaleConfig
 from fractaldepth.errors import ShapeError
 from fractaldepth.rng import RngStream
-from fractaldepth.vcfr import (append_guidance_token, extract_features,
+from fractaldepth.vcfr import (append_guidance_token, conv3x3_forward, extract_features,
                                extract_features_backward, init_conv_pyramid,
                                refine_condition, refine_condition_backward)
 
@@ -13,6 +14,26 @@ CFG = ScaleConfig(levels=((1, 1), (4, 1), (16, 1), (32, 4)), d_min=0.1, d_max=10
 
 def _params(seed=0, F=8):
     return init_conv_pyramid(F, RngStream(seed, ("t",)))
+
+
+def conv3x3_einsum(x, w, b):
+    """Reference: explicit 3x3 windows of the edge-padded input."""
+    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)), mode="edge")
+    win = sliding_window_view(xp, (3, 3), axis=(0, 1))  # (H, W, Cin, 3, 3)
+    return np.einsum("hwcij,ijcd->hwd", win, w) + b
+
+
+class TestConv3x3:
+    @pytest.mark.parametrize("shape", [(1, 1, 3), (5, 7, 3), (16, 16, 8), (9, 4, 2)])
+    def test_matches_einsum_reference(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(size=shape)
+        w = rng.normal(size=(3, 3, shape[2], 5))
+        b = rng.normal(size=5)
+        a, xp = conv3x3_forward(x, w, b)
+        assert a.shape == shape[:2] + (5,)
+        assert np.max(np.abs(a - conv3x3_einsum(x, w, b))) <= 1e-12
+        assert np.array_equal(xp[1:-1, 1:-1], x)
 
 
 class TestExtractFeatures:
