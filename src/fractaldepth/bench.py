@@ -250,6 +250,12 @@ def _metrics_row(report: MetricsReport):
 _METRIC_HEADER = ["abs_rel", "sq_rel", "rmse", "rmse_log", "delta1", "delta2", "delta3"]
 
 
+def _mean_report(reports) -> MetricsReport:
+    """Field-wise mean of per-scene reports."""
+    return MetricsReport(*[float(np.mean([getattr(r, f.name) for r in reports]))
+                           for f in fields(MetricsReport)])
+
+
 def eval_scenes(model: FractalModel, cfg: RunConfig, scene_seeds, tau: float,
                 rng: RngStream):
     """Single-sample evaluation; returns (mean MetricsReport, per-scene list)."""
@@ -258,9 +264,7 @@ def eval_scenes(model: FractalModel, cfg: RunConfig, scene_seeds, tau: float,
         image, gt = gen_scene(cfg.scene_spec(s))
         trace = generate(model, image, rng.child("eval", s), tau=tau)
         reports.append(metrics(trace.final, gt))
-    mean = MetricsReport(*[float(np.mean([getattr(r, f.name) for r in reports]))
-                           for f in fields(MetricsReport)])
-    return mean, reports
+    return _mean_report(reports), reports
 
 
 def run_train(cfg: RunConfig, out_dir) -> str:
@@ -350,8 +354,7 @@ def run_multisample(cfg: RunConfig, checkpoint, n_list, out_csv, n_scenes: int =
             reports.append(metrics(out.consensus, gt))
             _, _, frac = uncertainty_stats(u_norm, cfg.uncertainty_threshold)
             exceed.append(frac)
-        mean = MetricsReport(*[float(np.mean([getattr(r, f.name) for r in reports]))
-                               for f in fields(MetricsReport)])
+        mean = _mean_report(reports)
         frac = float(np.mean(exceed))
         rows.append([n] + _metrics_row(mean) + [f"{frac:.6f}"])
         summaries.append((n, mean, frac))

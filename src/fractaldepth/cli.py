@@ -106,6 +106,15 @@ def cmd_fuse(args) -> int:
                                            model, i) for i, n in enumerate(names)]
     out = urca.fuse(samples, trace_depths, cfg.urca())
     os.makedirs(args.out, exist_ok=True)
+    align = out.alignment
+    with open(os.path.join(args.out, "alignment.txt"), "w") as f:
+        f.write(f"alpha={','.join(repr(float(a)) for a in align.alpha)}\n")
+        f.write(f"beta={','.join(repr(float(b)) for b in align.beta)}\n")
+        f.write(f"iterations={align.iterations}\n")
+        f.write(f"converged={align.converged}\n")
+        f.write(f"objective={align.objective_trace[-1]!r}\n")
+    if not align.converged:
+        print(f"warning: alignment did not converge in {align.iterations} iterations")
     imgio.write_depth_pfm(os.path.join(args.out, "consensus.pfm"), out.consensus)
     imgio.write_pgm16(os.path.join(args.out, "consensus.pgm"), out.consensus)
     imgio.write_pfm(os.path.join(args.out, "uncertainty.pfm"), out.uncertainty)

@@ -2,11 +2,32 @@
 
 Stochastic depth samples are first brought into a common affine frame by
 minimizing a Charbonnier-smoothed pairwise L1 energy with a quadratic
-scale regularizer (IRLS block coordinate descent, shift gauge fixed by
-mean(beta) = 0).  Fusion then minimizes, per pixel, a strictly convex
-robust energy over the aligned samples plus a weighted recursive
-cross-scale consistency term; the minimizer is the consensus depth and
-the minimum energy is the uncertainty proxy.
+scale regularizer lam * sum((alpha - 1)^2).  The energy is convex in all 2N
+parameters.  Each iteration solves one bordered 2N x 2N system, with the
+shift gauge sum(beta) = 0 as a Lagrange row, for a Newton step on the
+energy.  A step that would raise the energy is replaced by the joint IRLS
+step (Holland & Welsch 1977): the weighted least-squares minimizer of the
+majorizer that puts w = 0.5 / sqrt(r^2 + eps^2) on every squared residual.
+So the objective trace never rises.  IRLS alone converges only linearly
+on this nearly-L1 energy: 50-70 iterations on 8-sample desk stacks, and
+more than 100 on about a third of small random stacks.  With the Newton
+step it takes 5-9 and at most about 55.
+One GEMM of the weights against a fixed basis [1, s_k, s_k s_l] gives
+every pairwise sum the system needs, and pixels are walked in blocks of
+``_BLOCK``, so memory is O(N^2 * _BLOCK) whatever the map size.  The loop
+stops when an iteration lowers the objective by no more than ``tol`` times
+its value (relative), or after ``max_iter`` iterations; ``AlignmentParams``
+reports ``iterations`` and ``converged``.  The default lam = 100 keeps the
+scales away from the collapse alpha -> 0 that a small lam admits (the
+pairwise energy shrinks with the scale; at lam = 1 noisy affine copies of
+one 16 x 16 map align at alpha ~ 0.02).  The energy grows with the pixel
+count and lam does not, so larger maps need a larger lam: ``RunConfig``
+passes 1e5 for 64 x 64 maps.
+
+Fusion then minimizes, per pixel, a strictly convex robust energy over the
+aligned samples plus a weighted recursive cross-scale consistency term; the
+minimizer is the consensus depth and the minimum energy is the uncertainty
+proxy.
 """
 
 from __future__ import annotations
@@ -21,14 +42,14 @@ from .errors import InputError, ShapeError
 
 @dataclass(frozen=True)
 class URCAConfig:
-    lam: float = 1.0            # scale-regularizer weight
+    lam: float = 100.0          # scale-regularizer weight
     gamma: float = 0.5          # recursive-term weight
     level_weights: tuple = None  # w_k, normalized; None -> uniform
     tau_s: float = 0.1          # sample residual normalization (meters)
     tau_r: float = 0.1          # recursive residual normalization (meters)
     delta_stab: float = 1e-6    # stabilizer (meters)
     eps_c: float = 1e-3         # Charbonnier smoothing
-    tol: float = 1e-8           # alignment stopping tolerance
+    tol: float = 1e-10          # alignment stop: relative objective decrease
     max_iter: int = 100
     z_tol: float = 1e-6         # per-pixel search tolerance
 
@@ -63,61 +84,133 @@ def charbonnier(x, eps_c: float):
 @dataclass
 class AlignmentParams:
     alpha: np.ndarray   # (N,) scales
-    beta: np.ndarray    # (N,) shifts, gauge mean(beta) = 0
+    beta: np.ndarray    # (N,) shifts, gauge sum(beta) = 0
     objective_trace: list = field(default_factory=list)
+    iterations: int = 0         # len(objective_trace) - 1
+    converged: bool = True      # False when the loop ended on max_iter
 
 
-def _pairwise_objective(stack: np.ndarray, alpha, beta, cfg: URCAConfig) -> float:
-    aligned = alpha[:, None] * stack + beta[:, None]
-    n = len(alpha)
-    total = cfg.lam * float(np.sum((alpha - 1.0) ** 2))
-    for a in range(n):
-        for b in range(a + 1, n):
-            total += float(np.sum(charbonnier(aligned[a] - aligned[b], cfg.eps_c)))
-    return total
+# Pixels per block of the pairwise pass: bounds the (pairs x pixels) and
+# (pixels x basis) temporaries, so memory does not grow as N^2 * P.
+_BLOCK = 4096
+
+
+def _basis(block: np.ndarray) -> np.ndarray:
+    """Products f_k * f_l (k <= l) of the factors [s_0 .. s_{N-1}, 1].
+
+    For N samples that is [s_k s_l, s_k, 1]: every per-pixel term of the
+    pairwise normal equations, so one GEMM with the weights sums them all.
+    """
+    ext = np.vstack([block, np.ones((1, block.shape[1]))])
+    ti, tj = np.triu_indices(len(ext))
+    return (ext[ti] * ext[tj]).T
+
+
+def _pair_roots(block, alpha, beta, ia, ib, eps_c: float):
+    """Residuals r and sqrt(r^2 + eps^2) of every sample pair over one block."""
+    aligned = alpha[:, None] * block + beta[:, None]
+    r = aligned[ia] - aligned[ib]
+    root = r * r
+    root += eps_c * eps_c
+    return r, np.sqrt(root, out=root)
 
 
 def align_samples(samples, cfg: URCAConfig = URCAConfig()) -> AlignmentParams:
-    """Estimate per-sample affine parameters by IRLS block coordinate descent."""
+    """Estimate per-sample affine parameters by safeguarded Newton / IRLS.
+
+    Each iteration solves one bordered 2N x 2N system for a Newton step on
+    the Charbonnier objective, with the shift gauge sum(beta) = 0 as a
+    Lagrange row.  A step that would raise the objective is replaced by the
+    joint IRLS step, which minimizes the weighted-square majorizer
+    (w = 0.5 / sqrt(r^2 + eps^2)) and so cannot raise it either.  The loop
+    stops once an iteration lowers the objective by no more than
+    ``cfg.tol`` relative, or after ``cfg.max_iter`` iterations.
+    """
     if len(samples) < 2:
         raise InputError(f"need at least 2 samples, got {len(samples)}")
     if any(s.values.shape != samples[0].values.shape for s in samples):
         raise ShapeError("samples must share one resolution")
     stack = np.stack([s.values.reshape(-1) for s in samples])
-    n = stack.shape[0]
+    if not np.all(np.isfinite(stack)):
+        raise InputError("sample depths must be finite")
+    n, n_pix = stack.shape
+    ia, ib = np.triu_indices(n, 1)
+    m = len(ia)
+    blocks = [stack[:, j:j + _BLOCK] for j in range(0, n_pix, _BLOCK)]
+    floor = m * n_pix * cfg.eps_c    # sum of the roots at zero residual
     alpha = np.ones(n)
     beta = np.zeros(n)
     if np.all(stack == stack[0]):
-        return AlignmentParams(alpha=alpha, beta=beta,
-                               objective_trace=[_pairwise_objective(stack, alpha, beta, cfg)])
-    trace = [_pairwise_objective(stack, alpha, beta, cfg)]
+        roots = sum(float(_pair_roots(b, alpha, beta, ia, ib, cfg.eps_c)[1].sum())
+                    for b in blocks)
+        return AlignmentParams(alpha=alpha, beta=beta, objective_trace=[roots - floor])
+
+    # Pair (a, b) has residual x . (alpha_a, alpha_b, beta_a, beta_b) with
+    # x = (s_a, -s_b, 1, -1) = sign * f, f = (s_a, s_b, 1, 1).  Its share of
+    # the normal matrix is sum(w x x^T) and of the gradient sum(v x): entry
+    # (i, j) is sign_i sign_j times the weighted basis column of f_i f_j.
+    factor = np.stack([ia, ib, np.full(m, n), np.full(m, n)], axis=1)
+    ti, tj = np.triu_indices(n + 1)
+    col = np.empty((n + 1, n + 1), dtype=np.intp)
+    col[ti, tj] = col[tj, ti] = np.arange(len(ti))
+    row = np.arange(m)[:, None] * len(ti)
+    mat_cols = row[:, :, None] + col[factor[:, :, None], factor[:, None, :]]
+    vec_cols = row + col[factor, n]
+    sign = np.array([1.0, -1.0, 1.0, -1.0])
+    dest = np.stack([ia, ib, n + ia, n + ib], axis=1)
+    irls_rhs = np.zeros(2 * n + 1)
+    irls_rhs[:n] = cfg.lam
+    basis = _basis(stack) if len(blocks) == 1 else None
+    eps2 = cfg.eps_c * cfg.eps_c
+
+    def evaluate(alpha, beta):
+        """Objective, and per pair the basis sums weighted by halves of the
+        IRLS weight 1 / root, the derivative r / root and the curvature
+        eps^2 / root^3 of each Charbonnier term."""
+        roots = 0.0
+        sums = 0.0
+        for b in blocks:
+            r, root = _pair_roots(b, alpha, beta, ia, ib, cfg.eps_c)
+            roots += float(root.sum())
+            w = np.empty((3,) + r.shape)
+            np.divide(0.5, root, out=w[0])
+            np.multiply(w[0], r, out=w[1])
+            np.divide(w[0], root, out=w[2])
+            w[2] *= eps2 / root
+            sums = sums + w.reshape(3 * m, -1) @ (basis if basis is not None else _basis(b))
+        obj = roots - floor + cfg.lam * float(np.sum((alpha - 1.0) ** 2))
+        return obj, sums.reshape(3, -1)
+
+    def bordered(pair_sums):
+        """Normal matrix plus lam on the alpha diagonal, bordered by sum(beta)."""
+        lhs = np.zeros((2 * n + 1, 2 * n + 1))
+        np.add.at(lhs, (dest[:, :, None], dest[:, None, :]),
+                  sign[:, None] * sign * pair_sums[mat_cols])
+        lhs[np.arange(n), np.arange(n)] += cfg.lam
+        lhs[n:2 * n, 2 * n] = lhs[2 * n, n:2 * n] = 1.0
+        return lhs
+
+    obj, sums = evaluate(alpha, beta)
+    trace = [obj]
+    converged = False
     for _ in range(cfg.max_iter):
-        for i in range(n):
-            # IRLS weights from current residuals majorize the Charbonnier
-            # objective, so each 2x2 weighted LS solve cannot increase it
-            a_lhs = np.zeros((2, 2))
-            a_rhs = np.zeros(2)
-            di = stack[i]
-            for m in range(n):
-                if m == i:
-                    continue
-                tgt = alpha[m] * stack[m] + beta[m]
-                r = alpha[i] * di + beta[i] - tgt
-                w = 0.5 / np.sqrt(r * r + cfg.eps_c * cfg.eps_c)
-                sw = w.sum()
-                swd = (w * di).sum()
-                a_lhs += np.array([[(w * di * di).sum(), swd], [swd, sw]])
-                a_rhs += np.array([(w * di * tgt).sum(), (w * tgt).sum()])
-            a_lhs[0, 0] += cfg.lam
-            a_rhs[0] += cfg.lam
-            sol = np.linalg.solve(a_lhs, a_rhs)
-            alpha[i], beta[i] = sol
-        beta -= beta.mean()  # shift gauge; leaves the objective unchanged
-        obj = _pairwise_objective(stack, alpha, beta, cfg)
+        grad = np.zeros(2 * n + 1)
+        np.add.at(grad, dest, sign * sums[1][vec_cols])
+        grad[:n] += cfg.lam * (alpha - 1.0)
+        step = np.linalg.solve(bordered(sums[2]), -grad)
+        new = (alpha + step[:n], beta + step[n:2 * n])
+        new_obj, new_sums = evaluate(*new)
+        if not new_obj <= obj:
+            sol = np.linalg.solve(bordered(sums[0]), irls_rhs)
+            new = (sol[:n], sol[n:2 * n])
+            new_obj, new_sums = evaluate(*new)
+        (alpha, beta), obj, sums = new, new_obj, new_sums
         trace.append(obj)
-        if trace[-2] - obj < cfg.tol:
+        if trace[-2] - obj <= cfg.tol * abs(trace[-2]):
+            converged = True
             break
-    return AlignmentParams(alpha=alpha, beta=beta, objective_trace=trace)
+    return AlignmentParams(alpha=alpha, beta=beta, objective_trace=trace,
+                           iterations=len(trace) - 1, converged=converged)
 
 
 def apply_affine(sample: DepthMap, alpha: float, beta: float) -> DepthMap:
@@ -217,17 +310,21 @@ def fuse(samples, trace_depths=None, cfg: URCAConfig = URCAConfig()) -> Consensu
     shape = samples[0].values.shape
     if any(s.values.shape != shape for s in samples):
         raise ShapeError("sample resolutions differ")
+    if not all(np.all(np.isfinite(s.values)) for s in samples):
+        raise InputError("sample depths must be finite")
     if len(samples) >= 2:
         align = align_samples(samples, cfg)
         aligned = np.stack([align.alpha[i] * samples[i].values + align.beta[i]
                             for i in range(len(samples))])
     else:
-        align = AlignmentParams(alpha=np.ones(1), beta=np.zeros(1))
+        align = AlignmentParams(alpha=np.ones(1), beta=np.zeros(1), objective_trace=[0.0])
         aligned = np.stack([samples[0].values])
     r = None
     if trace_depths is not None and len(trace_depths) > 0 and cfg.gamma != 0.0:
         if any(d.values.shape != shape for d in trace_depths):
             raise ShapeError("trace depth resolutions differ from samples")
+        if not all(np.all(np.isfinite(d.values)) for d in trace_depths):
+            raise InputError("trace depths must be finite")
         ref = aligned.mean(axis=0).reshape(-1)
         fitted = []
         for d in trace_depths:

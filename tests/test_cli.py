@@ -1,7 +1,9 @@
 import pytest
 
+from fractaldepth import bench
 from fractaldepth.cli import main
 from fractaldepth.imgio import read_depth_pfm
+from fractaldepth.urca import URCAConfig
 
 
 def run(capsys, *argv):
@@ -83,3 +85,25 @@ class TestPipelines:
         c = read_depth_pfm(root / "fused" / "consensus.pfm")
         assert c.values.shape == (64, 64)
         assert (root / "fused" / "uncertainty_stats.csv").exists()
+        fields = dict(line.split("=", 1)
+                      for line in (root / "fused" / "alignment.txt").read_text().splitlines())
+        assert set(fields) == {"alpha", "beta", "iterations", "converged", "objective"}
+        assert len(fields["alpha"].split(",")) == len(fields["beta"].split(",")) == 2
+        assert fields["converged"] == "True" and int(fields["iterations"]) >= 1
+        assert float(fields["objective"]) >= 0.0
+        assert "did not converge" not in out
+
+    def test_fuse_reports_cap(self, tiny_run, capsys, monkeypatch):
+        cfg, ckpt, root = tiny_run
+        for seed in (5, 6):
+            main(["sample", "--config", str(cfg), "--checkpoint", str(ckpt),
+                  "--seed", str(seed), "--tau", "1.0", "--out", str(root / f"t{seed}")])
+        monkeypatch.setattr(bench.RunConfig, "urca",
+                            lambda self: URCAConfig(lam=self.urca_lambda, max_iter=1))
+        code, out = run(capsys, "fuse", "--config", str(cfg),
+                        str(root / "t5" / "depth.pfm"), str(root / "t6" / "depth.pfm"),
+                        "--out", str(root / "capped"))
+        assert code == 0
+        assert "alignment did not converge in 1 iterations" in out
+        text = (root / "capped" / "alignment.txt").read_text()
+        assert "converged=False\n" in text and "iterations=1\n" in text

@@ -3,10 +3,55 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractaldepth import urca
 from fractaldepth.core import DepthMap
 from fractaldepth.errors import InputError, ShapeError
 from fractaldepth.urca import (URCAConfig, align_samples, apply_affine,
                                charbonnier, consensus_pixel, fuse, uncertainty_stats)
+
+
+def _reference_objective(stack, alpha, beta, cfg):
+    aligned = alpha[:, None] * stack + beta[:, None]
+    n = len(alpha)
+    total = cfg.lam * float(np.sum((alpha - 1.0) ** 2))
+    for a in range(n):
+        for b in range(a + 1, n):
+            total += float(np.sum(charbonnier(aligned[a] - aligned[b], cfg.eps_c)))
+    return total
+
+
+def _reference_align(stack, cfg, sweeps=100):
+    """IRLS block coordinate descent: one 2x2 weighted LS solve per sample."""
+    n = stack.shape[0]
+    alpha = np.ones(n)
+    beta = np.zeros(n)
+    for _ in range(sweeps):
+        for i in range(n):
+            a_lhs = np.zeros((2, 2))
+            a_rhs = np.zeros(2)
+            di = stack[i]
+            for m in range(n):
+                if m == i:
+                    continue
+                tgt = alpha[m] * stack[m] + beta[m]
+                r = alpha[i] * di + beta[i] - tgt
+                w = 0.5 / np.sqrt(r * r + cfg.eps_c * cfg.eps_c)
+                sw = w.sum()
+                swd = (w * di).sum()
+                a_lhs += np.array([[(w * di * di).sum(), swd], [swd, sw]])
+                a_rhs += np.array([(w * di * tgt).sum(), (w * tgt).sum()])
+            a_lhs[0, 0] += cfg.lam
+            a_rhs[0] += cfg.lam
+            alpha[i], beta[i] = np.linalg.solve(a_lhs, a_rhs)
+        beta -= beta.mean()
+    return alpha, beta, _reference_objective(stack, alpha, beta, cfg)
+
+
+def _distorted_stack(seed, n, h, w):
+    g = np.random.default_rng(seed)
+    base = g.uniform(1.0, 5.0, (h, w))
+    return [DepthMap(values=g.uniform(0.8, 1.2) * base + g.uniform(-0.3, 0.3)
+                     + g.normal(0, 0.02, base.shape)) for _ in range(n)]
 
 
 def _grid_energy(z, s, r, cfg):
@@ -63,6 +108,8 @@ class TestAlignSamples:
         d = DepthMap(values=np.random.default_rng(0).uniform(1, 5, (6, 6)))
         out = align_samples([d, DepthMap(values=d.values.copy()), DepthMap(values=d.values.copy())])
         assert np.allclose(out.alpha, 1.0) and np.allclose(out.beta, 0.0)
+        assert out.converged and out.iterations == 0
+        assert out.objective_trace == [pytest.approx(0.0, abs=1e-12)]
 
     def test_gauge_mean_beta_zero(self):
         rng = np.random.default_rng(1)
@@ -96,6 +143,76 @@ class TestAlignSamples:
             for j in range(i + 1, 4):
                 resid.append(np.mean(np.abs(aligned[i] - aligned[j])))
         assert np.mean(resid) <= 0.05
+
+    def test_reports_convergence(self):
+        samples = _distorted_stack(11, 4, 8, 8)
+        out = align_samples(samples)
+        assert out.converged
+        assert out.iterations == len(out.objective_trace) - 1 >= 1
+        tr = out.objective_trace
+        assert tr[-2] - tr[-1] <= URCAConfig().tol * abs(tr[-2])
+
+    def test_reports_cap(self):
+        out = align_samples(_distorted_stack(11, 4, 8, 8), URCAConfig(max_iter=2))
+        assert not out.converged
+        assert out.iterations == 2 and len(out.objective_trace) == 3
+
+    def test_default_lambda_keeps_scale(self):
+        # the criterion-06 recipe: with a small lam the minimizer collapses
+        # the scales towards 0; the default must keep them near 1 and map
+        # every sample back onto one common scale
+        g = np.random.default_rng(606)
+        base = g.uniform(1.0, 5.0, (16, 16))
+        samples, scales = [], []
+        for _ in range(5):
+            a = g.uniform(0.8, 1.2)
+            b = g.uniform(-0.3, 0.3)
+            scales.append(a)
+            samples.append(DepthMap(values=a * base + b + g.normal(0, 0.01, base.shape)))
+        out = align_samples(samples)
+        assert out.converged
+        assert np.mean(out.alpha) >= 0.5
+        common = out.alpha * np.array(scales)
+        assert np.ptp(common) / np.mean(common) < 0.01
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(3, 8),
+           st.integers(3, 8), st.sampled_from([100.0, 1e5]))
+    def test_matches_block_descent_oracle(self, seed, n, h, w, lam):
+        # the objective is convex, so the joint solve must end at or below
+        # the point 100 block-descent sweeps reach
+        cfg = URCAConfig(lam=lam)
+        samples = _distorted_stack(seed, n, h, w)
+        out = align_samples(samples, cfg)
+        stack = np.stack([s.values.reshape(-1) for s in samples])
+        _, _, ref = _reference_align(stack, cfg)
+        assert out.converged
+        assert out.objective_trace[-1] <= ref * (1 + 1e-9)
+        assert out.objective_trace[-1] == pytest.approx(
+            _reference_objective(stack, out.alpha, out.beta, cfg), rel=1e-12)
+        tr = out.objective_trace
+        assert all(b <= a + 1e-9 for a, b in zip(tr, tr[1:]))
+        assert abs(out.beta.mean()) <= 1e-10
+
+    def test_pixel_blocks_match_one_block(self, monkeypatch):
+        samples = _distorted_stack(12, 5, 70, 70)   # 4900 pixels: two blocks
+        assert samples[0].values.size > urca._BLOCK
+        cfg = URCAConfig(lam=1e5)
+        blocked = align_samples(samples, cfg)
+        monkeypatch.setattr(urca, "_BLOCK", 1 << 20)
+        whole = align_samples(samples, cfg)
+        assert blocked.iterations == whole.iterations
+        assert np.max(np.abs(blocked.alpha - whole.alpha)) <= 1e-12
+        assert np.max(np.abs(blocked.beta - whole.beta)) <= 1e-12
+        # the block sums add in another order: equal to summation rounding
+        assert np.allclose(blocked.objective_trace, whole.objective_trace, rtol=1e-11, atol=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_rejected(self, bad):
+        samples = _distorted_stack(13, 3, 4, 4)
+        samples[1].values[2, 3] = bad
+        with pytest.raises(InputError):
+            align_samples(samples)
 
     def test_too_few_samples(self):
         with pytest.raises(InputError):
@@ -237,6 +354,20 @@ class TestFuse:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             fuse([])
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_nonfinite_sample_rejected(self, n):
+        samples = _distorted_stack(14, n, 4, 4)
+        samples[-1].values[0, 0] = np.nan
+        with pytest.raises(InputError):
+            fuse(samples)
+
+    def test_nonfinite_trace_depth_rejected(self):
+        samples = _distorted_stack(15, 3, 4, 4)
+        level = DepthMap(values=samples[0].values.copy())
+        level.values[1, 1] = np.inf
+        with pytest.raises(InputError):
+            fuse(samples, trace_depths=[level])
 
 
 class TestUncertaintyStats:
