@@ -321,13 +321,17 @@ def multisample_scene(model: FractalModel, cfg: RunConfig, scene_seed: int, n: i
                       rng: RngStream):
     """N stochastic generations + URCA fusion for one scene.
 
-    Sample k reuses the RNG path ("sample", k) regardless of n, so results
-    for smaller N are prefixes of larger-N runs.
+    The N generations run as one batch.  Sample k reuses the RNG path
+    ("sample", k) regardless of n, so results for smaller N are prefixes of
+    larger-N runs: bit for bit between batches of two or more, and within
+    1e-12 between N = 1 and a batch, because the single level-0 token of an
+    N = 1 run is a 1-row matrix product, which rounds differently from the
+    same row inside a larger product.
     """
     image, gt = gen_scene(cfg.scene_spec(scene_seed))
     srng = rng.child("scene", scene_seed)
-    traces = [generate(model, image, srng.child("sample", k), tau=cfg.multisample_tau)
-              for k in range(n)]
+    traces = generate(model, image, [srng.child("sample", k) for k in range(n)],
+                      tau=cfg.multisample_tau)
     out = fuse([t.final for t in traces], traces[0].depths, cfg.urca())
     # fixed normalization: energy per unit weight (N + gamma) gives the mean
     # disagreement; the extra 1/N converts ensemble spread into uncertainty

@@ -91,9 +91,11 @@ def mlp_forward(params: MlpParams, x: np.ndarray, pre0: np.ndarray = None):
     ``pre0``, when given, is the layer-0 pre-activation contributed by the
     input columns past ``x`` (their product with the rest of ``W0``, plus
     ``b0``), so callers can project inputs that do not change between calls
-    once.  Layer 0 then computes ``x @ W0[:x.shape[1]] + pre0``.  The cache
-    of such a call holds only ``x`` and cannot be passed to
-    :func:`mlp_backward`.
+    once.  Layer 0 then computes ``x @ W0[:x.shape[1]] + pre0``.  Such a
+    call is inference only: it adds biases and applies SiLU in place, keeps
+    no activations and returns ``None`` as its cache, which
+    :func:`mlp_backward` refuses.  Its output equals that of the
+    out-of-place arithmetic bit for bit.
     """
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
@@ -109,19 +111,40 @@ def mlp_forward(params: MlpParams, x: np.ndarray, pre0: np.ndarray = None):
                 or pre0.shape not in ((w0.shape[1],), (x.shape[0], w0.shape[1]))):
             raise ShapeError(f"input dim {x.shape[1]} with pre0 {pre0.shape} does not fit "
                              f"first layer {w0.shape}")
+        h = _forward_no_cache(params, x, pre0)
+        return (h[0] if squeeze else h), None
     inputs, preacts = [], []
     h = x
     n_layers = len(params.weights)
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         inputs.append(h)
-        if i == 0 and pre0 is not None:
-            a = h @ w[:h.shape[1]] + pre0
-        else:
-            a = h @ w + b
+        a = h @ w + b
         preacts.append(a)
         h = a if i == n_layers - 1 else silu(a)
     cache = (inputs, preacts, squeeze)
     return (h[0] if squeeze else h), cache
+
+
+def _forward_no_cache(params: MlpParams, x: np.ndarray, pre0: np.ndarray) -> np.ndarray:
+    """The ``pre0`` forward: per layer one product array, plus one scratch
+    array for SiLU; no activations are kept."""
+    n_layers = len(params.weights)
+    h = x
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        if i == 0:
+            a = h @ w[:h.shape[1]]
+            a += pre0
+        else:
+            a = h @ w
+            a += b
+        if i != n_layers - 1:
+            # silu(a) = a / (1 + exp(-a)), evaluated in one scratch array
+            e = np.negative(a)
+            np.exp(e, out=e)
+            e += 1.0
+            a /= e
+        h = a
+    return h
 
 
 @dataclass
@@ -136,6 +159,8 @@ class MlpGrads:
 
 def mlp_backward(params: MlpParams, cache, grad_out: np.ndarray) -> MlpGrads:
     """Exact reverse-mode gradients for :func:`mlp_forward`."""
+    if cache is None:
+        raise ShapeError("a forward with pre0 keeps no activations and has no backward")
     inputs, preacts, squeeze = cache
     g = np.asarray(grad_out, dtype=np.float64)
     if squeeze:
@@ -144,7 +169,7 @@ def mlp_backward(params: MlpParams, cache, grad_out: np.ndarray) -> MlpGrads:
         raise ShapeError(f"output grad shape {g.shape} != {preacts[-1].shape}")
     if inputs[0].shape[1] != params.weights[0].shape[0]:
         raise ShapeError(f"cached input dim {inputs[0].shape[1]} != first layer "
-                         f"{params.weights[0].shape[0]}; a forward with pre0 has no backward")
+                         f"{params.weights[0].shape[0]}")
     n_layers = len(params.weights)
     dws = [None] * n_layers
     dbs = [None] * n_layers

@@ -188,19 +188,52 @@ class TestRunners:
         assert lines[-1].startswith("mean,")
         assert np.isfinite(mean.rmse)
 
-    def test_multisample_prefix_property(self, tmp_path):
-        # sample k's RNG path is independent of N, so the first sample of an
-        # N=2 run equals the N=1 sample
+    def test_multisample_prefix_property(self, monkeypatch):
+        # sample k's RNG path is independent of N, so the samples of an N=1
+        # or N=2 run are the first samples of the N=8 run
+        import fractaldepth.bench as bench_mod
         cfg = _tiny_cfg()
         model = build_model(cfg)
-        rng1 = RngStream(0, ("m",))
-        rng2 = RngStream(0, ("m",))
-        out1, _, _ = multisample_scene(model, cfg, 42, 1, rng1)
-        out2, _, _ = multisample_scene(model, cfg, 42, 2, rng2)
-        # N=1 consensus reproduces the single sample; the aligned N=2 stack
-        # contains that same first sample
-        assert out1.alignment.alpha.shape == (1,)
-        assert out2.alignment.alpha.shape == (2,)
+        runs = {}
+        generate = bench_mod.generate
+
+        def recording(model, image, rngs, **kw):
+            traces = generate(model, image, rngs, **kw)
+            runs[len(traces)] = traces
+            return traces
+
+        monkeypatch.setattr(bench_mod, "generate", recording)
+        for n in (1, 2, 8):
+            out, _, _ = multisample_scene(model, cfg, 42, n, RngStream(0, ("m",)))
+            assert out.alignment.alpha.shape == (n,)
+        # in batches of two or more every product has two or more rows, and
+        # such products give each row the same bits: N=2 is a prefix of N=8
+        for k in range(2):
+            for a, b in zip(runs[2][k].latents, runs[8][k].latents):
+                assert np.array_equal(a, b)
+            assert np.array_equal(runs[2][k].final.values, runs[8][k].final.values)
+        # N=1 runs its level-0 token as a 1-row product, which rounds
+        # differently from the same row inside a batch
+        single = runs[1][0]
+        for n in (2, 8):
+            for a, b in zip(single.latents, runs[n][0].latents):
+                assert np.max(np.abs(a - b)) <= 1e-12
+            assert np.max(np.abs(single.final.values - runs[n][0].final.values)) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_multisample_nonfinite_image(self, monkeypatch, bad):
+        import fractaldepth.bench as bench_mod
+        cfg = _tiny_cfg()
+        scene = bench_mod.gen_scene
+
+        def corrupted(spec):
+            image, gt = scene(spec)
+            image[0, 0, 2] = bad
+            return image, gt
+
+        monkeypatch.setattr(bench_mod, "gen_scene", corrupted)
+        with pytest.raises(InputError):
+            multisample_scene(build_model(cfg), cfg, 42, 2, RngStream(0, ("m",)))
 
     def test_multisample_csv(self, tmp_path):
         cfg = _tiny_cfg()

@@ -1,10 +1,14 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractaldepth.core import (DepthMap, ScaleConfig, downsample_mean, log_normalize,
                                named_scale_config, upsample_bilinear)
 from fractaldepth.diffusion import make_linear_schedule
-from fractaldepth.errors import ConfigError, ShapeError
+from fractaldepth.errors import ConfigError, InputError, ShapeError
 from fractaldepth.fractal import (_predict, decode_level_depth, encode_targets, generate,
                                   init_model, load_model, save_model, save_trace, train_step)
 from fractaldepth.rng import RngStream
@@ -192,6 +196,88 @@ class TestGenerateHoistedCondition:
         for x, y in zip(a.latents, b.latents):
             assert np.max(np.abs(x - y)) <= 1e-10
         assert np.max(np.abs(a.final.values - b.final.values)) <= 1e-10
+
+
+@functools.lru_cache(maxsize=None)
+def _batch_model(name):
+    """A small model on the desk layout, or on a 2-level layout whose 144
+    finest tokens put a sample boundary inside a row block."""
+    if name == "desk":
+        return init_model(named_scale_config("desk"), seed=2, sched=make_linear_schedule(8),
+                          hidden=(32, 32), feature_dim=4, time_dim=4)
+    cfg = ScaleConfig(levels=((3, 1), (12, 1)), d_min=0.1, d_max=10.0)
+    return init_model(cfg, seed=2, sched=make_linear_schedule(8), hidden=(24, 24),
+                      feature_dim=4, time_dim=6)
+
+
+class TestBatchedGenerate:
+    """N generations of one image as one batch: sample k equals a single
+    run on stream k."""
+
+    @given(st.sampled_from(["desk", "two_level"]), st.integers(1, 4),
+           st.sampled_from([0.0, 1.0]), st.integers(0, 1000))
+    @settings(max_examples=16, deadline=None)
+    def test_sample_k_matches_single_run(self, name, n, tau, seed):
+        model = _batch_model(name)
+        res = model.cfg.final_resolution
+        image = np.random.default_rng(seed).uniform(0, 1, (res, res, 3))
+        streams = [RngStream(seed, ("b",)).child("sample", k) for k in range(n)]
+        batch = generate(model, image, streams, tau=tau)
+        assert isinstance(batch, list) and len(batch) == n
+        for stream, trace in zip(streams, batch):
+            alone = generate(model, image, stream, tau=tau)
+            for a, b in zip(alone.latents, trace.latents):
+                assert np.max(np.abs(a - b)) <= 1e-12
+            for a, b in zip(alone.depths, trace.depths):
+                assert np.max(np.abs(a.values - b.values)) <= 1e-12
+
+    def test_oracle_predictor_sees_stacked_batch(self):
+        model = small_model(T=100)
+        image, gt = scene(11)
+        targets = encode_targets(DepthMap(values=gt.values), model)
+        from fractaldepth.core import split_patches
+        n = 3
+        token_targets = [split_patches(targets[level], lv.patch_size)
+                         .reshape(lv.token_count, lv.token_dim)
+                         for level, lv in enumerate(model.plan.levels)]
+        seen = []
+
+        def oracle(level, z, t, cond):
+            seen.append((level, z.shape, cond.shape))
+            target = np.tile(token_targets[level], (z.shape[0] // len(token_targets[level]), 1))
+            ab = model.sched.abar(t)
+            return (z - np.sqrt(ab) * target) / np.sqrt(1 - ab)
+
+        streams = [RngStream(6, ("o",)).child("sample", k) for k in range(n)]
+        batch = generate(model, image, streams, tau=1.0, predictor=oracle)
+        for level, z_shape, cond_shape in seen:
+            lv = model.plan.levels[level]
+            assert z_shape == (n * lv.token_count, lv.token_dim)
+            assert cond_shape == (n * lv.token_count, model.cond_dim(level))
+        assert len(seen) == model.n_levels * model.sched.T   # one call per step
+        for stream, trace in zip(streams, batch):
+            alone = generate(model, image, stream, tau=1.0, predictor=oracle)
+            for a, b in zip(alone.latents, trace.latents):
+                assert np.max(np.abs(a - b)) <= 1e-12
+            assert np.max(np.abs(trace.final.values - gt.values)) <= 1e-6
+
+    def test_empty_stream_list(self):
+        model = small_model()
+        image, _ = scene(1)
+        with pytest.raises(InputError):
+            generate(model, image, [])
+
+
+class TestNonFiniteImage:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected(self, bad):
+        model = small_model()
+        image, _ = scene(16)
+        image[3, 5, 1] = bad
+        with pytest.raises(InputError):
+            generate(model, image, RngStream(0, ("n",)))
+        with pytest.raises(InputError):
+            generate(model, image, [RngStream(0, ("n",)), RngStream(1, ("n",))], tau=1.0)
 
 
 class TestDecodeLevelDepth:

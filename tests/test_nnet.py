@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from fractaldepth.errors import ConfigError, NumericsError, ShapeError
 from fractaldepth.nnet import (AdamWState, LrSchedule, MlpParams, adamw_step, grad_check,
                                init_mlp, load_checkpoint, lr_at, mlp_backward, mlp_forward,
-                               save_checkpoint, time_embed)
+                               save_checkpoint, silu, time_embed)
 from fractaldepth.rng import RngStream
 
 
@@ -91,6 +91,41 @@ class TestMlpForwardPre0:
             mlp_forward(p, np.zeros((2, 3)), pre0=np.zeros((3, 4)))
         with pytest.raises(ShapeError):
             mlp_forward(p, np.zeros((2, 3)), pre0=np.zeros(5))
+
+
+class TestMlpForwardNoCache:
+    """The ``pre0`` forward adds biases and applies SiLU in place and keeps
+    no activations; its output must equal the out-of-place arithmetic bit
+    for bit."""
+
+    @staticmethod
+    def _out_of_place(params, x, pre0):
+        h = x
+        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+            a = h @ w[:h.shape[1]] + pre0 if i == 0 else h @ w + b
+            h = a if i == len(params.weights) - 1 else silu(a)
+        return h
+
+    @pytest.mark.parametrize("rows", [1, 16, 256, 257, 300])
+    def test_bit_identical(self, rows):
+        # the sampler's layout: one token column, time and condition hoisted
+        p = init_mlp([1 + 16 + 17, 256, 256, 256, 1], RngStream(rows, ("nc",)))
+        x = RngStream(rows, ("x",)).normal((rows, 34))
+        pre0 = x[:, 1:] @ p.weights[0][1:] + p.biases[0]
+        y, cache = mlp_forward(p, x[:, :1], pre0=pre0)
+        assert cache is None
+        assert np.array_equal(y, self._out_of_place(p, x[:, :1], pre0))
+        # a pre0 of b0 alone over the full input is the caching forward
+        assert np.array_equal(mlp_forward(p, x, pre0=p.biases[0])[0], mlp_forward(p, x)[0])
+
+    def test_vector_input(self):
+        p = init_mlp([6, 32, 32, 3], RngStream(3, ("nc",)))
+        x = RngStream(4).normal((6,), "x")
+        pre0 = x[2:] @ p.weights[0][2:] + p.biases[0]
+        y, _ = mlp_forward(p, x[:2], pre0=pre0)
+        assert y.shape == (3,)
+        assert np.array_equal(y, self._out_of_place(p, x[None, :2], pre0)[0])
+        assert np.array_equal(mlp_forward(p, x, pre0=p.biases[0])[0], mlp_forward(p, x)[0])
 
 
 class TestMlpBackward:
