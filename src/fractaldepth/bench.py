@@ -158,7 +158,6 @@ class RunConfig:
     val_scenes: int = 8
     val_every: int = 256
     # inference
-    n_samples: int = 1
     tau: float = 0.0
     multisample_tau: float = 1.0
     # urca; the scale regularizer must be commensurate with the per-pixel
@@ -242,12 +241,11 @@ def _write_csv(path, header, rows) -> None:
         w.writerows(rows)
 
 
-def _metrics_row(report: MetricsReport):
-    return [f"{report.abs_rel:.6f}", f"{report.sq_rel:.6f}", f"{report.rmse:.6f}",
-            f"{report.rmse_log:.6f}", f"{report.delta1:.6f}", f"{report.delta2:.6f}",
-            f"{report.delta3:.6f}"]
+_METRIC_HEADER = [f.name for f in fields(MetricsReport)]
 
-_METRIC_HEADER = ["abs_rel", "sq_rel", "rmse", "rmse_log", "delta1", "delta2", "delta3"]
+
+def _metrics_row(report: MetricsReport):
+    return [f"{getattr(report, name):.6f}" for name in _METRIC_HEADER]
 
 
 def _mean_report(reports) -> MetricsReport:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import os
 import sys
 
 from . import bench, imgio, urca
 from .core import NAMED_CONFIGS, build_schedule_plan, named_scale_config
-from .fractal import generate, load_model, save_trace
+from .errors import InputError
+from .fractal import decode_level_depth, generate, load_model, save_trace
 from .rng import RngStream
 
 
@@ -97,13 +99,15 @@ def cmd_fuse(args) -> int:
     samples = [imgio.read_depth_pfm(p) for p in args.samples]
     trace_depths = None
     if args.trace_dir:
-        names = sorted(n for n in os.listdir(args.trace_dir) if n.startswith("latent_level"))
-        model = load_model(args.checkpoint) if args.checkpoint else None
-        if model is None:
+        if not args.checkpoint:
             raise SystemExit("--trace-dir requires --checkpoint to decode level latents")
-        from .fractal import decode_level_depth
-        trace_depths = [decode_level_depth(imgio.read_pfm(os.path.join(args.trace_dir, n)),
-                                           model, i) for i, n in enumerate(names)]
+        model = load_model(args.checkpoint)
+        names = [f"latent_level{i}.pfm" for i in range(model.n_levels)]
+        found = fnmatch.filter(os.listdir(args.trace_dir), "latent_level*.pfm")
+        if sorted(found) != sorted(names):
+            raise InputError(f"{args.trace_dir}: expected {names}, found {sorted(found)}")
+        trace_depths = [decode_level_depth(imgio.read_pfm(os.path.join(args.trace_dir, n)), model)
+                        for n in names]
     out = urca.fuse(samples, trace_depths, cfg.urca())
     os.makedirs(args.out, exist_ok=True)
     align = out.alignment

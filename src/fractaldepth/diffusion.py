@@ -4,6 +4,11 @@ The working objects are plain float64 arrays (a latent grid, or a batch
 of flattened tokens); every operation is a pure function of its inputs.
 Timesteps are 1-based: t runs over 1..T, with the convention
 alpha_bar_0 = 1 so the final denoising step (t=1) is exact and noiseless.
+
+``sample`` is the package's one reverse loop.  It runs a single chain, or N
+chains stacked along axis 0 with per-chain noise streams; ``fractal``
+generates every level through it, with a predictor that reuses the level's
+hoisted first-layer projections.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, TimestepError
+from .errors import ConfigError, InputError, ShapeError, TimestepError
 from .rng import RngStream
 
 
@@ -109,25 +114,25 @@ def reverse_step(z_t: np.ndarray, t: int, eps_pred: np.ndarray, sched: NoiseSche
 
 
 def sample(predictor, condition, shape, sched: NoiseSchedule, tau: float,
-           rng: RngStream, steps: int = None) -> np.ndarray:
+           rng) -> np.ndarray:
     """Full reverse chain z_T -> z_0.
 
-    ``predictor(z_t, t, condition)`` returns the predicted noise.  Only
-    ``steps in {0, T}`` is supported; strided chains are not implemented.
+    ``predictor(z_t, t, condition)`` returns the predicted noise.  ``rng`` is
+    one :class:`RngStream`, or a sequence of N streams: then N chains of
+    ``shape`` run stacked along axis 0, the result has shape
+    ``(N * shape[0], ...)``, and chain k draws its initial state and step
+    noise from stream k on the same paths as a single run on that stream.
     """
-    if steps is None:
-        steps = sched.T
-    if steps == 0:
-        return rng.normal(shape, "init")
-    if steps != sched.T:
-        raise ConfigError(f"strided sampling not supported; steps must be 0 or {sched.T}")
-    z = rng.normal(shape, "init")
+    rngs = [rng] if isinstance(rng, RngStream) else list(rng)
+    if not rngs:
+        raise InputError("sample needs at least one RNG stream")
+    z = np.concatenate([r.normal(shape, "init") for r in rngs])
     for t in range(sched.T, 0, -1):
         eps = np.asarray(predictor(z, t, condition), dtype=np.float64)
         if eps.shape != z.shape:
             raise ShapeError(f"predictor output shape {eps.shape} != {z.shape}")
         noise = None
         if tau != 0.0 and sched.sigma[t - 1] != 0.0:
-            noise = rng.normal(shape, t, "step")
+            noise = np.concatenate([r.normal(shape, t, "step") for r in rngs])
         z = reverse_step(z, t, eps, sched, tau, noise)
     return z

@@ -19,8 +19,10 @@ from . import vcfr
 from .core import (DepthMap, ScaleConfig, SchedulePlan, build_schedule_plan, denormalize,
                    downsample_mean, log_normalize, reassemble_patches, split_patches,
                    split_patches_with_context, upsample_bilinear)
-from .diffusion import NoiseSchedule, forward_noise, make_linear_schedule, reverse_step
-from .errors import ConfigError, InputError, NumericsError, ShapeError
+from .diffusion import NoiseSchedule, forward_noise, make_linear_schedule, sample
+# not called here: perfbench/tracer.py times reverse steps by patching this binding
+from .diffusion import reverse_step  # noqa: F401
+from .errors import InputError, NumericsError, ShapeError
 from .nnet import (AdamWState, MlpParams, adamw_step, init_mlp, mlp_backward, mlp_forward,
                    time_embed)
 from .rng import RngStream
@@ -38,7 +40,6 @@ class FractalModel:
     feature_dim: int = 16
     time_dim: int = 16
     timestep_reuse: int = 4     # timestep draws per condition per example
-    train_features: bool = True
     opt_state: AdamWState = field(default_factory=AdamWState)
 
     @property
@@ -62,7 +63,7 @@ class FractalModel:
 
 def init_model(cfg: ScaleConfig, seed: int = 0, sched: NoiseSchedule = None,
                hidden=(256, 256, 256), feature_dim: int = 16, time_dim: int = 16,
-               timestep_reuse: int = 4, train_features: bool = True) -> FractalModel:
+               timestep_reuse: int = 4) -> FractalModel:
     plan = build_schedule_plan(cfg)
     if sched is None:
         sched = make_linear_schedule(100)
@@ -73,7 +74,7 @@ def init_model(cfg: ScaleConfig, seed: int = 0, sched: NoiseSchedule = None,
                          gate_w=np.ones(len(plan.levels)),
                          gate_b=np.zeros(len(plan.levels)),
                          mlps=mlps, feature_dim=feature_dim, time_dim=time_dim,
-                         timestep_reuse=timestep_reuse, train_features=train_features)
+                         timestep_reuse=timestep_reuse)
     for i, lv in enumerate(plan.levels):
         in_dim = lv.token_dim + time_dim + model.cond_dim(i)
         sizes = [in_dim, *hidden, lv.token_dim]
@@ -156,10 +157,9 @@ def train_step(model: FractalModel, image: np.ndarray, gt: DepthMap, rng: RngStr
         grads[f"gate_w"][level] += dw
         grads[f"gate_b"][level] += db
         feat_grads[level] = df
-    if model.train_features:
-        conv_grads = vcfr.extract_features_backward(feat_grads, model.cfg, model.conv, feat_cache)
-        for name, gv in conv_grads.items():
-            grads[name] += gv
+    conv_grads = vcfr.extract_features_backward(feat_grads, model.cfg, model.conv, feat_cache)
+    for name, gv in conv_grads.items():
+        grads[name] += gv
     adamw_step(model.named_params(), grads, model.opt_state, lr, weight_decay=weight_decay)
     return losses
 
@@ -171,9 +171,7 @@ class GenerationTrace:
     final: DepthMap
 
 
-def decode_level_depth(latent: np.ndarray, model: FractalModel, level: int) -> DepthMap:
-    if not (0 <= level < model.n_levels):
-        raise ConfigError(f"unknown level {level}")
+def decode_level_depth(latent: np.ndarray, model: FractalModel) -> DepthMap:
     return denormalize(upsample_bilinear(latent, model.cfg.final_resolution), model.cfg)
 
 
@@ -204,9 +202,6 @@ def _reverse_chain(model: FractalModel, level: int, cond: np.ndarray, lrngs: lis
     draws its noise from ``lrngs[k]``.
     """
     lv = model.plan.levels[level]
-    T = model.sched.T
-    shape = (lv.token_count, lv.token_dim)
-    z = np.concatenate([r.normal(shape, "tokens", "init") for r in lrngs])
     if predictor is None:
         # the condition and the time embeddings do not change along the
         # chain: project them through W0 once, not at every step.  The
@@ -218,19 +213,16 @@ def _reverse_chain(model: FractalModel, level: int, cond: np.ndarray, lrngs: lis
         d = lv.token_dim
         cond_pre = [cond[r:r + _BLOCK] @ w0[d + model.time_dim:] + mlp.biases[0]
                     for r in range(0, cond.shape[0], _BLOCK)]
-        time_pre = time_embed(np.arange(1, T + 1), model.time_dim) @ w0[d:d + model.time_dim]
-    for t in range(T, 0, -1):
-        if predictor is not None:
-            eps = np.asarray(predictor(level, z, t, cond), dtype=np.float64)
-        else:
-            eps = _predict_blocks(mlp, z, cond_pre, time_pre[t - 1])
-        if eps.shape != z.shape:
-            raise ShapeError(f"predictor output {eps.shape} != {z.shape}")
-        noise = None
-        if tau != 0.0 and model.sched.sigma[t - 1] != 0.0:
-            noise = np.concatenate([r.normal(shape, "tokens", t, "step") for r in lrngs])
-        z = reverse_step(z, t, eps, model.sched, tau, noise)
-    return z
+        time_pre = (time_embed(np.arange(1, model.sched.T + 1), model.time_dim)
+                    @ w0[d:d + model.time_dim])
+
+        def pred(z, t, _cond):
+            return _predict_blocks(mlp, z, cond_pre, time_pre[t - 1])
+    else:
+        def pred(z, t, c):
+            return predictor(level, z, t, c)
+    return sample(pred, cond, (lv.token_count, lv.token_dim), model.sched, tau,
+                  [r.child("tokens") for r in lrngs])
 
 
 def generate(model: FractalModel, image: np.ndarray, rng, tau: float = 0.0,
@@ -242,9 +234,9 @@ def generate(model: FractalModel, image: np.ndarray, rng, tau: float = 0.0,
     of N traces of the same image.  The N reverse chains run as one batch:
     the conv features are computed once, and each level stacks the N
     samples' tokens and conditions into ``(N*tokens, dim)`` arrays, so every
-    step is one ``reverse_step`` and a few MLP calls of at most ``_BLOCK``
-    rows.  Sample k draws its noise from stream k on the same paths as a
-    single run on that stream.
+    step of ``diffusion.sample`` is one ``reverse_step`` and a few MLP calls
+    of at most ``_BLOCK`` rows.  Sample k draws its noise from stream k on the
+    same paths as a single run on that stream.
 
     ``predictor(level, z_tokens, t, cond)`` overrides the trained MLPs when
     given (used by the analytic-noise oracle tests); it receives the stacked
@@ -270,8 +262,7 @@ def generate(model: FractalModel, image: np.ndarray, rng, tau: float = 0.0,
                 zk.reshape(lv.token_count, lv.patch_size, lv.patch_size), lv.resolution))
     traces = []
     for sample_latents in latents:
-        depths = [decode_level_depth(latent, model, level)
-                  for level, latent in enumerate(sample_latents)]
+        depths = [decode_level_depth(latent, model) for latent in sample_latents]
         traces.append(GenerationTrace(latents=sample_latents, depths=depths, final=depths[-1]))
     return traces[0] if single else traces
 

@@ -40,10 +40,14 @@ def read_pgm16(path, counts_per_meter: float = 256.0) -> DepthMap:
     pos += 1  # single whitespace after maxval
     if tokens[0] != b"P5":
         raise InputError(f"{path}: not a binary PGM file")
+    if not all(t.isdigit() for t in tokens[1:]):
+        raise InputError(f"{path}: malformed PGM header {b' '.join(tokens)!r}")
     width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     if maxval != 65535:
         raise InputError(f"{path}: expected 16-bit PGM, maxval={maxval}")
     raw = data[pos:pos + width * height * 2]
+    if len(raw) != width * height * 2:
+        raise InputError(f"{path}: raster has {len(raw)} of {width * height * 2} bytes")
     counts = np.frombuffer(raw, dtype=">u2").reshape(height, width).astype(np.float64)
     valid = counts > 0
     values = np.where(valid, counts / counts_per_meter, 1.0)
@@ -66,10 +70,18 @@ def read_pfm(path) -> np.ndarray:
         if f.readline().strip() != b"Pf":
             raise InputError(f"{path}: not a grayscale PFM file")
         dims = f.readline().split()
-        w, h = int(dims[0]), int(dims[1])
-        scale = float(f.readline().strip())
-        dtype = "<f4" if scale < 0 else ">f4"
-        data = np.frombuffer(f.read(w * h * 4), dtype=dtype).reshape(h, w)
+        scale = f.readline().strip()
+        try:
+            w, h = (int(d) for d in dims)
+            scale = float(scale)
+        except ValueError:
+            raise InputError(f"{path}: malformed PFM header") from None
+        if w < 0 or h < 0:
+            raise InputError(f"{path}: negative PFM size {w} x {h}")
+        raw = f.read(w * h * 4)
+    if len(raw) != w * h * 4:
+        raise InputError(f"{path}: raster has {len(raw)} of {w * h * 4} bytes")
+    data = np.frombuffer(raw, dtype="<f4" if scale < 0 else ">f4").reshape(h, w)
     return np.flipud(data).astype(np.float64)
 
 

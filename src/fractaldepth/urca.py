@@ -44,7 +44,6 @@ from .errors import InputError, ShapeError
 class URCAConfig:
     lam: float = 100.0          # scale-regularizer weight
     gamma: float = 0.5          # recursive-term weight
-    level_weights: tuple = None  # w_k, normalized; None -> uniform
     tau_s: float = 0.1          # sample residual normalization (meters)
     tau_r: float = 0.1          # recursive residual normalization (meters)
     delta_stab: float = 1e-6    # stabilizer (meters)
@@ -58,18 +57,6 @@ class URCAConfig:
             raise InputError("need lam > 0, gamma >= 0, tau_s > 0, tau_r > 0")
         if self.delta_stab < 0 or self.eps_c <= 0:
             raise InputError("need delta_stab >= 0, eps_c > 0")
-        if self.level_weights is not None:
-            w = np.asarray(self.level_weights, dtype=np.float64)
-            if np.any(w < 0) or not np.isclose(w.sum(), 1.0):
-                raise InputError("level weights must be >= 0 and sum to 1")
-            object.__setattr__(self, "level_weights", tuple(float(x) for x in w))
-
-    def weights_for(self, k: int) -> np.ndarray:
-        if self.level_weights is not None:
-            if len(self.level_weights) != k:
-                raise InputError(f"{len(self.level_weights)} level weights for {k} levels")
-            return np.asarray(self.level_weights)
-        return np.full(k, 1.0 / k)
 
 
 def charbonnier(x, eps_c: float):
@@ -285,7 +272,7 @@ def consensus_pixel(s, r=None, cfg: URCAConfig = URCAConfig()):
     if s.size == 0:
         raise InputError("need at least one sample value")
     r = None if r is None else np.asarray(r, dtype=np.float64).reshape(-1)
-    w_k = cfg.weights_for(len(r)) if r is not None and len(r) else None
+    w_k = np.full(len(r), 1.0 / len(r)) if r is not None and len(r) else None
     z, u = _consensus_minimize(s, r, w_k, cfg)
     return float(z), float(u)
 
@@ -333,7 +320,7 @@ def fuse(samples, trace_depths=None, cfg: URCAConfig = URCAConfig()) -> Consensu
             coef, *_ = np.linalg.lstsq(a_mat, ref, rcond=None)
             fitted.append(coef[0] * d.values + coef[1])
         r = np.stack(fitted)
-    w_k = cfg.weights_for(len(r)) if r is not None else None
+    w_k = np.full(len(r), 1.0 / len(r)) if r is not None else None
     m, u = _consensus_minimize(aligned, r, w_k, cfg)
     mask = np.logical_and.reduce([s.valid_mask for s in samples])
     return ConsensusOutput(consensus=DepthMap(values=m, valid_mask=mask),

@@ -1,7 +1,11 @@
+import shutil
+
+import numpy as np
 import pytest
 
 from fractaldepth import bench
 from fractaldepth.cli import main
+from fractaldepth.errors import InputError
 from fractaldepth.imgio import read_depth_pfm
 from fractaldepth.urca import URCAConfig
 
@@ -107,3 +111,34 @@ class TestPipelines:
         assert "alignment did not converge in 1 iterations" in out
         text = (root / "capped" / "alignment.txt").read_text()
         assert "converged=False\n" in text and "iterations=1\n" in text
+
+    def test_fuse_trace_dir(self, tiny_run, capsys):
+        cfg, ckpt, root = tiny_run
+        for seed in (7, 8):
+            main(["sample", "--config", str(cfg), "--checkpoint", str(ckpt),
+                  "--seed", str(seed), "--tau", "1.0", "--out", str(root / f"t{seed}")])
+        samples = [str(root / "t7" / "depth.pfm"), str(root / "t8" / "depth.pfm")]
+        code, _ = run(capsys, "fuse", "--config", str(cfg), *samples,
+                      "--out", str(root / "plain"))
+        assert code == 0
+        code, out = run(capsys, "fuse", "--config", str(cfg), *samples, "--trace-dir",
+                        str(root / "t7"), "--checkpoint", str(ckpt), "--out", str(root / "rec"))
+        assert code == 0 and "fraction of pixels with U >" in out
+        rec = read_depth_pfm(root / "rec" / "consensus.pfm").values
+        plain = read_depth_pfm(root / "plain" / "consensus.pfm").values
+        # the recursive term of the four level latents moves the consensus
+        assert rec.shape == (64, 64) and not np.array_equal(rec, plain)
+
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_fuse_trace_dir_level_count(self, tiny_run, capsys, change):
+        cfg, ckpt, root = tiny_run
+        main(["sample", "--config", str(cfg), "--checkpoint", str(ckpt),
+              "--seed", "9", "--out", str(root / change)])
+        if change == "missing":
+            (root / change / "latent_level3.pfm").unlink()
+        else:
+            shutil.copy(root / change / "latent_level3.pfm", root / change / "latent_level4.pfm")
+        with pytest.raises(InputError):
+            main(["fuse", "--config", str(cfg), str(root / change / "depth.pfm"),
+                  str(root / change / "depth.pfm"), "--trace-dir", str(root / change),
+                  "--checkpoint", str(ckpt), "--out", str(root / f"{change}_fused")])

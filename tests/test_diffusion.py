@@ -3,7 +3,7 @@ import pytest
 
 from fractaldepth.diffusion import (diffusion_loss, forward_noise, make_linear_schedule,
                                     reverse_step, sample, schedule_to_csv)
-from fractaldepth.errors import ConfigError, ShapeError, TimestepError
+from fractaldepth.errors import ConfigError, InputError, ShapeError, TimestepError
 from fractaldepth.rng import RngStream
 
 
@@ -147,16 +147,35 @@ class TestSample:
             out = sample(oracle, None, (4, 4), sched, 0.0, RngStream(0, ("c", T)))
             assert np.max(np.abs(out - z_star)) <= 1e-9
 
-    def test_zero_steps_returns_initial_draw(self):
-        sched = make_linear_schedule(10)
-        rng = RngStream(1, ("z",))
-        out = sample(None, None, (3, 3), sched, 0.0, rng, steps=0)
-        assert np.array_equal(out, RngStream(1, ("z",)).normal((3, 3), "init"))
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_stacked_streams_equal_single_runs(self, tau):
+        # a row-wise predictor: chain k of the stack sees only its own rows
+        sched = make_linear_schedule(20)
+        pred = lambda z, t, c: np.tanh(z) * (0.01 * t) + c
+        streams = [RngStream(4, ("n",)).child("sample", k) for k in range(3)]
+        stacked = sample(pred, 0.5, (5, 2), sched, tau, streams)
+        alone = [sample(pred, 0.5, (5, 2), sched, tau, r) for r in streams]
+        assert stacked.shape == (15, 2)
+        assert np.array_equal(stacked, np.concatenate(alone))
 
-    def test_strided_rejected(self):
+    def test_exact_noise_collapse_stacked(self):
+        sched = make_linear_schedule(100)
+        z_star = np.random.default_rng(8).normal(size=(4, 4))
+        target = np.tile(z_star, (3, 1))
+
+        def oracle(z_t, t, cond):
+            ab = sched.abar(t)
+            return (z_t - np.sqrt(ab) * target) / np.sqrt(1 - ab)
+
+        out = sample(oracle, None, (4, 4), sched, 1.0, [RngStream(k, ("c",)) for k in range(3)])
+        assert np.max(np.abs(out - target)) <= 1e-9
+
+    def test_bad_predictor_and_no_streams(self):
         sched = make_linear_schedule(10)
-        with pytest.raises(ConfigError):
-            sample(lambda z, t, c: z, None, (2, 2), sched, 0.0, RngStream(0), steps=5)
+        with pytest.raises(ShapeError):
+            sample(lambda z, t, c: z[:1], None, (2, 2), sched, 0.0, RngStream(0))
+        with pytest.raises(InputError):
+            sample(lambda z, t, c: z, None, (2, 2), sched, 0.0, [])
 
     def test_stochastic_determinism(self):
         sched = make_linear_schedule(20)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fractaldepth.core import (DepthMap, ScaleConfig, downsample_mean, log_normalize,
                                named_scale_config, upsample_bilinear)
 from fractaldepth.diffusion import make_linear_schedule
-from fractaldepth.errors import ConfigError, InputError, ShapeError
+from fractaldepth.errors import InputError, ShapeError
 from fractaldepth.fractal import (_predict, decode_level_depth, encode_targets, generate,
                                   init_model, load_model, save_model, save_trace, train_step)
 from fractaldepth.rng import RngStream
@@ -285,27 +285,22 @@ class TestDecodeLevelDepth:
         model = small_model()
         latent = np.random.default_rng(0).uniform(-1, 1, (8, 8))
         from fractaldepth.core import denormalize
-        out = decode_level_depth(latent, model, 2)
+        out = decode_level_depth(latent, model)
         assert np.array_equal(out.values, denormalize(latent, CFG).values)
 
     def test_constant_latent(self):
         model = small_model()
-        out = decode_level_depth(np.zeros((4, 4)), model, 1)
+        out = decode_level_depth(np.zeros((4, 4)), model)
         assert np.allclose(out.values, np.sqrt(0.1 * 10.0))
 
     def test_compose_oracle(self):
         model = small_model()
         latent = np.random.default_rng(1).uniform(-1, 1, (4, 4))
-        out = decode_level_depth(latent, model, 1)
+        out = decode_level_depth(latent, model)
         up = upsample_bilinear(latent, 8)
         span = np.log(10.0) - np.log(0.1)
         expect = np.exp(np.log(0.1) + (up + 1) / 2 * span)
         assert np.max(np.abs(out.values - expect)) <= 1e-12
-
-    def test_unknown_level(self):
-        model = small_model()
-        with pytest.raises(ConfigError):
-            decode_level_depth(np.zeros((4, 4)), model, 5)
 
 
 class TestPersistence:

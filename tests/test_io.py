@@ -95,3 +95,40 @@ class TestPfm:
         path.write_bytes(b"PF\n2 2\n-1.0\n" + b"\0" * 48)
         with pytest.raises(InputError):
             read_pfm(path)
+
+
+def _valid_pfm(path):
+    write_pfm(path, np.arange(6.0).reshape(2, 3))
+
+
+def _valid_pgm(path):
+    write_pgm16(path, DepthMap(values=np.full((2, 3), 2.0)))
+
+
+class TestTruncatedAndMalformed:
+    @pytest.mark.parametrize("write, read", [(_valid_pfm, read_pfm), (_valid_pgm, read_pgm16)],
+                             ids=["pfm", "pgm"])
+    def test_every_byte_prefix_rejected(self, tmp_path, write, read):
+        path = tmp_path / "full"
+        write(path)
+        data = path.read_bytes()
+        read(path)  # the whole file reads
+        cut = tmp_path / "cut"
+        for n in range(len(data)):
+            cut.write_bytes(data[:n])
+            with pytest.raises(InputError):
+                read(cut)
+
+    @pytest.mark.parametrize("header", [b"Pf\n3\n-1.0\n", b"Pf\n3 2 1\n-1.0\n", b"Pf\nx 2\n-1.0\n",
+                                        b"Pf\n3 2\nscale\n", b"Pf\n-3 2\n-1.0\n"])
+    def test_malformed_pfm_header(self, tmp_path, header):
+        path = tmp_path / "bad.pfm"
+        path.write_bytes(header + b"\0" * 24)
+        with pytest.raises(InputError):
+            read_pfm(path)
+
+    def test_malformed_pgm_header(self, tmp_path):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P5\n3 -2\n65535\n" + b"\0" * 12)
+        with pytest.raises(InputError):
+            read_pgm16(path)
