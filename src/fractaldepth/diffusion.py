@@ -61,8 +61,8 @@ def schedule_to_csv(sched: NoiseSchedule, path) -> None:
         w = csv.writer(f)
         w.writerow(["t", "beta", "alpha", "alpha_bar", "sigma"])
         for t in range(1, sched.T + 1):
-            w.writerow([t, repr(sched.beta[t - 1]), repr(sched.alpha[t - 1]),
-                        repr(sched.alpha_bar[t - 1]), repr(sched.sigma[t - 1])])
+            w.writerow([t] + [repr(float(a[t - 1])) for a in
+                              (sched.beta, sched.alpha, sched.alpha_bar, sched.sigma)])
 
 
 def _check_t(t: int, sched: NoiseSchedule) -> None:

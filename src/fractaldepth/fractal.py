@@ -22,7 +22,7 @@ from .core import (DepthMap, ScaleConfig, SchedulePlan, build_schedule_plan, den
 from .diffusion import NoiseSchedule, forward_noise, make_linear_schedule, sample
 # not called here: perfbench/tracer.py times reverse steps by patching this binding
 from .diffusion import reverse_step  # noqa: F401
-from .errors import InputError, NumericsError, ShapeError
+from .errors import ConfigError, FractalDepthError, InputError, NumericsError, ShapeError
 from .nnet import (AdamWState, MlpParams, adamw_step, init_mlp, mlp_backward, mlp_forward,
                    time_embed)
 from .rng import RngStream
@@ -291,15 +291,27 @@ def save_model(path, model: FractalModel) -> None:
 
 
 def load_model(path) -> FractalModel:
+    """Rebuild a model from a checkpoint; ``ConfigError`` naming the path if
+    its meta or tensors do not describe one."""
     from .nnet import load_checkpoint
     params, meta = load_checkpoint(path)
-    cfg = ScaleConfig(levels=tuple(tuple(l) for l in meta["levels"]),
-                      d_min=meta["d_min"], d_max=meta["d_max"])
-    sched = make_linear_schedule(meta["T"], meta["beta_start"], meta["beta_end"])
-    model = init_model(cfg, sched=sched, hidden=tuple(meta["hidden"]),
-                       feature_dim=meta["feature_dim"], time_dim=meta["time_dim"],
-                       timestep_reuse=meta["timestep_reuse"])
-    for name, p in model.named_params().items():
+    try:
+        cfg = ScaleConfig(levels=tuple(tuple(l) for l in meta["levels"]),
+                          d_min=meta["d_min"], d_max=meta["d_max"])
+        sched = make_linear_schedule(meta["T"], meta["beta_start"], meta["beta_end"])
+        model = init_model(cfg, sched=sched, hidden=tuple(meta["hidden"]),
+                           feature_dim=meta["feature_dim"], time_dim=meta["time_dim"],
+                           timestep_reuse=meta["timestep_reuse"])
+    except (KeyError, TypeError, ValueError, FractalDepthError) as e:
+        raise ConfigError(f"{path}: checkpoint meta does not describe a model: {e!r}") from e
+    named = model.named_params()
+    if set(named) != set(params):
+        raise ConfigError(f"{path}: checkpoint tensors {sorted(set(params) ^ set(named))} "
+                          "do not match the model")
+    for name, p in named.items():
+        if params[name].shape != p.shape:
+            raise ConfigError(f"{path}: tensor {name!r} has shape {params[name].shape}, "
+                              f"the model needs {p.shape}")
         p[...] = params[name]
     return model
 

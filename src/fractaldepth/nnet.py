@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -300,16 +301,37 @@ def save_checkpoint(path, named_params: dict, meta: dict = None) -> None:
 
 
 def load_checkpoint(path):
-    """Returns (named_params, meta); round-trips bit-exactly."""
+    """Returns (named_params, meta); round-trips bit-exactly.
+
+    A file that is cut short, carries trailing bytes or whose manifest does
+    not parse raises ``ConfigError`` naming the path.
+    """
     with open(path, "rb") as f:
-        if f.read(5) != _MAGIC:
+        size = os.fstat(f.fileno()).st_size
+        if f.read(len(_MAGIC)) != _MAGIC:
             raise ConfigError(f"{path}: bad checkpoint magic")
-        (mlen,) = struct.unpack("<I", f.read(4))
-        manifest = json.loads(f.read(mlen).decode("utf-8"))
+        head = f.read(4)
+        if len(head) < 4:
+            raise ConfigError(f"{path}: checkpoint cut short in its header")
+        (mlen,) = struct.unpack("<I", head)
+        if mlen > size - f.tell():
+            raise ConfigError(f"{path}: checkpoint cut short in its manifest")
+        try:
+            manifest = json.loads(f.read(mlen).decode("utf-8"))
+            meta = manifest["meta"]
+            entries = [(e["name"], tuple(e["shape"])) for e in manifest["tensors"]]
+            if not (isinstance(meta, dict)
+                    and all(isinstance(n, str) and all(type(d) is int and d >= 0 for d in shape)
+                            for n, shape in entries)):
+                raise ValueError("unexpected manifest layout")
+        except (ValueError, KeyError, TypeError) as e:
+            raise ConfigError(f"{path}: checkpoint manifest does not parse: {e}") from e
         params = {}
-        for entry in manifest["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = f.read(count * 8)
-            params[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    return params, manifest["meta"]
+        for name, shape in entries:
+            nbytes = 8 * math.prod(shape)
+            if nbytes > size - f.tell():
+                raise ConfigError(f"{path}: checkpoint cut short in tensor {name!r}")
+            params[name] = np.frombuffer(f.read(nbytes), dtype="<f8").reshape(shape).copy()
+        if f.tell() != size:
+            raise ConfigError(f"{path}: {size - f.tell()} trailing bytes after the last tensor")
+    return params, meta

@@ -27,7 +27,11 @@ passes 1e5 for 64 x 64 maps.
 Fusion then minimizes, per pixel, a strictly convex robust energy over the
 aligned samples plus a weighted recursive cross-scale consistency term; the
 minimizer is the consensus depth and the minimum energy is the uncertainty
-proxy.
+proxy.  The solver bisects on the sign of the increasing derivative E' until
+every bracket is at most 1e-6 m wide, then takes one Newton step clipped to
+the bracket.  Where E is flat (to ~1e-13 between the two middle samples of
+an even N) the sign of E' is still well defined, so last-bit input changes
+do not move the consensus.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ class URCAConfig:
     eps_c: float = 1e-3         # Charbonnier smoothing
     tol: float = 1e-10          # alignment stop: relative objective decrease
     max_iter: int = 100
-    z_tol: float = 1e-6         # per-pixel search tolerance
 
     def __post_init__(self):
         if self.lam <= 0 or self.gamma < 0 or self.tau_s <= 0 or self.tau_r <= 0:
@@ -209,61 +212,49 @@ def apply_affine(sample: DepthMap, alpha: float, beta: float) -> DepthMap:
 
 # --- Per-pixel robust consensus -------------------------------------------
 
-def _energy(z, s, r, w_k, cfg: URCAConfig):
-    """E(z) for stacked samples s (N, ...) and recursive values r (K, ...)."""
-    cs = cfg.tau_s + cfg.delta_stab
-    cr = cfg.tau_r + cfg.delta_stab
-    e = charbonnier((s - z) / cs, cfg.eps_c).sum(axis=0)
-    if r is not None and len(r) > 0 and cfg.gamma != 0.0:
-        rho = charbonnier((r - z) / cr, cfg.eps_c)
-        e = e + cfg.gamma * np.tensordot(w_k, rho, axes=(0, 0))
-    return e
+# Bisection stops once every bracket is at most _Z_TOL m wide.  Past ~1e10 m
+# the float spacing exceeds _Z_TOL, so _MAX_ROUNDS ends the loop on any
+# finite input; 64 halvings bring any bracket under 1.8e13 m to _Z_TOL.
+_Z_TOL = 1e-6
+_MAX_ROUNDS = 64
 
 
-def _energy_derivs(z, s, r, w_k, cfg: URCAConfig):
-    cs = cfg.tau_s + cfg.delta_stab
-    cr = cfg.tau_r + cfg.delta_stab
-    eps2 = cfg.eps_c * cfg.eps_c
+def _energy(z, vals, scale, weight, eps_c: float):
+    """E, E' and E'' at z of sum_k weight_k * rho((vals_k - z) / scale_k).
 
-    def d1d2(vals, c, w):
-        u = (vals - z) / c
-        root = np.sqrt(u * u + eps2)
-        d1 = (-(u / root) / c * w).sum(axis=0)
-        d2 = ((eps2 / root ** 3) / (c * c) * w).sum(axis=0)
-        return d1, d2
-
-    d1, d2 = d1d2(s, cs, np.ones(len(s))[(...,) + (None,) * (s.ndim - 1)])
-    if r is not None and len(r) > 0 and cfg.gamma != 0.0:
-        wk = cfg.gamma * w_k[(...,) + (None,) * (r.ndim - 1)]
-        e1, e2 = d1d2(r, cr, wk)
-        d1, d2 = d1 + e1, d2 + e2
-    return d1, d2
+    ``vals`` is (rows, ...) and ``z`` broadcasts against one row; ``scale``
+    and ``weight`` are (rows,).  The row sums are contractions with BLAS.
+    """
+    u = (vals - z) / scale.reshape((-1,) + (1,) * (vals.ndim - 1))
+    root = np.sqrt(u * u + eps_c * eps_c)
+    inv = 1.0 / root
+    e = np.tensordot(weight, root, 1) - eps_c * weight.sum()
+    d1 = -np.tensordot(weight / scale, u * inv, 1)
+    d2 = np.tensordot(weight * (eps_c / scale) ** 2, inv * inv * inv, 1)
+    return e, d1, d2
 
 
-def _consensus_minimize(s: np.ndarray, r, w_k, cfg: URCAConfig):
-    """Vectorized ternary search plus one Newton polish over the last axes."""
-    lo = s.min(axis=0).astype(np.float64)
-    hi = s.max(axis=0).astype(np.float64)
-    if r is not None and len(r) > 0 and cfg.gamma != 0.0:
-        lo = np.minimum(lo, r.min(axis=0))
-        hi = np.maximum(hi, r.max(axis=0))
-    span = float(np.max(hi - lo))
-    it = 0
-    while span > cfg.z_tol and it < 200:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        e1 = _energy(m1, s, r, w_k, cfg)
-        e2 = _energy(m2, s, r, w_k, cfg)
-        take_left = e1 <= e2
-        hi = np.where(take_left, m2, hi)
-        lo = np.where(take_left, lo, m1)
-        span = float(np.max(hi - lo))
-        it += 1
-    z = (lo + hi) / 2.0
-    d1, d2 = _energy_derivs(z, s, r, w_k, cfg)
-    step = np.where(d2 > 0, d1 / np.where(d2 > 0, d2, 1.0), 0.0)
-    z = z - np.clip(step, -cfg.z_tol * 10, cfg.z_tol * 10)
-    return z, _energy(z, s, r, w_k, cfg)
+def _consensus_minimize(s: np.ndarray, r, cfg: URCAConfig):
+    """Per-pixel minimiser M and minimum energy U over the trailing axes.
+
+    Samples s (N, ...) and recursive values r (K, ...) form one stack, rows
+    scaled by tau_s or tau_r (+ delta_stab) and weighted 1 or gamma / K.
+    """
+    vals = s if r is None else np.concatenate([s, r])
+    n, k = len(s), len(vals) - len(s)
+    scale = np.repeat([cfg.tau_s, cfg.tau_r], [n, k]) + cfg.delta_stab
+    weight = np.repeat([1.0, cfg.gamma / max(k, 1)], [n, k])
+    lo, hi = vals.min(axis=0), vals.max(axis=0)
+    for _ in range(_MAX_ROUNDS):
+        if np.max(hi - lo) <= _Z_TOL:
+            break
+        mid = 0.5 * (lo + hi)
+        rising = _energy(mid, vals, scale, weight, cfg.eps_c)[1] >= 0
+        lo, hi = np.where(rising, lo, mid), np.where(rising, mid, hi)
+    z = 0.5 * (lo + hi)
+    _, d1, d2 = _energy(z, vals, scale, weight, cfg.eps_c)
+    z = np.clip(z - d1 / d2, lo, hi)
+    return z, _energy(z, vals, scale, weight, cfg.eps_c)[0]
 
 
 def consensus_pixel(s, r=None, cfg: URCAConfig = URCAConfig()):
@@ -272,8 +263,7 @@ def consensus_pixel(s, r=None, cfg: URCAConfig = URCAConfig()):
     if s.size == 0:
         raise InputError("need at least one sample value")
     r = None if r is None else np.asarray(r, dtype=np.float64).reshape(-1)
-    w_k = np.full(len(r), 1.0 / len(r)) if r is not None and len(r) else None
-    z, u = _consensus_minimize(s, r, w_k, cfg)
+    z, u = _consensus_minimize(s, r, cfg)
     return float(z), float(u)
 
 
@@ -320,8 +310,7 @@ def fuse(samples, trace_depths=None, cfg: URCAConfig = URCAConfig()) -> Consensu
             coef, *_ = np.linalg.lstsq(a_mat, ref, rcond=None)
             fitted.append(coef[0] * d.values + coef[1])
         r = np.stack(fitted)
-    w_k = np.full(len(r), 1.0 / len(r)) if r is not None else None
-    m, u = _consensus_minimize(aligned, r, w_k, cfg)
+    m, u = _consensus_minimize(aligned, r, cfg)
     mask = np.logical_and.reduce([s.valid_mask for s in samples])
     return ConsensusOutput(consensus=DepthMap(values=m, valid_mask=mask),
                            uncertainty=u, alignment=align)

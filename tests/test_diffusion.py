@@ -41,6 +41,10 @@ class TestSchedule:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,beta,alpha,alpha_bar,sigma"
         assert len(lines) == 6
+        # every value cell is a plain number that reads back exactly
+        for t, line in enumerate(lines[1:], start=1):
+            cells = [float(c) for c in line.split(",")]
+            assert cells == [t, s.beta[t - 1], s.alpha[t - 1], s.alpha_bar[t - 1], s.sigma[t - 1]]
 
 
 class TestForwardNoise:

@@ -1,4 +1,5 @@
 import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 from fractaldepth.core import (DepthMap, ScaleConfig, downsample_mean, log_normalize,
                                named_scale_config, upsample_bilinear)
 from fractaldepth.diffusion import make_linear_schedule
-from fractaldepth.errors import InputError, ShapeError
+from fractaldepth.errors import ConfigError, InputError, ShapeError
 from fractaldepth.fractal import (_predict, decode_level_depth, encode_targets, generate,
                                   init_model, load_model, save_model, save_trace, train_step)
+from fractaldepth.nnet import load_checkpoint, save_checkpoint
 from fractaldepth.rng import RngStream
 
 CFG = ScaleConfig(levels=((1, 1), (4, 1), (8, 2)), d_min=0.1, d_max=10.0)
@@ -317,6 +319,43 @@ class TestPersistence:
         a = generate(model, image, RngStream(10, ("q",)), tau=0.0)
         b = generate(loaded, image, RngStream(10, ("q",)), tau=0.0)
         assert np.array_equal(a.final.values, b.final.values)
+
+    def test_reference_checkpoint_loads(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "desk_seed0.fadn"
+        model = load_model(path)
+        assert model.cfg == named_scale_config("desk")
+
+    @pytest.mark.parametrize("cut", [7, 100, -1000])
+    def test_truncated_rejected(self, tmp_path, cut):
+        path = tmp_path / "m.fadn"
+        save_model(path, small_model())
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ConfigError, match="m.fadn"):
+            load_model(path)
+
+    @staticmethod
+    def _rewrite(path, edit):
+        """Save a small model, then re-save its tensors and meta after edit()."""
+        save_model(path, small_model())
+        params, meta = load_checkpoint(path)
+        edit(params, meta)
+        save_checkpoint(path, params, meta)
+
+    @pytest.mark.parametrize("edit", [
+        lambda p, m: p.update({"gate_w": np.ones(1)}),               # would broadcast
+        lambda p, m: p.update({"mlp0.w0": p["mlp0.w0"].T.copy()}),   # transposed
+        lambda p, m: p.pop("gate_b"),
+        lambda p, m: p.update({"extra": np.zeros(2)}),
+        lambda p, m: m.pop("T"),
+        lambda p, m: m.update({"levels": [[4, 1], [1, 1]]}),
+        lambda p, m: m.update({"hidden": 16}),
+    ], ids=["broadcast", "transposed", "missing", "extra", "no_T", "bad_levels",
+            "bad_hidden"])
+    def test_mismatched_checkpoint_rejected(self, tmp_path, edit):
+        path = tmp_path / "m.fadn"
+        self._rewrite(path, edit)
+        with pytest.raises(ConfigError, match="m.fadn"):
+            load_model(path)
 
     def test_trace_dump(self, tmp_path):
         model = small_model()

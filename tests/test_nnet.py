@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -278,3 +280,43 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE!" + b"\0" * 16)
         with pytest.raises(ConfigError):
             load_checkpoint(path)
+
+    @staticmethod
+    def _small(tmp_path):
+        path = tmp_path / "small.fadn"
+        save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(2)},
+                        {"hidden": [4]})
+        return path, path.read_bytes()
+
+    def _rejected(self, path, data):
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match=str(path.name)):
+            load_checkpoint(path)
+
+    def test_every_prefix_rejected(self, tmp_path):
+        path, data = self._small(tmp_path)
+        cut = tmp_path / "cut.fadn"
+        for n in range(len(data)):
+            self._rejected(cut, data[:n])
+
+    def test_flipped_manifest_byte_rejected(self, tmp_path):
+        path, data = self._small(tmp_path)
+        (mlen,) = struct.unpack("<I", data[5:9])
+        bad = tmp_path / "flip.fadn"
+        for i in range(9, 9 + mlen):
+            flipped = bytearray(data)
+            flipped[i] ^= 0x80
+            self._rejected(bad, bytes(flipped))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, data = self._small(tmp_path)
+        self._rejected(tmp_path / "long.fadn", data + b"\0")
+
+    @pytest.mark.parametrize("manifest", [
+        b"[]", b'{"meta": {}}', b'{"meta": [], "tensors": []}',
+        b'{"meta": {}, "tensors": [{"name": "x", "shape": [-1]}]}',
+        b'{"meta": {}, "tensors": [{"name": "x", "shape": 2}]}'],
+        ids=["list", "no_tensors", "meta_list", "negative_dim", "scalar_shape"])
+    def test_bad_manifest_layout_rejected(self, tmp_path, manifest):
+        data = b"FADN1" + struct.pack("<I", len(manifest)) + manifest
+        self._rejected(tmp_path / "layout.fadn", data)

@@ -66,6 +66,17 @@ def _grid_energy(z, s, r, cfg):
     return e
 
 
+def _grid_slope(z, s, r, cfg):
+    """Independent scalar E'(z), written like _grid_energy."""
+    def slope(v, c, w):
+        u = (v - z) / c
+        return -w * u / np.sqrt(u ** 2 + cfg.eps_c ** 2) / c
+    d = sum(slope(si, cfg.tau_s + cfg.delta_stab, 1.0) for si in s)
+    if r is not None:
+        d += sum(slope(ri, cfg.tau_r + cfg.delta_stab, cfg.gamma / len(r)) for ri in r)
+    return d
+
+
 def _grid_argmin(s, r, cfg, lo, hi):
     """Two-stage exhaustive grid search: 1e-3 sweep then 1e-6 refinement."""
     coarse = np.arange(lo, hi + 1e-3, 1e-3)
@@ -251,10 +262,47 @@ class TestConsensusPixel:
         assert u == pytest.approx(0.0, abs=1e-6)
 
     def test_symmetric_pair_midpoint(self):
-        # the two-sample energy valley is numerically flat between the
-        # samples, so localization is only good to the grid tolerance
         m, _ = consensus_pixel([1.0, 3.0], cfg=self.CFG)
-        assert m == pytest.approx(2.0, abs=1e-3)
+        assert m == pytest.approx(2.0, abs=1e-6)
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_last_bit_stable(self, n):
+        # with an even N the energy is flat to ~1e-13 between the two middle
+        # samples; the sign of E' still pins the minimiser, so moving every
+        # sample by one ulp must not move the consensus
+        g = np.random.default_rng(n)
+        for _ in range(50):
+            s = g.uniform(1.0, 4.0, n)
+            m0, _ = consensus_pixel(s, cfg=self.CFG)
+            m1, _ = consensus_pixel(np.nextafter(s, np.inf), cfg=self.CFG)
+            assert abs(m1 - m0) <= 1e-6
+
+    def test_huge_depths_terminate(self, monkeypatch):
+        # past ~1e10 m the float spacing exceeds the bisection tolerance and
+        # brackets stop shrinking: only the round cap ends the loop
+        calls = []
+        energy = urca._energy
+        monkeypatch.setattr(urca, "_energy", lambda *a: calls.append(1) or energy(*a))
+        m, u = consensus_pixel([1e12, 1e12 + 3.0], [1e12 + 1.0], cfg=self.CFG)
+        assert 1e12 <= m <= 1e12 + 3.0 and np.isfinite(u)
+        assert len(calls) <= urca._MAX_ROUNDS + 2
+        calls.clear()
+        out = fuse([DepthMap(values=np.full((3, 3), 1e12) + k) for k in range(4)])
+        assert np.all(np.isfinite(out.consensus.values))
+        assert len(calls) <= urca._MAX_ROUNDS + 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(1.0, 4.0), min_size=1, max_size=10),
+           st.lists(st.floats(1.0, 4.0), max_size=4),
+           st.floats(0.0, 1.0), st.floats(0.05, 0.3), st.floats(0.05, 0.3),
+           st.floats(1e-3, 1e-2))
+    def test_slope_changes_sign_at_minimiser(self, s, r, gamma, tau_s, tau_r, eps_c):
+        # E' is increasing, so the minimiser lies within 1e-6 of M exactly
+        # when E' <= 0 at M - 1e-6 and >= 0 at M + 1e-6
+        cfg = URCAConfig(gamma=gamma, tau_s=tau_s, tau_r=tau_r, eps_c=eps_c)
+        r = r or None
+        m, _ = consensus_pixel(s, r, cfg)
+        assert _grid_slope(m - 1e-6, s, r, cfg) <= 0.0 <= _grid_slope(m + 1e-6, s, r, cfg)
 
     def test_grid_oracle_samples_only(self):
         rng = np.random.default_rng(4)
