@@ -11,7 +11,7 @@ import numpy as np
 
 from .core import DepthMap, ScaleConfig, SchedulePlan, named_scale_config
 from .diffusion import make_linear_schedule
-from .errors import ConfigError, InputError, ShapeError
+from .errors import ConfigError, FractalDepthError, InputError, ShapeError
 from .fractal import (FractalModel, generate, init_model, load_model, save_model,
                       train_step)
 from .nnet import LrSchedule, lr_at
@@ -211,17 +211,19 @@ def load_run_config(path) -> RunConfig:
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in valid:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            ftype = valid[key]
-            if ftype in ("int", int):
-                values[key] = int(val)
-            elif ftype in ("float", float):
-                values[key] = float(val)
-            else:
-                values[key] = val
+            convert = {"int": int, "float": float}.get(valid[key], str)
+            try:
+                values[key] = convert(val)
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: {key} = {val!r} is not "
+                                  f"{convert.__name__}") from None
     cfg = RunConfig(**values)
-    cfg.scale()      # validate eagerly
-    cfg.schedule()
-    cfg.urca()
+    try:             # validate eagerly
+        cfg.scale()
+        cfg.schedule()
+        cfg.urca()
+    except FractalDepthError as e:
+        raise ConfigError(f"{path}: {e}") from e
     return cfg
 
 

@@ -126,15 +126,24 @@ def build_schedule_plan(cfg: ScaleConfig) -> SchedulePlan:
 
 
 def downsample_mean(grid: np.ndarray, target: int) -> np.ndarray:
-    """Block-mean downsample of a square grid to ``target`` x ``target``."""
+    """Block-mean downsample of a square grid to ``target`` x ``target``.
+
+    Axes past the first two (e.g. feature channels) are kept as they are.
+    """
     grid = np.asarray(grid, dtype=np.float64)
-    h, w = grid.shape
+    h, w = grid.shape[:2]
     if h != w:
         raise ResampleError(f"expected square grid, got {grid.shape}")
     if target < 1 or h % target != 0:
         raise ResampleError(f"target {target} does not divide source {h}")
     b = h // target
-    return grid.reshape(target, b, target, b).mean(axis=(1, 3))
+    return grid.reshape((target, b, target, b) + grid.shape[2:]).mean(axis=(1, 3))
+
+
+def downsample_mean_adjoint(grad: np.ndarray, block: int) -> np.ndarray:
+    """Adjoint of ``downsample_mean`` with ``block`` x ``block`` blocks: each
+    output gradient spreads uniformly over the cells of its block."""
+    return np.repeat(np.repeat(grad, block, axis=0), block, axis=1) / (block * block)
 
 
 def upsample_bilinear(grid: np.ndarray, target: int) -> np.ndarray:

@@ -1,28 +1,27 @@
 """Uncertainty-aware robust consensus aggregation.
 
-Stochastic depth samples are first brought into a common affine frame by
-minimizing a Charbonnier-smoothed pairwise L1 energy with a quadratic
-scale regularizer lam * sum((alpha - 1)^2).  The energy is convex in all 2N
-parameters.  Each iteration solves one bordered 2N x 2N system, with the
-shift gauge sum(beta) = 0 as a Lagrange row, for a Newton step on the
-energy.  A step that would raise the energy is replaced by the joint IRLS
-step (Holland & Welsch 1977): the weighted least-squares minimizer of the
-majorizer that puts w = 0.5 / sqrt(r^2 + eps^2) on every squared residual.
-So the objective trace never rises.  IRLS alone converges only linearly
-on this nearly-L1 energy: 50-70 iterations on 8-sample desk stacks, and
-more than 100 on about a third of small random stacks.  With the Newton
-step it takes 5-9 and at most about 55.
-One GEMM of the weights against a fixed basis [1, s_k, s_k s_l] gives
-every pairwise sum the system needs, and pixels are walked in blocks of
-``_BLOCK``, so memory is O(N^2 * _BLOCK) whatever the map size.  The loop
-stops when an iteration lowers the objective by no more than ``tol`` times
-its value (relative), or after ``max_iter`` iterations; ``AlignmentParams``
-reports ``iterations`` and ``converged``.  The default lam = 100 keeps the
-scales away from the collapse alpha -> 0 that a small lam admits (the
-pairwise energy shrinks with the scale; at lam = 1 noisy affine copies of
-one 16 x 16 map align at alpha ~ 0.02).  The energy grows with the pixel
-count and lam does not, so larger maps need a larger lam: ``RunConfig``
-passes 1e5 for 64 x 64 maps.
+Any N >= 1 stochastic depth samples are first brought into a common affine
+frame by minimizing a Charbonnier-smoothed pairwise L1 energy with a
+quadratic scale regularizer lam * sum((alpha - 1)^2).  The energy is convex
+in all 2N parameters.  Each iteration solves one bordered 2N x 2N system,
+with the shift gauge sum(beta) = 0 as a Lagrange row, for a Newton step on
+the energy.  A step that would raise the energy is replaced by the joint
+IRLS step (Holland & Welsch 1977): the weighted least-squares minimizer of
+the majorizer that puts w = 0.5 / sqrt(r^2 + eps^2) on every squared
+residual.  So the objective trace never rises.  IRLS alone converges only
+linearly on this nearly-L1 energy; with the Newton step 8-sample desk stacks
+take 5-12 iterations.  One GEMM of the weights against a fixed basis
+[1, s_k, s_k s_l] gives every pairwise sum the system needs, and pixels are
+walked in blocks of ``_BLOCK``, so memory is O(N^2 * _BLOCK) whatever the
+map size.  The system is built from depths centred by the mean of the whole
+stack, so the products s_k s_l keep the per-sample differences of depths
+far from 0 m.  The loop stops when an iteration lowers the objective by no
+more than ``_TOL`` times its value, at a zero gradient (one sample, or
+identical ones), or after ``max_iter`` iterations.  The default lam = 100
+keeps the scales away from the collapse alpha -> 0 that a small lam admits
+(at lam = 1 noisy affine copies of one 16 x 16 map align at alpha ~ 0.02).
+The energy grows with the pixel count and lam does not, so larger maps need
+a larger lam: ``RunConfig`` passes 1e5 for 64 x 64 maps.
 
 Fusion then minimizes, per pixel, a strictly convex robust energy over the
 aligned samples plus a weighted recursive cross-scale consistency term; the
@@ -36,7 +35,7 @@ do not move the consensus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +51,6 @@ class URCAConfig:
     tau_r: float = 0.1          # recursive residual normalization (meters)
     delta_stab: float = 1e-6    # stabilizer (meters)
     eps_c: float = 1e-3         # Charbonnier smoothing
-    tol: float = 1e-10          # alignment stop: relative objective decrease
     max_iter: int = 100
 
     def __post_init__(self):
@@ -75,14 +73,22 @@ def charbonnier(x, eps_c: float):
 class AlignmentParams:
     alpha: np.ndarray   # (N,) scales
     beta: np.ndarray    # (N,) shifts, gauge sum(beta) = 0
-    objective_trace: list = field(default_factory=list)
-    iterations: int = 0         # len(objective_trace) - 1
-    converged: bool = True      # False when the loop ended on max_iter
+    objective_trace: list
+    iterations: int             # len(objective_trace) - 1
+    converged: bool             # False when the loop ended on max_iter
 
 
 # Pixels per block of the pairwise pass: bounds the (pairs x pixels) and
 # (pixels x basis) temporaries, so memory does not grow as N^2 * P.
 _BLOCK = 4096
+# Alignment stops once an iteration lowers the objective by no more than
+# _TOL times its value.
+_TOL = 1e-10
+# Bisection stops once every bracket is at most _Z_TOL m wide.  Past ~1e10 m
+# the float spacing exceeds _Z_TOL, so _MAX_ROUNDS ends the loop on any
+# finite input; 64 halvings bring any bracket under 1.8e13 m to _Z_TOL.
+_Z_TOL = 1e-6
+_MAX_ROUNDS = 64
 
 
 def _basis(block: np.ndarray) -> np.ndarray:
@@ -113,16 +119,22 @@ def align_samples(samples, cfg: URCAConfig = URCAConfig()) -> AlignmentParams:
     Lagrange row.  A step that would raise the objective is replaced by the
     joint IRLS step, which minimizes the weighted-square majorizer
     (w = 0.5 / sqrt(r^2 + eps^2)) and so cannot raise it either.  The loop
-    stops once an iteration lowers the objective by no more than
-    ``cfg.tol`` relative, or after ``cfg.max_iter`` iterations.
+    stops once an iteration lowers the objective by no more than ``_TOL``
+    relative, at a gradient of exactly zero, or after ``cfg.max_iter``
+    iterations.  Any N >= 1 samples of one shape are accepted.
     """
-    if len(samples) < 2:
-        raise InputError(f"need at least 2 samples, got {len(samples)}")
+    if len(samples) == 0:
+        raise InputError("need at least one sample")
     if any(s.values.shape != samples[0].values.shape for s in samples):
         raise ShapeError("samples must share one resolution")
     stack = np.stack([s.values.reshape(-1) for s in samples])
     if not np.all(np.isfinite(stack)):
         raise InputError("sample depths must be finite")
+    # A common shift of every beta leaves the energy unchanged, so on centred
+    # depths the start and iterates are those of raw depths; beta is mapped
+    # back at the end.
+    centre = stack.mean()
+    stack -= centre
     n, n_pix = stack.shape
     ia, ib = np.triu_indices(n, 1)
     m = len(ia)
@@ -130,10 +142,6 @@ def align_samples(samples, cfg: URCAConfig = URCAConfig()) -> AlignmentParams:
     floor = m * n_pix * cfg.eps_c    # sum of the roots at zero residual
     alpha = np.ones(n)
     beta = np.zeros(n)
-    if np.all(stack == stack[0]):
-        roots = sum(float(_pair_roots(b, alpha, beta, ia, ib, cfg.eps_c)[1].sum())
-                    for b in blocks)
-        return AlignmentParams(alpha=alpha, beta=beta, objective_trace=[roots - floor])
 
     # Pair (a, b) has residual x . (alpha_a, alpha_b, beta_a, beta_b) with
     # x = (s_a, -s_b, 1, -1) = sign * f, f = (s_a, s_b, 1, 1).  Its share of
@@ -167,7 +175,7 @@ def align_samples(samples, cfg: URCAConfig = URCAConfig()) -> AlignmentParams:
             np.multiply(w[0], r, out=w[1])
             np.divide(w[0], root, out=w[2])
             w[2] *= eps2 / root
-            sums = sums + w.reshape(3 * m, -1) @ (basis if basis is not None else _basis(b))
+            sums = sums + w.reshape(3 * m, b.shape[1]) @ (basis if basis is not None else _basis(b))
         obj = roots - floor + cfg.lam * float(np.sum((alpha - 1.0) ** 2))
         return obj, sums.reshape(3, -1)
 
@@ -187,6 +195,9 @@ def align_samples(samples, cfg: URCAConfig = URCAConfig()) -> AlignmentParams:
         grad = np.zeros(2 * n + 1)
         np.add.at(grad, dest, sign * sums[1][vec_cols])
         grad[:n] += cfg.lam * (alpha - 1.0)
+        if not grad.any():      # one sample, or identical samples
+            converged = True
+            break
         step = np.linalg.solve(bordered(sums[2]), -grad)
         new = (alpha + step[:n], beta + step[n:2 * n])
         new_obj, new_sums = evaluate(*new)
@@ -196,9 +207,11 @@ def align_samples(samples, cfg: URCAConfig = URCAConfig()) -> AlignmentParams:
             new_obj, new_sums = evaluate(*new)
         (alpha, beta), obj, sums = new, new_obj, new_sums
         trace.append(obj)
-        if trace[-2] - obj <= cfg.tol * abs(trace[-2]):
+        if trace[-2] - obj <= _TOL * abs(trace[-2]):
             converged = True
             break
+    beta = beta - centre * alpha
+    beta -= beta.mean()
     return AlignmentParams(alpha=alpha, beta=beta, objective_trace=trace,
                            iterations=len(trace) - 1, converged=converged)
 
@@ -211,12 +224,6 @@ def apply_affine(sample: DepthMap, alpha: float, beta: float) -> DepthMap:
 
 
 # --- Per-pixel robust consensus -------------------------------------------
-
-# Bisection stops once every bracket is at most _Z_TOL m wide.  Past ~1e10 m
-# the float spacing exceeds _Z_TOL, so _MAX_ROUNDS ends the loop on any
-# finite input; 64 halvings bring any bracket under 1.8e13 m to _Z_TOL.
-_Z_TOL = 1e-6
-_MAX_ROUNDS = 64
 
 
 def _energy(z, vals, scale, weight, eps_c: float):
@@ -282,23 +289,12 @@ def fuse(samples, trace_depths=None, cfg: URCAConfig = URCAConfig()) -> Consensu
     generation run, each affine-fitted to the aligned sample mean before
     entering the recursive term.
     """
-    if len(samples) == 0:
-        raise InputError("need at least one sample")
-    shape = samples[0].values.shape
-    if any(s.values.shape != shape for s in samples):
-        raise ShapeError("sample resolutions differ")
-    if not all(np.all(np.isfinite(s.values)) for s in samples):
-        raise InputError("sample depths must be finite")
-    if len(samples) >= 2:
-        align = align_samples(samples, cfg)
-        aligned = np.stack([align.alpha[i] * samples[i].values + align.beta[i]
-                            for i in range(len(samples))])
-    else:
-        align = AlignmentParams(alpha=np.ones(1), beta=np.zeros(1), objective_trace=[0.0])
-        aligned = np.stack([samples[0].values])
+    align = align_samples(samples, cfg)
+    aligned = np.stack([align.alpha[i] * samples[i].values + align.beta[i]
+                        for i in range(len(samples))])
     r = None
     if trace_depths is not None and len(trace_depths) > 0 and cfg.gamma != 0.0:
-        if any(d.values.shape != shape for d in trace_depths):
+        if any(d.values.shape != aligned.shape[1:] for d in trace_depths):
             raise ShapeError("trace depth resolutions differ from samples")
         if not all(np.all(np.isfinite(d.values)) for d in trace_depths):
             raise InputError("trace depths must be finite")

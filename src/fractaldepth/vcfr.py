@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ScaleConfig, latent_to_log_depth
+from .core import ScaleConfig, downsample_mean, downsample_mean_adjoint, latent_to_log_depth
 from .errors import ShapeError
 from .nnet import silu, silu_grad
 from .rng import RngStream
@@ -87,12 +87,6 @@ def init_conv_pyramid(feature_dim: int, rng: RngStream) -> ConvPyramidParams:
     )
 
 
-def _pool_to(x: np.ndarray, res: int) -> np.ndarray:
-    h = x.shape[0]
-    b = h // res
-    return x.reshape(res, b, res, b, -1).mean(axis=(1, 3))
-
-
 def extract_features(image: np.ndarray, cfg: ScaleConfig, params: ConvPyramidParams,
                      want_cache: bool = False):
     """Per-level feature grids from an (H, W, 3) image in [0, 1]."""
@@ -104,7 +98,7 @@ def extract_features(image: np.ndarray, cfg: ScaleConfig, params: ConvPyramidPar
     h1 = silu(a1)
     a2, xp2 = conv3x3_forward(h1, params.w2, params.b2)
     f = silu(a2)
-    feats = [_pool_to(f, res) for res, _ in cfg.levels]
+    feats = [downsample_mean(f, res) for res, _ in cfg.levels]
     if not want_cache:
         return feats
     cache = (a1, xp1, a2, xp2)
@@ -119,9 +113,7 @@ def extract_features_backward(grad_feats, cfg: ScaleConfig, params: ConvPyramidP
     for (res, _), g in zip(cfg.levels, grad_feats):
         if g is None:
             continue
-        b = res_final // res
-        # average pooling spreads each output grad uniformly over its block
-        df += np.repeat(np.repeat(g, b, axis=0), b, axis=1) / (b * b)
+        df += downsample_mean_adjoint(g, res_final // res)
     da2 = df * silu_grad(a2)
     dh1, dw2, db2 = conv3x3_backward(da2, xp2, params.w2)
     da1 = dh1 * silu_grad(a1)
@@ -146,7 +138,7 @@ def refine_condition(f: np.ndarray, z: np.ndarray, gate_w: float, gate_b: float,
     s = 1.0 / (1.0 + np.exp(-(gate_w * z + gate_b)))
     g = f * (1.0 + s)[:, :, None]
     n = res // patch
-    pooled = g.reshape(n, patch, n, patch, -1).mean(axis=(1, 3)).reshape(n * n, -1)
+    pooled = downsample_mean(g, n).reshape(n * n, -1)
     if not want_cache:
         return pooled
     return pooled, (f, z, s, patch)
@@ -157,8 +149,7 @@ def refine_condition_backward(grad_tokens: np.ndarray, cache):
     f, z, s, patch = cache
     res = z.shape[0]
     n = res // patch
-    gt = grad_tokens.reshape(n, n, -1)
-    dg = np.repeat(np.repeat(gt, patch, axis=0), patch, axis=1) / (patch * patch)
+    dg = downsample_mean_adjoint(grad_tokens.reshape(n, n, -1), patch)
     df = dg * (1.0 + s)[:, :, None]
     ds = (dg * f).sum(axis=2)
     dpre = ds * s * (1.0 - s)

@@ -152,10 +152,16 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             load_run_config(p)
 
-    def test_invalid_values_caught_eagerly(self, tmp_path):
+    @pytest.mark.parametrize("line, where", [
+        ("scale_config = nonsense", "bad.cfg: "),   # rejected by an eager check
+        ("urca_lambda = -1", "bad.cfg: "),
+        ("epochs = 2.5", "bad.cfg:2: "),            # does not convert
+        ("seed = x", "bad.cfg:2: "),
+    ], ids=["scale_config", "urca_lambda", "epochs", "seed"])
+    def test_invalid_values_caught_eagerly(self, tmp_path, line, where):
         p = tmp_path / "bad.cfg"
-        p.write_text("scale_config = nonsense\n")
-        with pytest.raises(ConfigError):
+        p.write_text(f"# comment\n{line}\n")
+        with pytest.raises(ConfigError, match=where):
             load_run_config(p)
 
 

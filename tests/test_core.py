@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractaldepth.core import (DepthMap, ScaleConfig, build_schedule_plan, denormalize,
-                               downsample_mean, log_normalize, named_scale_config,
-                               reassemble_patches, split_patches,
+                               downsample_mean, downsample_mean_adjoint, log_normalize,
+                               named_scale_config, reassemble_patches, split_patches,
                                split_patches_with_context, upsample_bilinear)
 from fractaldepth.errors import ConfigError, ResampleError
 from fractaldepth.rng import RngStream
@@ -54,6 +54,21 @@ class TestResampling:
     def test_downsample_non_divisible(self):
         with pytest.raises(ResampleError):
             downsample_mean(np.zeros((4, 4)), 3)
+
+    def test_downsample_channels(self):
+        g = np.random.default_rng(2).normal(size=(8, 8, 3))
+        out = downsample_mean(g, 2)
+        assert out.shape == (2, 2, 3)
+        for c in range(3):
+            assert np.allclose(out[..., c], downsample_mean(g[..., c], 2), rtol=0, atol=1e-14)
+
+    def test_downsample_adjoint(self):
+        # <down(x), g> = <x, adjoint(g)> for any x and g
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(8, 8, 2))
+        g = rng.normal(size=(2, 2, 2))
+        lhs = np.sum(downsample_mean(x, 2) * g)
+        assert lhs == pytest.approx(np.sum(x * downsample_mean_adjoint(g, 4)), rel=1e-12)
 
     def test_upsample_constant(self):
         assert np.allclose(upsample_bilinear(np.full((2, 2), 1.3), 8), 1.3)

@@ -161,7 +161,7 @@ class TestAlignSamples:
         assert out.converged
         assert out.iterations == len(out.objective_trace) - 1 >= 1
         tr = out.objective_trace
-        assert tr[-2] - tr[-1] <= URCAConfig().tol * abs(tr[-2])
+        assert tr[-2] - tr[-1] <= urca._TOL * abs(tr[-2])
 
     def test_reports_cap(self):
         out = align_samples(_distorted_stack(11, 4, 8, 8), URCAConfig(max_iter=2))
@@ -227,7 +227,25 @@ class TestAlignSamples:
 
     def test_too_few_samples(self):
         with pytest.raises(InputError):
-            align_samples([DepthMap(values=np.ones((2, 2)))])
+            align_samples([])
+
+    def test_one_sample(self):
+        d = DepthMap(values=np.random.default_rng(14).uniform(1, 5, (6, 6)))
+        out = align_samples([d])
+        assert out.alpha.tolist() == [1.0] and out.beta.tolist() == [0.0]
+        assert out.objective_trace == [0.0]
+        assert out.iterations == 0 and out.converged
+
+    @pytest.mark.parametrize("offset, tol", [(1e5, 1e-9), (1e6, 1e-9), (1e9, 1e-6)])
+    def test_offset_invariance(self, offset, tol):
+        # a common offset of every sample leaves the optimal scales as they
+        # are; products of raw depths that far from 0 m would lose the
+        # per-sample differences and move them
+        samples = _distorted_stack(11, 5, 8, 8)
+        ref = align_samples(samples)
+        out = align_samples([DepthMap(values=s.values + offset) for s in samples])
+        assert out.converged
+        assert np.max(np.abs(out.alpha - ref.alpha)) <= tol
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
