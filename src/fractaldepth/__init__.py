@@ -5,7 +5,7 @@ from .core import (DepthMap, ScaleConfig, SchedulePlan, build_schedule_plan, den
                    downsample_mean, log_normalize, named_scale_config,
                    split_patches_with_context, upsample_bilinear)
 from .diffusion import (NoiseSchedule, diffusion_loss, forward_noise, make_linear_schedule,
-                        reverse_step, sample)
+                        respace, reverse_step, sample)
 from .errors import (ConfigError, FractalDepthError, InputError, NumericsError,
                      ResampleError, ShapeError, TimestepError)
 from .fractal import (FractalModel, GenerationTrace, decode_level_depth, encode_targets,

@@ -10,7 +10,7 @@ import sys
 from . import bench, imgio, urca
 from .core import NAMED_CONFIGS, build_schedule_plan, named_scale_config
 from .errors import InputError
-from .fractal import decode_level_depth, generate, load_model, save_trace
+from .fractal import decode_level_depth, generate, load_model, sample_steps, save_trace
 from .rng import RngStream
 
 
@@ -86,10 +86,9 @@ def cmd_sample(args) -> int:
     cfg = _load_cfg(args)
     model = load_model(args.checkpoint)
     image, _ = bench.gen_scene(cfg.scene_spec(args.seed if args.seed is not None else 0))
-    tau = args.tau if args.tau is not None else cfg.tau
-    trace = generate(model, image, RngStream(cfg.seed, ("sample",)), tau=tau)
-    save_trace(trace, args.out, {"seed": cfg.seed, "tau": tau,
-                                 "config": cfg.scale_config})
+    trace = generate(model, image, RngStream(cfg.seed, ("sample",)), tau=cfg.tau)
+    save_trace(trace, args.out, {"seed": cfg.seed, "tau": cfg.tau,
+                                 "config": cfg.scale_config, "steps": sample_steps(model)})
     print(f"trace written to {args.out}")
     return 0
 

@@ -198,8 +198,10 @@ class TestRunners:
         # sample k's RNG path is independent of N, so the samples of an N=1
         # or N=2 run are the first samples of the N=8 run
         import fractaldepth.bench as bench_mod
-        cfg = _tiny_cfg()
+        from fractaldepth.fractal import SAMPLE_STEPS, sample_steps
+        cfg = _tiny_cfg(timesteps=60)
         model = build_model(cfg)
+        assert sample_steps(model) == SAMPLE_STEPS < model.sched.T   # respaced chains
         runs = {}
         generate = bench_mod.generate
 

@@ -3,7 +3,7 @@ import shutil
 import numpy as np
 import pytest
 
-from fractaldepth import bench
+from fractaldepth import bench, fractal
 from fractaldepth.cli import main
 from fractaldepth.errors import InputError
 from fractaldepth.imgio import read_depth_pfm
@@ -74,7 +74,11 @@ class TestPipelines:
                       "--seed", "3", "--tau", "1.0", "--out", str(root / "trace"))
         assert code == 0
         assert (root / "trace" / "depth.pfm").exists()
-        assert (root / "trace" / "manifest.txt").exists()
+        fields = dict(line.split("=", 1)
+                      for line in (root / "trace" / "manifest.txt").read_text().splitlines())
+        assert fields["tau"] == "1.0"
+        # the reverse steps run per level: the tiny config has T = 10
+        assert fields["steps"] == str(min(fractal.SAMPLE_STEPS, 10))
 
     def test_fuse(self, tiny_run, capsys):
         cfg, ckpt, root = tiny_run

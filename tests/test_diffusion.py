@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractaldepth.diffusion import (diffusion_loss, forward_noise, make_linear_schedule,
-                                    reverse_step, sample, schedule_to_csv)
+                                    respace, reverse_step, sample, schedule_to_csv)
 from fractaldepth.errors import ConfigError, InputError, ShapeError, TimestepError
 from fractaldepth.rng import RngStream
 
@@ -26,6 +28,13 @@ class TestSchedule:
         assert s.sigma[0] == 0.0
         assert np.all(s.sigma[1:] > 0)
 
+    def test_sigma_is_posterior_std(self):
+        # beta-tilde_t = (1 - abar_{t-1}) / (1 - abar_t) * beta_t
+        s = make_linear_schedule(50)
+        for t in range(2, 51):
+            expect = (1 - s.abar(t - 1)) / (1 - s.abar(t)) * s.beta[t - 1]
+            assert s.sigma[t - 1] ** 2 == pytest.approx(expect, rel=1e-12)
+
     def test_bad_betas(self):
         with pytest.raises(ConfigError):
             make_linear_schedule(10, 0.02, 1e-4)
@@ -45,6 +54,52 @@ class TestSchedule:
         for t, line in enumerate(lines[1:], start=1):
             cells = [float(c) for c in line.split(",")]
             assert cells == [t, s.beta[t - 1], s.alpha[t - 1], s.alpha_bar[t - 1], s.sigma[t - 1]]
+
+
+class TestRespace:
+    @pytest.mark.parametrize("T", [1, 2, 60, 1000])
+    def test_full_respace_is_bit_equal(self, T):
+        s = make_linear_schedule(T)
+        r = respace(s, T)
+        for name in ("t", "beta", "alpha", "alpha_bar", "sigma"):
+            a, b = getattr(s, name), getattr(r, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("steps", [0, 61])
+    def test_bad_step_counts(self, steps):
+        with pytest.raises(ConfigError):
+            respace(make_linear_schedule(60), steps)
+
+    def test_kept_pairs(self):
+        s = make_linear_schedule(60)
+        r = respace(s, 15)
+        assert r.t.tolist() == np.round(np.linspace(60, 1, 15)).astype(int)[::-1].tolist()
+        assert r.alpha_bar.tolist() == [s.abar(t) for t in r.t]
+        prev = np.concatenate([[1.0], r.alpha_bar[:-1]])
+        assert np.allclose(r.alpha, r.alpha_bar / prev, rtol=1e-15)
+        assert np.allclose(r.sigma ** 2, (1 - prev) / (1 - r.alpha_bar) * (1 - r.alpha),
+                           rtol=1e-12)
+        assert r.sigma[0] == 0.0 and np.all(r.sigma[1:] > 0)
+
+    @given(st.integers(2, 200), st.data(), st.sampled_from([0.0, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_noise_collapse(self, T, data, tau):
+        # with the oracle noise the step into t' = 0 lands on z* from any state
+        S = data.draw(st.integers(1, T))
+        sched = make_linear_schedule(T)
+        z_star = np.random.default_rng(T).normal(size=(4, 4))
+        seen = []
+
+        def oracle(z_t, t, cond):
+            seen.append(t)
+            ab = sched.abar(t)
+            return (z_t - np.sqrt(ab) * z_star) / np.sqrt(1 - ab)
+
+        out = sample(oracle, None, (4, 4), respace(sched, S), tau, RngStream(S, ("r", T)))
+        assert np.max(np.abs(out - z_star)) <= 1e-9
+        # S distinct timesteps from T down, ending at 1 unless the one step is T -> 0
+        assert seen == sorted(set(seen), reverse=True) and len(seen) == S
+        assert seen[0] == T and seen[-1] == (1 if S > 1 else T)
 
 
 class TestForwardNoise:

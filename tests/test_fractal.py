@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fractaldepth.fractal as fractal_mod
 from fractaldepth.core import (DepthMap, ScaleConfig, downsample_mean, log_normalize,
                                named_scale_config, upsample_bilinear)
 from fractaldepth.diffusion import make_linear_schedule
@@ -212,6 +213,51 @@ def _batch_model(name):
                       feature_dim=4, time_dim=6)
 
 
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "desk_seed0.fadn"
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_model():
+    return load_model(REFERENCE)
+
+
+class TestRespacedReference:
+    """The respaced chain on the stored desk checkpoint."""
+
+    # SHA-256 of the tau = 0 latents of scenes 11 and 12, recorded with the
+    # chain that ran every one of the 60 steps (numpy 2.4.6, OpenBLAS 0.3.31;
+    # another BLAS build may round the products differently)
+    FULL_CHAIN_SHA256 = "51b64b4caf7ba3d3cac52d2171b61dd2f1f1ef41d44991ab1e9b8470ce483747"
+    # the full 60-step chain's mean RMSE at tau = 0 on scenes 2e7+0..15, and
+    # its fused N = 8 RMSE on scenes 3e7+0..3 with sigma^2 = beta
+    FULL_CHAIN_RMSE = 0.6923
+    FULL_CHAIN_FUSED_RMSE = 1.3345624197417003
+
+    def test_all_steps_reproduce_full_chain(self, monkeypatch):
+        import hashlib
+        from fractaldepth import bench
+        model = _reference_model()
+        monkeypatch.setattr(fractal_mod, "SAMPLE_STEPS", model.sched.T)
+        cfg = bench.RunConfig()
+        h = hashlib.sha256()
+        for s in (11, 12):
+            image, _ = bench.gen_scene(cfg.scene_spec(s))
+            for latent in generate(model, image, RngStream(s, ("sample",)), tau=0.0).latents:
+                h.update(np.ascontiguousarray(latent).tobytes())
+        assert h.hexdigest() == self.FULL_CHAIN_SHA256
+
+    def test_quality_floor(self):
+        # no benchmark metric sees quality: these bounds keep the step count
+        # honest
+        from fractaldepth import bench
+        model = _reference_model()
+        cfg = bench.RunConfig()
+        mean, _ = bench.run_eval(cfg, None, None, model=model)
+        assert mean.rmse <= 1.02 * self.FULL_CHAIN_RMSE
+        ((_, fused, _),) = bench.run_multisample(cfg, None, [8], None, n_scenes=4, model=model)
+        assert fused.rmse <= self.FULL_CHAIN_FUSED_RMSE
+
+
 class TestBatchedGenerate:
     """N generations of one image as one batch: sample k equals a single
     run on stream k."""
@@ -256,7 +302,8 @@ class TestBatchedGenerate:
             lv = model.plan.levels[level]
             assert z_shape == (n * lv.token_count, lv.token_dim)
             assert cond_shape == (n * lv.token_count, model.cond_dim(level))
-        assert len(seen) == model.n_levels * model.sched.T   # one call per step
+        # one call per kept step of the respaced chain
+        assert len(seen) == model.n_levels * min(fractal_mod.SAMPLE_STEPS, model.sched.T)
         for stream, trace in zip(streams, batch):
             alone = generate(model, image, stream, tau=1.0, predictor=oracle)
             for a, b in zip(alone.latents, trace.latents):
@@ -321,8 +368,7 @@ class TestPersistence:
         assert np.array_equal(a.final.values, b.final.values)
 
     def test_reference_checkpoint_loads(self):
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "desk_seed0.fadn"
-        model = load_model(path)
+        model = load_model(REFERENCE)
         assert model.cfg == named_scale_config("desk")
 
     @pytest.mark.parametrize("cut", [7, 100, -1000])

@@ -320,3 +320,9 @@ class TestCheckpoint:
     def test_bad_manifest_layout_rejected(self, tmp_path, manifest):
         data = b"FADN1" + struct.pack("<I", len(manifest)) + manifest
         self._rejected(tmp_path / "layout.fadn", data)
+
+    def test_repeated_tensor_name_rejected(self, tmp_path):
+        manifest = (b'{"meta": {}, "tensors": '
+                    b'[{"name": "x", "shape": []}, {"name": "x", "shape": []}]}')
+        data = b"FADN1" + struct.pack("<I", len(manifest)) + manifest + b"\0" * 16
+        self._rejected(tmp_path / "twice.fadn", data)
