@@ -162,20 +162,10 @@ class RunConfig:
     multisample_tau: float = 1.0
     # urca; the scale regularizer must be commensurate with the per-pixel
     # data term (pixels x pairs) or alignment of noisy runs drifts toward
-    # the all-constant scale collapse
+    # the all-constant scale collapse.  The other solver settings are the
+    # URCAConfig defaults, and the scene settings those of SceneSpec.
     urca_lambda: float = 1e5
-    urca_gamma: float = 0.5
-    urca_tau_s: float = 0.1
-    urca_tau_r: float = 0.1
-    urca_delta: float = 1e-6
-    urca_eps_c: float = 1e-3
     uncertainty_threshold: float = 1.0
-    # scenes
-    scene_objects_min: int = 2
-    scene_objects_max: int = 6
-    scene_depth_min: float = 0.5
-    scene_depth_max: float = 8.0
-    scene_noise: float = 0.02
 
     def scale(self) -> ScaleConfig:
         return named_scale_config(self.scale_config)
@@ -184,17 +174,10 @@ class RunConfig:
         return make_linear_schedule(self.timesteps, self.beta_start, self.beta_end)
 
     def urca(self) -> URCAConfig:
-        return URCAConfig(lam=self.urca_lambda, gamma=self.urca_gamma,
-                          tau_s=self.urca_tau_s, tau_r=self.urca_tau_r,
-                          delta_stab=self.urca_delta, eps_c=self.urca_eps_c)
+        return URCAConfig(lam=self.urca_lambda)
 
     def scene_spec(self, seed: int) -> SceneSpec:
-        return SceneSpec(seed=seed, resolution=self.scale().final_resolution,
-                         min_objects=self.scene_objects_min,
-                         max_objects=self.scene_objects_max,
-                         depth_min=self.scene_depth_min,
-                         depth_max=self.scene_depth_max,
-                         noise=self.scene_noise)
+        return SceneSpec(seed=seed, resolution=self.scale().final_resolution)
 
 
 def load_run_config(path) -> RunConfig:
@@ -332,11 +315,12 @@ def multisample_scene(model: FractalModel, cfg: RunConfig, scene_seed: int, n: i
     srng = rng.child("scene", scene_seed)
     traces = generate(model, image, [srng.child("sample", k) for k in range(n)],
                       tau=cfg.multisample_tau)
-    out = fuse([t.final for t in traces], traces[0].depths, cfg.urca())
+    ucfg = cfg.urca()
+    out = fuse([t.final for t in traces], traces[0].depths, ucfg)
     # fixed normalization: energy per unit weight (N + gamma) gives the mean
     # disagreement; the extra 1/N converts ensemble spread into uncertainty
     # about the consensus itself, which shrinks as runs accumulate
-    u_norm = out.uncertainty / (n * (n + cfg.urca_gamma))
+    u_norm = out.uncertainty / (n * (n + ucfg.gamma))
     return out, u_norm, gt
 
 

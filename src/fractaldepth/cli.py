@@ -138,12 +138,11 @@ def main(argv=None) -> int:
                                      description="Fractal next-scale depth generation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p):
         p.add_argument("--config", help="key=value run config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tau", type=float, default=None)
-        if needs_out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("plan", help="print per-level token accounting")
     p.add_argument("--scale-config", default="desk", choices=sorted(NAMED_CONFIGS))

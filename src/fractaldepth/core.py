@@ -171,8 +171,6 @@ def upsample_bilinear(grid: np.ndarray, target: int) -> np.ndarray:
 
 def log_normalize(d: DepthMap, cfg: ScaleConfig) -> np.ndarray:
     """Map clamped metric depth to [-1, 1] linearly in log-depth."""
-    if cfg.d_min <= 0:
-        raise ConfigError("d_min must be positive")
     clamped = np.clip(d.values, cfg.d_min, cfg.d_max)
     span = math.log(cfg.d_max) - math.log(cfg.d_min)
     return 2.0 * (np.log(clamped) - math.log(cfg.d_min)) / span - 1.0

@@ -1,4 +1,4 @@
-"""Noise schedule, forward noising, diffusion loss and reverse sampling.
+"""Noise schedule, forward noising and reverse sampling.
 
 The working objects are plain float64 arrays (a latent grid, or a batch
 of flattened tokens); every operation is a pure function of its inputs.
@@ -124,16 +124,6 @@ def forward_noise(z_star: np.ndarray, t: int, eps: np.ndarray, sched: NoiseSched
     return np.sqrt(ab) * z_star + np.sqrt(1.0 - ab) * eps
 
 
-def diffusion_loss(eps_true: np.ndarray, eps_pred: np.ndarray) -> float:
-    """Mean squared error over all cells."""
-    eps_true = np.asarray(eps_true, dtype=np.float64)
-    eps_pred = np.asarray(eps_pred, dtype=np.float64)
-    if eps_true.shape != eps_pred.shape:
-        raise ShapeError(f"shape mismatch {eps_true.shape} vs {eps_pred.shape}")
-    diff = eps_pred - eps_true
-    return float(np.mean(diff * diff))
-
-
 def reverse_step(z_t: np.ndarray, t: int, eps_pred: np.ndarray, sched: NoiseSchedule,
                  tau: float = 0.0, noise: np.ndarray = None) -> np.ndarray:
     """Step ``t`` of ``sched`` (the timestep itself on an unrespaced schedule).
@@ -170,6 +160,8 @@ def sample(predictor, condition, shape, sched: NoiseSchedule, tau: float,
     ``(N * shape[0], ...)``, and chain k draws its initial state and step
     noise from stream k on the same paths as a single run on that stream.
     """
+    if not np.isfinite(tau):
+        raise InputError(f"sample needs a finite tau, got {tau}")
     rngs = [rng] if isinstance(rng, RngStream) else list(rng)
     if not rngs:
         raise InputError("sample needs at least one RNG stream")

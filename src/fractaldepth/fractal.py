@@ -37,9 +37,9 @@ class FractalModel:
     gate_w: np.ndarray          # (L,) fusion gate scales
     gate_b: np.ndarray          # (L,) fusion gate shifts
     mlps: list                  # per-level MlpParams
-    feature_dim: int = 16
-    time_dim: int = 16
-    timestep_reuse: int = 4     # timestep draws per condition per example
+    feature_dim: int
+    time_dim: int
+    timestep_reuse: int         # timestep draws per condition per example
     opt_state: AdamWState = field(default_factory=AdamWState)
 
     @property
@@ -61,12 +61,10 @@ class FractalModel:
         return out
 
 
-def init_model(cfg: ScaleConfig, seed: int = 0, sched: NoiseSchedule = None,
+def init_model(cfg: ScaleConfig, seed: int = 0, *, sched: NoiseSchedule,
                hidden=(256, 256, 256), feature_dim: int = 16, time_dim: int = 16,
                timestep_reuse: int = 4) -> FractalModel:
     plan = build_schedule_plan(cfg)
-    if sched is None:
-        sched = make_linear_schedule(100)
     rng = RngStream(seed, ("init",))
     conv = vcfr.init_conv_pyramid(feature_dim, rng.child("conv"))
     mlps = []
@@ -295,7 +293,6 @@ def model_meta(model: FractalModel) -> dict:
         "time_dim": model.time_dim,
         "timestep_reuse": model.timestep_reuse,
         "hidden": [int(s) for s in model.mlps[0].sizes[1:-1]],
-        "level_index": list(range(len(model.plan.levels))),
     }
 
 

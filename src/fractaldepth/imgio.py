@@ -7,6 +7,9 @@ with the conventional negative scale header.  Latent grids use PFM only.
 
 from __future__ import annotations
 
+import os
+import stat
+
 import numpy as np
 
 from .core import DepthMap
@@ -78,9 +81,16 @@ def read_pfm(path) -> np.ndarray:
             raise InputError(f"{path}: malformed PFM header") from None
         if w < 0 or h < 0:
             raise InputError(f"{path}: negative PFM size {w} x {h}")
-        raw = f.read(w * h * 4)
-    if len(raw) != w * h * 4:
-        raise InputError(f"{path}: raster has {len(raw)} of {w * h * 4} bytes")
+        # a header may claim more raster than the file holds; check before
+        # asking f.read for that many bytes (pipes have no size to check)
+        size = w * h * 4
+        st = os.fstat(f.fileno())
+        left = st.st_size - f.tell()
+        if stat.S_ISREG(st.st_mode) and size > left:
+            raise InputError(f"{path}: raster has {left} of {size} bytes")
+        raw = f.read(size)
+    if len(raw) != size:
+        raise InputError(f"{path}: raster has {len(raw)} of {size} bytes")
     data = np.frombuffer(raw, dtype="<f4" if scale < 0 else ">f4").reshape(h, w)
     return np.flipud(data).astype(np.float64)
 

@@ -227,10 +227,10 @@ def adamw_step(params: dict, grads: dict, state: AdamWState, lr: float,
 
 @dataclass(frozen=True)
 class LrSchedule:
-    base_lr: float = 5e-5
-    warmup_steps: int = 0
-    total_steps: int = 1
-    final_lr: float = 5e-7
+    base_lr: float
+    warmup_steps: int
+    total_steps: int
+    final_lr: float
 
 
 def lr_at(step: int, sched: LrSchedule) -> float:

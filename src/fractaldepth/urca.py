@@ -54,9 +54,12 @@ class URCAConfig:
     max_iter: int = 100
 
     def __post_init__(self):
-        if self.lam <= 0 or self.gamma < 0 or self.tau_s <= 0 or self.tau_r <= 0:
+        values = (self.lam, self.gamma, self.tau_s, self.tau_r, self.delta_stab, self.eps_c)
+        if not np.all(np.isfinite(values)):
+            raise InputError(f"URCA settings must be finite, got {values}")
+        if not (self.lam > 0 and self.gamma >= 0 and self.tau_s > 0 and self.tau_r > 0):
             raise InputError("need lam > 0, gamma >= 0, tau_s > 0, tau_r > 0")
-        if self.delta_stab < 0 or self.eps_c <= 0:
+        if not (self.delta_stab >= 0 and self.eps_c > 0):
             raise InputError("need delta_stab >= 0, eps_c > 0")
 
 
@@ -214,13 +217,6 @@ def align_samples(samples, cfg: URCAConfig = URCAConfig()) -> AlignmentParams:
     beta -= beta.mean()
     return AlignmentParams(alpha=alpha, beta=beta, objective_trace=trace,
                            iterations=len(trace) - 1, converged=converged)
-
-
-def apply_affine(sample: DepthMap, alpha: float, beta: float) -> DepthMap:
-    if not (np.isfinite(alpha) and np.isfinite(beta)):
-        raise InputError("affine parameters must be finite")
-    return DepthMap(values=alpha * sample.values + beta,
-                    valid_mask=sample.valid_mask.copy())
 
 
 # --- Per-pixel robust consensus -------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from fractaldepth.bench import (RunConfig, SceneSpec, build_model,
 from fractaldepth.core import DepthMap, build_schedule_plan, named_scale_config
 from fractaldepth.errors import ConfigError, InputError, ShapeError
 from fractaldepth.rng import RngStream
+from fractaldepth.urca import URCAConfig
 
 
 class TestGenScene:
@@ -133,6 +136,14 @@ class TestRunConfig:
         cfg.schedule()
         cfg.urca()
 
+    def test_urca_and_scene_settings_are_their_own_defaults(self):
+        # only lambda is a run key; every other URCA and scene setting is
+        # the default of URCAConfig or SceneSpec
+        assert len(fields(RunConfig)) == 22
+        assert RunConfig().urca() == URCAConfig(lam=1e5)
+        assert RunConfig().scene_spec(7) == SceneSpec(seed=7, resolution=64)
+        assert RunConfig(scale_config="paper").scene_spec(7) == SceneSpec(seed=7, resolution=256)
+
     def test_load_file(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("# comment\nseed = 7\nbase_lr = 0.001  # inline\ntimesteps=20\n\n")
@@ -142,9 +153,11 @@ class TestRunConfig:
 
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "bad.cfg"
-        p.write_text("not_a_key = 3\n")
-        with pytest.raises(ConfigError):
-            load_run_config(p)
+        # urca_gamma was a run key; it is now only a URCAConfig default
+        for line in ("not_a_key = 3", "urca_gamma = 0.5"):
+            p.write_text(f"{line}\n")
+            with pytest.raises(ConfigError, match="bad.cfg:1: unknown key"):
+                load_run_config(p)
 
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -155,9 +168,10 @@ class TestRunConfig:
     @pytest.mark.parametrize("line, where", [
         ("scale_config = nonsense", "bad.cfg: "),   # rejected by an eager check
         ("urca_lambda = -1", "bad.cfg: "),
+        ("urca_lambda = nan", "bad.cfg: "),
         ("epochs = 2.5", "bad.cfg:2: "),            # does not convert
         ("seed = x", "bad.cfg:2: "),
-    ], ids=["scale_config", "urca_lambda", "epochs", "seed"])
+    ], ids=["scale_config", "urca_lambda", "urca_lambda_nan", "epochs", "seed"])
     def test_invalid_values_caught_eagerly(self, tmp_path, line, where):
         p = tmp_path / "bad.cfg"
         p.write_text(f"# comment\n{line}\n")
@@ -227,6 +241,15 @@ class TestRunners:
             for a, b in zip(single.latents, runs[n][0].latents):
                 assert np.max(np.abs(a - b)) <= 1e-12
             assert np.max(np.abs(single.final.values - runs[n][0].final.values)) <= 1e-12
+
+    def test_multisample_normalises_by_fusion_gamma(self, monkeypatch):
+        # u_norm divides by N (N + gamma) with the gamma the fusion used
+        monkeypatch.setattr(RunConfig, "urca",
+                            lambda self: URCAConfig(lam=self.urca_lambda, gamma=0.0))
+        cfg = _tiny_cfg()
+        n = 2
+        out, u_norm, _ = multisample_scene(build_model(cfg), cfg, 42, n, RngStream(0, ("m",)))
+        assert np.array_equal(u_norm, out.uncertainty / n ** 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_multisample_nonfinite_image(self, monkeypatch, bad):

@@ -80,6 +80,13 @@ class TestPipelines:
         # the reverse steps run per level: the tiny config has T = 10
         assert fields["steps"] == str(min(fractal.SAMPLE_STEPS, 10))
 
+    def test_sample_nonfinite_tau(self, tiny_run):
+        cfg, ckpt, root = tiny_run
+        with pytest.raises(InputError, match="tau"):
+            main(["sample", "--config", str(cfg), "--checkpoint", str(ckpt),
+                  "--tau", "nan", "--out", str(root / "nan")])
+        assert not (root / "nan").exists()
+
     def test_fuse(self, tiny_run, capsys):
         cfg, ckpt, root = tiny_run
         for seed in (3, 4):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractaldepth.diffusion import (diffusion_loss, forward_noise, make_linear_schedule,
-                                    respace, reverse_step, sample, schedule_to_csv)
+from fractaldepth.diffusion import (forward_noise, make_linear_schedule, respace, reverse_step,
+                                    sample, schedule_to_csv)
 from fractaldepth.errors import ConfigError, InputError, ShapeError, TimestepError
 from fractaldepth.rng import RngStream
 
@@ -140,25 +140,6 @@ class TestForwardNoise:
             var = (2 * b2 ** 2 + 4 * a ** 2 * b2).sum()
             se = np.sqrt(var / n_draws)
             assert abs(norms.mean() - expect) <= 4 * se
-
-
-class TestLoss:
-    def test_equal_is_zero(self):
-        x = np.random.default_rng(0).normal(size=(5, 5))
-        assert diffusion_loss(x, x) == 0.0
-
-    def test_constant_offset(self):
-        x = np.zeros((4, 4))
-        assert diffusion_loss(x, x + 1.0) == pytest.approx(1.0)
-
-    def test_two_pass_oracle(self):
-        rng = np.random.default_rng(3)
-        a, b = rng.normal(size=(6, 6)), rng.normal(size=(6, 6))
-        total = 0.0
-        for i in range(6):
-            for j in range(6):
-                total += (a[i, j] - b[i, j]) ** 2
-        assert diffusion_loss(a, b) == pytest.approx(total / 36, rel=1e-12)
 
 
 class TestReverseStep:

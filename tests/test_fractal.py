@@ -329,6 +329,22 @@ class TestNonFiniteImage:
             generate(model, image, [RngStream(0, ("n",)), RngStream(1, ("n",))], tau=1.0)
 
 
+class TestNonFiniteTau:
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+    def test_rejected_before_first_step(self, tau):
+        model = small_model()
+        image, _ = scene(16)
+        calls = []
+
+        def predictor(level, z, t, cond):
+            calls.append(t)
+            return np.zeros_like(z)
+
+        with pytest.raises(InputError, match="tau"):
+            generate(model, image, RngStream(0, ("n",)), tau=tau, predictor=predictor)
+        assert calls == []
+
+
 class TestDecodeLevelDepth:
     def test_finest_is_pure_denormalize(self):
         model = small_model()
@@ -370,6 +386,15 @@ class TestPersistence:
     def test_reference_checkpoint_loads(self):
         model = load_model(REFERENCE)
         assert model.cfg == named_scale_config("desk")
+
+    def test_meta_without_level_index(self, tmp_path):
+        # the key is no longer written; checkpoints that carry it still load
+        path = tmp_path / "m.fadn"
+        save_model(path, small_model())
+        assert "level_index" not in load_checkpoint(path)[1]
+        assert "level_index" in load_checkpoint(REFERENCE)[1]
+        self._rewrite(path, lambda p, m: m.update({"level_index": [0, 1, 2]}))
+        load_model(path)
 
     @pytest.mark.parametrize("cut", [7, 100, -1000])
     def test_truncated_rejected(self, tmp_path, cut):

@@ -120,11 +120,14 @@ class TestTruncatedAndMalformed:
                 read(cut)
 
     @pytest.mark.parametrize("header", [b"Pf\n3\n-1.0\n", b"Pf\n3 2 1\n-1.0\n", b"Pf\nx 2\n-1.0\n",
-                                        b"Pf\n3 2\nscale\n", b"Pf\n-3 2\n-1.0\n"])
+                                        b"Pf\n3 2\nscale\n", b"Pf\n-3 2\n-1.0\n",
+                                        # rasters that f.read cannot even allocate
+                                        b"Pf\n100000 100000\n-1.0\n",
+                                        b"Pf\n4000000000 4000000000\n-1.0\n"])
     def test_malformed_pfm_header(self, tmp_path, header):
         path = tmp_path / "bad.pfm"
         path.write_bytes(header + b"\0" * 24)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="bad.pfm"):
             read_pfm(path)
 
     def test_malformed_pgm_header(self, tmp_path):

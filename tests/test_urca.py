@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from fractaldepth import urca
 from fractaldepth.core import DepthMap
 from fractaldepth.errors import InputError, ShapeError
-from fractaldepth.urca import (URCAConfig, align_samples, apply_affine,
-                               charbonnier, consensus_pixel, fuse, uncertainty_stats)
+from fractaldepth.urca import (URCAConfig, align_samples, charbonnier, consensus_pixel, fuse,
+                               uncertainty_stats)
 
 
 def _reference_objective(stack, alpha, beta, cfg):
@@ -85,6 +85,14 @@ def _grid_argmin(s, r, cfg, lo, hi):
     fine = np.arange(z0 - 2e-3, z0 + 2e-3, 1e-6)
     vals = np.array([_grid_energy(z, s, r, cfg) for z in fine])
     return fine[np.argmin(vals)], vals.min()
+
+
+class TestURCAConfig:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["lam", "gamma", "tau_s", "tau_r", "delta_stab", "eps_c"])
+    def test_nonfinite_rejected(self, field, value):
+        with pytest.raises(InputError, match="finite"):
+            URCAConfig(**{field: value})
 
 
 class TestCharbonnier:
@@ -251,24 +259,6 @@ class TestAlignSamples:
         with pytest.raises(ShapeError):
             align_samples([DepthMap(values=np.ones((2, 2))),
                            DepthMap(values=np.ones((3, 3)))])
-
-
-class TestApplyAffine:
-    def test_oracle(self):
-        d = DepthMap(values=np.arange(4.0).reshape(2, 2))
-        out = apply_affine(d, 2.0, 0.5)
-        assert np.array_equal(out.values, 2.0 * d.values + 0.5)
-
-    def test_mask_preserved(self):
-        mask = np.array([[True, False], [True, True]])
-        d = DepthMap(values=np.ones((2, 2)), valid_mask=mask)
-        out = apply_affine(d, 1.5, 0.0)
-        assert np.array_equal(out.valid_mask, mask)
-
-    def test_nonfinite_rejected(self):
-        d = DepthMap(values=np.ones((2, 2)))
-        with pytest.raises(InputError):
-            apply_affine(d, np.nan, 0.0)
 
 
 class TestConsensusPixel:
