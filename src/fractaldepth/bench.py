@@ -160,11 +160,8 @@ class RunConfig:
     # inference
     tau: float = 0.0
     multisample_tau: float = 1.0
-    # urca; the scale regularizer must be commensurate with the per-pixel
-    # data term (pixels x pairs) or alignment of noisy runs drifts toward
-    # the all-constant scale collapse.  The other solver settings are the
-    # URCAConfig defaults, and the scene settings those of SceneSpec.
-    urca_lambda: float = 1e5
+    # the URCA solver settings are the URCAConfig defaults, and the scene
+    # settings those of SceneSpec
     uncertainty_threshold: float = 1.0
 
     def scale(self) -> ScaleConfig:
@@ -172,9 +169,6 @@ class RunConfig:
 
     def schedule(self):
         return make_linear_schedule(self.timesteps, self.beta_start, self.beta_end)
-
-    def urca(self) -> URCAConfig:
-        return URCAConfig(lam=self.urca_lambda)
 
     def scene_spec(self, seed: int) -> SceneSpec:
         return SceneSpec(seed=seed, resolution=self.scale().final_resolution)
@@ -204,9 +198,14 @@ def load_run_config(path) -> RunConfig:
     try:             # validate eagerly
         cfg.scale()
         cfg.schedule()
-        cfg.urca()
     except FractalDepthError as e:
         raise ConfigError(f"{path}: {e}") from e
+    if not (math.isfinite(cfg.tau) and math.isfinite(cfg.multisample_tau)):
+        raise ConfigError(f"{path}: tau and multisample_tau must be finite, "
+                          f"got {cfg.tau} and {cfg.multisample_tau}")
+    if not 0.0 <= cfg.uncertainty_threshold < math.inf:
+        raise ConfigError(f"{path}: uncertainty_threshold must be finite and >= 0, "
+                          f"got {cfg.uncertainty_threshold}")
     return cfg
 
 
@@ -315,7 +314,7 @@ def multisample_scene(model: FractalModel, cfg: RunConfig, scene_seed: int, n: i
     srng = rng.child("scene", scene_seed)
     traces = generate(model, image, [srng.child("sample", k) for k in range(n)],
                       tau=cfg.multisample_tau)
-    ucfg = cfg.urca()
+    ucfg = URCAConfig()
     out = fuse([t.final for t in traces], traces[0].depths, ucfg)
     # fixed normalization: energy per unit weight (N + gamma) gives the mean
     # disagreement; the extra 1/N converts ensemble spread into uncertainty

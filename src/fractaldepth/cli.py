@@ -107,7 +107,7 @@ def cmd_fuse(args) -> int:
             raise InputError(f"{args.trace_dir}: expected {names}, found {sorted(found)}")
         trace_depths = [decode_level_depth(imgio.read_pfm(os.path.join(args.trace_dir, n)), model)
                         for n in names]
-    out = urca.fuse(samples, trace_depths, cfg.urca())
+    out = urca.fuse(samples, trace_depths, urca.URCAConfig())
     os.makedirs(args.out, exist_ok=True)
     align = out.alignment
     with open(os.path.join(args.out, "alignment.txt"), "w") as f:

@@ -1,27 +1,29 @@
 """Uncertainty-aware robust consensus aggregation.
 
 Any N >= 1 stochastic depth samples are first brought into a common affine
-frame by minimizing a Charbonnier-smoothed pairwise L1 energy with a
-quadratic scale regularizer lam * sum((alpha - 1)^2).  The energy is convex
-in all 2N parameters.  Each iteration solves one bordered 2N x 2N system,
-with the shift gauge sum(beta) = 0 as a Lagrange row, for a Newton step on
-the energy.  A step that would raise the energy is replaced by the joint
-IRLS step (Holland & Welsch 1977): the weighted least-squares minimizer of
-the majorizer that puts w = 0.5 / sqrt(r^2 + eps^2) on every squared
-residual.  So the objective trace never rises.  IRLS alone converges only
-linearly on this nearly-L1 energy; with the Newton step 8-sample desk stacks
-take 5-12 iterations.  One GEMM of the weights against a fixed basis
-[1, s_k, s_k s_l] gives every pairwise sum the system needs, and pixels are
-walked in blocks of ``_BLOCK``, so memory is O(N^2 * _BLOCK) whatever the
-map size.  The system is built from depths centred by the mean of the whole
-stack, so the products s_k s_l keep the per-sample differences of depths
-far from 0 m.  The loop stops when an iteration lowers the objective by no
-more than ``_TOL`` times its value, at a zero gradient (one sample, or
-identical ones), or after ``max_iter`` iterations.  The default lam = 100
-keeps the scales away from the collapse alpha -> 0 that a small lam admits
-(at lam = 1 noisy affine copies of one 16 x 16 map align at alpha ~ 0.02).
-The energy grows with the pixel count and lam does not, so larger maps need
-a larger lam: ``RunConfig`` passes 1e5 for 64 x 64 maps.
+frame by minimizing a Charbonnier-smoothed pairwise L1 energy plus the prior
+lam * sum((alpha - 1)^2), under the gauges sum(alpha) = N and sum(beta) = 0.
+The prior weight is lam = pairs * pixels / 2, so the objective divided by
+pairs * pixels is the mean pairwise energy plus ||alpha - 1||^2 / 2 and its
+minimiser does not depend on the map size.  The scale gauge rules out the
+collapse alpha -> 0 by construction; the prior only keeps the scales near 1
+where the data leave them free (flat maps).  The energy is convex in all 2N
+parameters.  Each iteration solves one bordered (2N + 2) x (2N + 2) system,
+with both gauges as Lagrange rows, for a Newton step on the energy.  A step
+that would raise the energy is replaced by the joint IRLS step (Holland &
+Welsch 1977): the weighted least-squares minimizer of the majorizer that puts
+w = 0.5 / sqrt(r^2 + eps^2) on every squared residual.  So the objective
+trace never rises.  IRLS alone converges only linearly on this nearly-L1
+energy; with the Newton step 8-sample desk stacks take 5-12 iterations.  One
+GEMM of the weights against a fixed basis [1, s_k, s_k s_l] gives every
+pairwise sum the system needs, and pixels are walked in blocks of
+``_BLOCK``, so memory is O(N^2 * _BLOCK) whatever the map size.  The system
+is built from depths centred by the mean of the whole stack, so the products
+s_k s_l keep the per-sample differences of depths far from 0 m.  The loop
+stops when an iteration lowers the objective by no more than ``_TOL`` times
+its value, at a zero gradient (one sample, or identical ones), or after
+``max_iter`` iterations.  The returned shifts are moved so that their median
+is 0, so one outlying sample cannot move the common shift.
 
 Fusion then minimizes, per pixel, a strictly convex robust energy over the
 aligned samples plus a weighted recursive cross-scale consistency term; the
@@ -45,7 +47,6 @@ from .errors import InputError, ShapeError
 
 @dataclass(frozen=True)
 class URCAConfig:
-    lam: float = 100.0          # scale-regularizer weight
     gamma: float = 0.5          # recursive-term weight
     tau_s: float = 0.1          # sample residual normalization (meters)
     tau_r: float = 0.1          # recursive residual normalization (meters)
@@ -54,11 +55,11 @@ class URCAConfig:
     max_iter: int = 100
 
     def __post_init__(self):
-        values = (self.lam, self.gamma, self.tau_s, self.tau_r, self.delta_stab, self.eps_c)
+        values = (self.gamma, self.tau_s, self.tau_r, self.delta_stab, self.eps_c)
         if not np.all(np.isfinite(values)):
             raise InputError(f"URCA settings must be finite, got {values}")
-        if not (self.lam > 0 and self.gamma >= 0 and self.tau_s > 0 and self.tau_r > 0):
-            raise InputError("need lam > 0, gamma >= 0, tau_s > 0, tau_r > 0")
+        if not (self.gamma >= 0 and self.tau_s > 0 and self.tau_r > 0):
+            raise InputError("need gamma >= 0, tau_s > 0, tau_r > 0")
         if not (self.delta_stab >= 0 and self.eps_c > 0):
             raise InputError("need delta_stab >= 0, eps_c > 0")
 
@@ -74,8 +75,8 @@ def charbonnier(x, eps_c: float):
 
 @dataclass
 class AlignmentParams:
-    alpha: np.ndarray   # (N,) scales
-    beta: np.ndarray    # (N,) shifts, gauge sum(beta) = 0
+    alpha: np.ndarray   # (N,) scales, gauge sum(alpha) = N
+    beta: np.ndarray    # (N,) shifts, gauge median(beta) = 0
     objective_trace: list
     iterations: int             # len(objective_trace) - 1
     converged: bool             # False when the loop ended on max_iter
@@ -117,14 +118,15 @@ def _pair_roots(block, alpha, beta, ia, ib, eps_c: float):
 def align_samples(samples, cfg: URCAConfig = URCAConfig()) -> AlignmentParams:
     """Estimate per-sample affine parameters by safeguarded Newton / IRLS.
 
-    Each iteration solves one bordered 2N x 2N system for a Newton step on
-    the Charbonnier objective, with the shift gauge sum(beta) = 0 as a
-    Lagrange row.  A step that would raise the objective is replaced by the
-    joint IRLS step, which minimizes the weighted-square majorizer
-    (w = 0.5 / sqrt(r^2 + eps^2)) and so cannot raise it either.  The loop
-    stops once an iteration lowers the objective by no more than ``_TOL``
-    relative, at a gradient of exactly zero, or after ``cfg.max_iter``
-    iterations.  Any N >= 1 samples of one shape are accepted.
+    Each iteration solves one bordered (2N + 2) x (2N + 2) system for a
+    Newton step on the Charbonnier objective, with the gauges sum(alpha) = N
+    and sum(beta) = 0 as Lagrange rows.  A step that would raise the
+    objective is replaced by the joint IRLS step, which minimizes the
+    weighted-square majorizer (w = 0.5 / sqrt(r^2 + eps^2)) and so cannot
+    raise it either.  The loop stops once an iteration lowers the objective
+    by no more than ``_TOL`` relative, at a gradient of exactly zero, or
+    after ``cfg.max_iter`` iterations.  The shifts are returned with
+    median(beta) = 0.  Any N >= 1 samples of one shape are accepted.
     """
     if len(samples) == 0:
         raise InputError("need at least one sample")
@@ -143,6 +145,7 @@ def align_samples(samples, cfg: URCAConfig = URCAConfig()) -> AlignmentParams:
     m = len(ia)
     blocks = [stack[:, j:j + _BLOCK] for j in range(0, n_pix, _BLOCK)]
     floor = m * n_pix * cfg.eps_c    # sum of the roots at zero residual
+    lam = 0.5 * m * n_pix            # prior weight: half the pairwise term count
     alpha = np.ones(n)
     beta = np.zeros(n)
 
@@ -159,8 +162,11 @@ def align_samples(samples, cfg: URCAConfig = URCAConfig()) -> AlignmentParams:
     vec_cols = row + col[factor, n]
     sign = np.array([1.0, -1.0, 1.0, -1.0])
     dest = np.stack([ia, ib, n + ia, n + ib], axis=1)
-    irls_rhs = np.zeros(2 * n + 1)
-    irls_rhs[:n] = cfg.lam
+    # IRLS solves for the new point: the prior pulls alpha to 1, the last
+    # two rows are sum(beta) = 0 and sum(alpha) = N
+    irls_rhs = np.zeros(2 * n + 2)
+    irls_rhs[:n] = lam
+    irls_rhs[-1] = n
     basis = _basis(stack) if len(blocks) == 1 else None
     eps2 = cfg.eps_c * cfg.eps_c
 
@@ -179,25 +185,27 @@ def align_samples(samples, cfg: URCAConfig = URCAConfig()) -> AlignmentParams:
             np.divide(w[0], root, out=w[2])
             w[2] *= eps2 / root
             sums = sums + w.reshape(3 * m, b.shape[1]) @ (basis if basis is not None else _basis(b))
-        obj = roots - floor + cfg.lam * float(np.sum((alpha - 1.0) ** 2))
+        obj = roots - floor + lam * float(np.sum((alpha - 1.0) ** 2))
         return obj, sums.reshape(3, -1)
 
     def bordered(pair_sums):
-        """Normal matrix plus lam on the alpha diagonal, bordered by sum(beta)."""
-        lhs = np.zeros((2 * n + 1, 2 * n + 1))
+        """Normal matrix plus lam on the alpha diagonal, bordered by the
+        gauge rows sum(beta) and sum(alpha)."""
+        lhs = np.zeros((2 * n + 2, 2 * n + 2))
         np.add.at(lhs, (dest[:, :, None], dest[:, None, :]),
                   sign[:, None] * sign * pair_sums[mat_cols])
-        lhs[np.arange(n), np.arange(n)] += cfg.lam
+        lhs[np.arange(n), np.arange(n)] += lam
         lhs[n:2 * n, 2 * n] = lhs[2 * n, n:2 * n] = 1.0
+        lhs[:n, 2 * n + 1] = lhs[2 * n + 1, :n] = 1.0
         return lhs
 
     obj, sums = evaluate(alpha, beta)
     trace = [obj]
     converged = False
     for _ in range(cfg.max_iter):
-        grad = np.zeros(2 * n + 1)
+        grad = np.zeros(2 * n + 2)
         np.add.at(grad, dest, sign * sums[1][vec_cols])
-        grad[:n] += cfg.lam * (alpha - 1.0)
+        grad[:n] += lam * (alpha - 1.0)
         if not grad.any():      # one sample, or identical samples
             converged = True
             break
@@ -214,7 +222,9 @@ def align_samples(samples, cfg: URCAConfig = URCAConfig()) -> AlignmentParams:
             converged = True
             break
     beta = beta - centre * alpha
-    beta -= beta.mean()
+    # median from a sort: np.median would import numpy.ma, ~1 MB of modules
+    order = np.sort(beta)
+    beta -= 0.5 * (order[(n - 1) // 2] + order[n // 2])
     return AlignmentParams(alpha=alpha, beta=beta, objective_trace=trace,
                            iterations=len(trace) - 1, converged=converged)
 
@@ -313,6 +323,8 @@ def uncertainty_stats(u_map: np.ndarray, threshold: float = 1.0, bins: int = 64)
     u = np.asarray(u_map, dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(u)):
         raise InputError("uncertainty map must be finite")
+    if not np.isfinite(threshold):
+        raise InputError(f"uncertainty threshold must be finite, got {threshold}")
     top = float(u.max()) if u.size else 0.0
     edges = np.linspace(0.0, top if top > 0 else 1.0, bins + 1)
     hist, _ = np.histogram(u, bins=edges)

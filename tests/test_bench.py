@@ -1,3 +1,4 @@
+import functools
 from dataclasses import fields
 
 import numpy as np
@@ -134,13 +135,13 @@ class TestRunConfig:
         cfg = RunConfig()
         cfg.scale()
         cfg.schedule()
-        cfg.urca()
 
     def test_urca_and_scene_settings_are_their_own_defaults(self):
-        # only lambda is a run key; every other URCA and scene setting is
-        # the default of URCAConfig or SceneSpec
-        assert len(fields(RunConfig)) == 22
-        assert RunConfig().urca() == URCAConfig(lam=1e5)
+        # no URCA or scene setting is a run key: each is the default of
+        # URCAConfig or SceneSpec
+        assert len(fields(RunConfig)) == 21
+        assert len(fields(URCAConfig)) == 6
+        assert not any(f.name.startswith(("urca", "scene")) for f in fields(RunConfig))
         assert RunConfig().scene_spec(7) == SceneSpec(seed=7, resolution=64)
         assert RunConfig(scale_config="paper").scene_spec(7) == SceneSpec(seed=7, resolution=256)
 
@@ -153,8 +154,10 @@ class TestRunConfig:
 
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "bad.cfg"
-        # urca_gamma was a run key; it is now only a URCAConfig default
-        for line in ("not_a_key = 3", "urca_gamma = 0.5"):
+        # urca_gamma and urca_lambda were run keys; the gauge sum(alpha) = N
+        # and a prior weight set by the map size replaced lambda
+        for line in ("not_a_key = 3", "urca_gamma = 0.5", "urca_lambda = 1e5",
+                     "urca_lambda = -1", "urca_lambda = nan"):
             p.write_text(f"{line}\n")
             with pytest.raises(ConfigError, match="bad.cfg:1: unknown key"):
                 load_run_config(p)
@@ -167,11 +170,15 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("line, where", [
         ("scale_config = nonsense", "bad.cfg: "),   # rejected by an eager check
-        ("urca_lambda = -1", "bad.cfg: "),
-        ("urca_lambda = nan", "bad.cfg: "),
+        ("tau = inf", "bad.cfg: tau"),
+        ("multisample_tau = nan", "bad.cfg: tau"),
+        ("uncertainty_threshold = nan", "bad.cfg: uncertainty_threshold"),
+        ("uncertainty_threshold = inf", "bad.cfg: uncertainty_threshold"),
+        ("uncertainty_threshold = -1", "bad.cfg: uncertainty_threshold"),
         ("epochs = 2.5", "bad.cfg:2: "),            # does not convert
         ("seed = x", "bad.cfg:2: "),
-    ], ids=["scale_config", "urca_lambda", "urca_lambda_nan", "epochs", "seed"])
+    ], ids=["scale_config", "tau_inf", "multisample_tau_nan", "threshold_nan",
+            "threshold_inf", "threshold_negative", "epochs", "seed"])
     def test_invalid_values_caught_eagerly(self, tmp_path, line, where):
         p = tmp_path / "bad.cfg"
         p.write_text(f"# comment\n{line}\n")
@@ -244,8 +251,8 @@ class TestRunners:
 
     def test_multisample_normalises_by_fusion_gamma(self, monkeypatch):
         # u_norm divides by N (N + gamma) with the gamma the fusion used
-        monkeypatch.setattr(RunConfig, "urca",
-                            lambda self: URCAConfig(lam=self.urca_lambda, gamma=0.0))
+        import fractaldepth.bench as bench_mod
+        monkeypatch.setattr(bench_mod, "URCAConfig", functools.partial(URCAConfig, gamma=0.0))
         cfg = _tiny_cfg()
         n = 2
         out, u_norm, _ = multisample_scene(build_model(cfg), cfg, 42, n, RngStream(0, ("m",)))

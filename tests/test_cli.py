@@ -1,9 +1,10 @@
+import functools
 import shutil
 
 import numpy as np
 import pytest
 
-from fractaldepth import bench, fractal
+from fractaldepth import fractal, urca
 from fractaldepth.cli import main
 from fractaldepth.errors import InputError
 from fractaldepth.imgio import read_depth_pfm
@@ -113,8 +114,7 @@ class TestPipelines:
         for seed in (5, 6):
             main(["sample", "--config", str(cfg), "--checkpoint", str(ckpt),
                   "--seed", str(seed), "--tau", "1.0", "--out", str(root / f"t{seed}")])
-        monkeypatch.setattr(bench.RunConfig, "urca",
-                            lambda self: URCAConfig(lam=self.urca_lambda, max_iter=1))
+        monkeypatch.setattr(urca, "URCAConfig", functools.partial(URCAConfig, max_iter=1))
         code, out = run(capsys, "fuse", "--config", str(cfg),
                         str(root / "t5" / "depth.pfm"), str(root / "t6" / "depth.pfm"),
                         "--out", str(root / "capped"))

@@ -10,41 +10,54 @@ from fractaldepth.urca import (URCAConfig, align_samples, charbonnier, consensus
                                uncertainty_stats)
 
 
-def _reference_objective(stack, alpha, beta, cfg):
+def _prior_weight(stack):
+    """lam = pairs * pixels / 2, from the stack alone."""
+    n, n_pix = stack.shape
+    return 0.5 * n * (n - 1) / 2 * n_pix
+
+
+def _reference_objective(stack, alpha, beta, eps_c):
     aligned = alpha[:, None] * stack + beta[:, None]
     n = len(alpha)
-    total = cfg.lam * float(np.sum((alpha - 1.0) ** 2))
+    total = _prior_weight(stack) * float(np.sum((alpha - 1.0) ** 2))
     for a in range(n):
         for b in range(a + 1, n):
-            total += float(np.sum(charbonnier(aligned[a] - aligned[b], cfg.eps_c)))
+            total += float(np.sum(charbonnier(aligned[a] - aligned[b], eps_c)))
     return total
 
 
-def _reference_align(stack, cfg, sweeps=100):
-    """IRLS block coordinate descent: one 2x2 weighted LS solve per sample."""
+def _reference_align(stack, eps_c, sweeps=100):
+    """IRLS block descent under sum(alpha) = N and sum(beta) = 0.
+
+    Each block moves (alpha_i, beta_i) by (+t, +u) and (alpha_j, beta_j) by
+    (-t, -u), which keeps both sums, to the minimiser of the weighted-square
+    majoriser along those two directions: one 2x2 solve per sample pair.
+    """
     n = stack.shape[0]
+    lam = _prior_weight(stack)
+    ia, ib = np.triu_indices(n, 1)
     alpha = np.ones(n)
     beta = np.zeros(n)
     for _ in range(sweeps):
         for i in range(n):
-            a_lhs = np.zeros((2, 2))
-            a_rhs = np.zeros(2)
-            di = stack[i]
-            for m in range(n):
-                if m == i:
-                    continue
-                tgt = alpha[m] * stack[m] + beta[m]
-                r = alpha[i] * di + beta[i] - tgt
-                w = 0.5 / np.sqrt(r * r + cfg.eps_c * cfg.eps_c)
-                sw = w.sum()
-                swd = (w * di).sum()
-                a_lhs += np.array([[(w * di * di).sum(), swd], [swd, sw]])
-                a_rhs += np.array([(w * di * tgt).sum(), (w * tgt).sum()])
-            a_lhs[0, 0] += cfg.lam
-            a_rhs[0] += cfg.lam
-            alpha[i], beta[i] = np.linalg.solve(a_lhs, a_rhs)
-        beta -= beta.mean()
-    return alpha, beta, _reference_objective(stack, alpha, beta, cfg)
+            for j in range(i + 1, n):
+                d = np.zeros(n)
+                d[i], d[j] = 1.0, -1.0
+                aligned = alpha[:, None] * stack + beta[:, None]
+                r = aligned[ia] - aligned[ib]
+                w = 0.5 / np.sqrt(r * r + eps_c * eps_c)
+                gt = d[ia, None] * stack[ia] - d[ib, None] * stack[ib]   # dr / dt
+                gu = (d[ia] - d[ib])[:, None]                            # dr / du
+                lhs = np.array([[(w * gt * gt).sum() + 2.0 * lam, (w * gt * gu).sum()],
+                                [(w * gt * gu).sum(), (w * gu * gu).sum()]])
+                rhs = -np.array([(w * r * gt).sum() + lam * (alpha[i] - alpha[j]),
+                                 (w * r * gu).sum()])
+                t, u = np.linalg.solve(lhs, rhs)
+                alpha[i] += t
+                alpha[j] -= t
+                beta[i] += u
+                beta[j] -= u
+    return alpha, beta, _reference_objective(stack, alpha, beta, eps_c)
 
 
 def _distorted_stack(seed, n, h, w):
@@ -89,7 +102,7 @@ def _grid_argmin(s, r, cfg, lo, hi):
 
 class TestURCAConfig:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    @pytest.mark.parametrize("field", ["lam", "gamma", "tau_s", "tau_r", "delta_stab", "eps_c"])
+    @pytest.mark.parametrize("field", ["gamma", "tau_s", "tau_r", "delta_stab", "eps_c"])
     def test_nonfinite_rejected(self, field, value):
         with pytest.raises(InputError, match="finite"):
             URCAConfig(**{field: value})
@@ -130,13 +143,36 @@ class TestAlignSamples:
         assert out.converged and out.iterations == 0
         assert out.objective_trace == [pytest.approx(0.0, abs=1e-12)]
 
-    def test_gauge_mean_beta_zero(self):
+    def test_gauge_sum_alpha_median_beta(self):
         rng = np.random.default_rng(1)
         base = rng.uniform(1, 5, (8, 8))
         samples = [DepthMap(values=a * base + b)
                    for a, b in [(1.0, 0.0), (1.2, 0.3), (0.8, -0.2)]]
         out = align_samples(samples)
-        assert abs(out.beta.mean()) <= 1e-10
+        assert abs(out.alpha.sum() - 3.0) <= 1e-12
+        assert abs(np.median(out.beta)) <= 1e-12
+
+    def test_pixel_replication_invariant(self):
+        # the prior weight grows with the pixel count like the pairwise
+        # energy, so repeating every pixel 4 x 4 times scales the objective
+        # by 16 and leaves the minimiser where it was
+        samples = _distorted_stack(16, 5, 16, 16)
+        small = align_samples(samples)
+        big = align_samples([DepthMap(values=np.kron(s.values, np.ones((4, 4))))
+                             for s in samples])
+        assert small.converged and big.converged
+        assert np.max(np.abs(big.alpha - small.alpha)) <= 1e-12
+        assert np.max(np.abs(big.beta - small.beta)) <= 1e-12
+
+    def test_flat_maps_align_exactly(self):
+        # flat maps leave the scales free; the prior keeps them at 1 and the
+        # shifts bring every map onto the median depth
+        samples = [DepthMap(values=np.full((4, 4), d)) for d in (1.0, 2.0, 4.5)]
+        out = align_samples(samples)
+        assert out.converged
+        assert np.max(np.abs(out.alpha - 1.0)) <= 1e-12
+        aligned = [a * s.values + b for a, b, s in zip(out.alpha, out.beta, samples)]
+        assert np.max(np.abs(np.array(aligned) - 2.0)) <= 1e-12
 
     def test_objective_monotone_nonincreasing(self):
         rng = np.random.default_rng(2)
@@ -176,10 +212,10 @@ class TestAlignSamples:
         assert not out.converged
         assert out.iterations == 2 and len(out.objective_trace) == 3
 
-    def test_default_lambda_keeps_scale(self):
-        # the criterion-06 recipe: with a small lam the minimizer collapses
-        # the scales towards 0; the default must keep them near 1 and map
-        # every sample back onto one common scale
+    def test_gauge_keeps_common_scale(self):
+        # the criterion-06 recipe: the gauge sum(alpha) = N rules out the
+        # collapse of every scale towards 0, and the prior must not pull the
+        # scales so hard towards 1 that the samples keep different scales
         g = np.random.default_rng(606)
         base = g.uniform(1.0, 5.0, (16, 16))
         samples, scales = [], []
@@ -195,31 +231,31 @@ class TestAlignSamples:
         assert np.ptp(common) / np.mean(common) < 0.01
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(3, 8),
-           st.integers(3, 8), st.sampled_from([100.0, 1e5]))
-    def test_matches_block_descent_oracle(self, seed, n, h, w, lam):
-        # the objective is convex, so the joint solve must end at or below
-        # the point 100 block-descent sweeps reach
-        cfg = URCAConfig(lam=lam)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(3, 8), st.integers(3, 8))
+    def test_matches_block_descent_oracle(self, seed, n, h, w):
+        # the objective is convex and the block descent keeps both gauges,
+        # so the joint solve must end at or below the point 100 sweeps
+        # reach, on the objective with lam = pairs * pixels / 2
+        cfg = URCAConfig()
         samples = _distorted_stack(seed, n, h, w)
         out = align_samples(samples, cfg)
         stack = np.stack([s.values.reshape(-1) for s in samples])
-        _, _, ref = _reference_align(stack, cfg)
+        _, _, ref = _reference_align(stack, cfg.eps_c)
         assert out.converged
+        assert abs(out.alpha.sum() - n) <= 1e-12
         assert out.objective_trace[-1] <= ref * (1 + 1e-9)
         assert out.objective_trace[-1] == pytest.approx(
-            _reference_objective(stack, out.alpha, out.beta, cfg), rel=1e-12)
+            _reference_objective(stack, out.alpha, out.beta, cfg.eps_c), rel=1e-12)
         tr = out.objective_trace
         assert all(b <= a + 1e-9 for a, b in zip(tr, tr[1:]))
-        assert abs(out.beta.mean()) <= 1e-10
+        assert abs(np.median(out.beta)) <= 1e-12
 
     def test_pixel_blocks_match_one_block(self, monkeypatch):
         samples = _distorted_stack(12, 5, 70, 70)   # 4900 pixels: two blocks
         assert samples[0].values.size > urca._BLOCK
-        cfg = URCAConfig(lam=1e5)
-        blocked = align_samples(samples, cfg)
+        blocked = align_samples(samples)
         monkeypatch.setattr(urca, "_BLOCK", 1 << 20)
-        whole = align_samples(samples, cfg)
+        whole = align_samples(samples)
         assert blocked.iterations == whole.iterations
         assert np.max(np.abs(blocked.alpha - whole.alpha)) <= 1e-12
         assert np.max(np.abs(blocked.beta - whole.beta)) <= 1e-12
@@ -376,11 +412,12 @@ class TestFuse:
         base = rng.uniform(2.0, 4.0, (6, 6))
         good = [DepthMap(values=base + rng.normal(0, 0.01, base.shape)) for _ in range(4)]
         bad = DepthMap(values=base + 3.0)
-        out = fuse(good + [bad], cfg=URCAConfig(lam=100.0))
+        out = fuse(good + [bad])
         naive = np.mean([s.values for s in good + [bad]], axis=0)
         err_fused = np.mean(np.abs(out.consensus.values - base))
         err_naive = np.mean(np.abs(naive - base))
-        assert err_fused < err_naive
+        # the median shift keeps the common frame on the four good samples
+        assert err_fused <= 0.01 < err_naive
 
     def test_mask_intersection(self):
         a = DepthMap(values=np.ones((3, 3)), valid_mask=np.array(
@@ -445,3 +482,9 @@ class TestUncertaintyStats:
     def test_nonfinite_rejected(self):
         with pytest.raises(InputError):
             uncertainty_stats(np.array([0.1, np.inf]))
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_threshold_rejected(self, threshold):
+        # a NaN threshold would report 0 exceedance for any map
+        with pytest.raises(InputError, match="threshold"):
+            uncertainty_stats(np.array([0.5, 2.0, 5.0]), threshold)
