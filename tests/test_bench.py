@@ -156,8 +156,7 @@ class TestRunConfig:
         p = tmp_path / "bad.cfg"
         # urca_gamma and urca_lambda were run keys; the gauge sum(alpha) = N
         # and a prior weight set by the map size replaced lambda
-        for line in ("not_a_key = 3", "urca_gamma = 0.5", "urca_lambda = 1e5",
-                     "urca_lambda = -1", "urca_lambda = nan"):
+        for line in ("not_a_key = 3", "urca_gamma = 0.5", "urca_lambda = 1e5"):
             p.write_text(f"{line}\n")
             with pytest.raises(ConfigError, match="bad.cfg:1: unknown key"):
                 load_run_config(p)
@@ -170,6 +169,9 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("line, where", [
         ("scale_config = nonsense", "bad.cfg: "),   # rejected by an eager check
+        # urca_lambda is no longer a key, so any value of it fails on its line
+        ("urca_lambda = -1", "bad.cfg:2: unknown key"),
+        ("urca_lambda = nan", "bad.cfg:2: unknown key"),
         ("tau = inf", "bad.cfg: tau"),
         ("multisample_tau = nan", "bad.cfg: tau"),
         ("uncertainty_threshold = nan", "bad.cfg: uncertainty_threshold"),
@@ -177,8 +179,9 @@ class TestRunConfig:
         ("uncertainty_threshold = -1", "bad.cfg: uncertainty_threshold"),
         ("epochs = 2.5", "bad.cfg:2: "),            # does not convert
         ("seed = x", "bad.cfg:2: "),
-    ], ids=["scale_config", "tau_inf", "multisample_tau_nan", "threshold_nan",
-            "threshold_inf", "threshold_negative", "epochs", "seed"])
+    ], ids=["scale_config", "urca_lambda", "urca_lambda_nan", "tau_inf",
+            "multisample_tau_nan", "threshold_nan", "threshold_inf",
+            "threshold_negative", "epochs", "seed"])
     def test_invalid_values_caught_eagerly(self, tmp_path, line, where):
         p = tmp_path / "bad.cfg"
         p.write_text(f"# comment\n{line}\n")
