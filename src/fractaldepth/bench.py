@@ -305,10 +305,9 @@ def multisample_scene(model: FractalModel, cfg: RunConfig, scene_seed: int, n: i
 
     The N generations run as one batch.  Sample k reuses the RNG path
     ("sample", k) regardless of n, so results for smaller N are prefixes of
-    larger-N runs: bit for bit between batches of two or more, and within
-    1e-12 between N = 1 and a batch, because the single level-0 token of an
-    N = 1 run is a 1-row matrix product, which rounds differently from the
-    same row inside a larger product.
+    larger-N runs up to float32 rounding: the sampler's MLP runs in float32,
+    and a row of a float32 product of one row count (at level 0, one row per
+    sample) may round differently from the same row at another.
     """
     image, gt = gen_scene(cfg.scene_spec(scene_seed))
     srng = rng.child("scene", scene_seed)

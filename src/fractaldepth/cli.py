@@ -9,7 +9,7 @@ import sys
 
 from . import bench, imgio, urca
 from .core import NAMED_CONFIGS, build_schedule_plan, named_scale_config
-from .errors import InputError
+from .errors import FractalDepthError, InputError
 from .fractal import decode_level_depth, generate, load_model, sample_steps, save_trace
 from .rng import RngStream
 
@@ -176,7 +176,12 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_fuse)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FractalDepthError as e:
+        # bad input or configuration: one line naming the error, no traceback
+        print(f"{type(e).__name__}: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
 """Noise schedule, forward noising and reverse sampling.
 
-The working objects are plain float64 arrays (a latent grid, or a batch
-of flattened tokens); every operation is a pure function of its inputs.
+The working objects are float64 arrays (a latent grid, or a batch of
+flattened tokens); every operation is a pure function of its inputs.  The
+chain state, the schedule and every reverse step stay float64, whatever
+arithmetic the predictor uses: ``fractal`` runs its noise-predictor MLP in
+float32 and hands ``sample`` its prediction cast back to float64.
 Timesteps are 1-based: t runs over 1..T, with the convention
 alpha_bar_0 = 1 so the final denoising step (t=1) is exact and noiseless.
 

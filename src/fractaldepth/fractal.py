@@ -64,20 +64,27 @@ class FractalModel:
 def init_model(cfg: ScaleConfig, seed: int = 0, *, sched: NoiseSchedule,
                hidden=(256, 256, 256), feature_dim: int = 16, time_dim: int = 16,
                timestep_reuse: int = 4) -> FractalModel:
-    plan = build_schedule_plan(cfg)
     rng = RngStream(seed, ("init",))
     conv = vcfr.init_conv_pyramid(feature_dim, rng.child("conv"))
-    mlps = []
+    # small final layer keeps the initial loss near the unit noise variance
+    return _assemble_model(cfg, sched, hidden, feature_dim, time_dim, timestep_reuse, conv,
+                           lambda i, sizes: init_mlp(sizes, rng.child("mlp", i),
+                                                     final_scale=0.01))
+
+
+def _assemble_model(cfg: ScaleConfig, sched: NoiseSchedule, hidden, feature_dim: int,
+                    time_dim: int, timestep_reuse: int, conv: vcfr.ConvPyramidParams,
+                    make_mlp) -> FractalModel:
+    """The model around ``conv``; level i's MLP is ``make_mlp(i, layer sizes)``."""
+    plan = build_schedule_plan(cfg)
     model = FractalModel(cfg=cfg, plan=plan, sched=sched, conv=conv,
                          gate_w=np.ones(len(plan.levels)),
                          gate_b=np.zeros(len(plan.levels)),
-                         mlps=mlps, feature_dim=feature_dim, time_dim=time_dim,
+                         mlps=[], feature_dim=feature_dim, time_dim=time_dim,
                          timestep_reuse=timestep_reuse)
     for i, lv in enumerate(plan.levels):
         in_dim = lv.token_dim + time_dim + model.cond_dim(i)
-        sizes = [in_dim, *hidden, lv.token_dim]
-        # small final layer keeps the initial loss near the unit noise variance
-        mlps.append(init_mlp(sizes, rng.child("mlp", i), final_scale=0.01))
+        model.mlps.append(make_mlp(i, [in_dim, *hidden, lv.token_dim]))
     return model
 
 
@@ -185,11 +192,12 @@ def sample_steps(model: FractalModel) -> int:
     return min(SAMPLE_STEPS, model.sched.T)
 
 
-# Row block of the sampler's MLP forward.  On a 2-vCPU OpenBLAS host,
-# 128-row blocks made an 8-sample scene slower, and 512-row blocks made it
-# faster but raised its peak RSS by 5 MB, above that of unbatched sampling
-# (README "Performance").
-_BLOCK = 256
+# Row block of the sampler's MLP forward, sized by bytes: a (512, 256)
+# float32 hidden activation is 0.5 MB, as the 256-row float64 block was.  On
+# a 2-vCPU OpenBLAS host, 512-row float32 blocks made an 8-sample scene
+# faster than 256-row ones at the same peak RSS; with float64, 512 rows had
+# raised the peak RSS by 5 MB (README "Performance").
+_BLOCK = 512
 
 
 def _predict_blocks(mlp: MlpParams, z: np.ndarray, cond_pre: list,
@@ -197,7 +205,8 @@ def _predict_blocks(mlp: MlpParams, z: np.ndarray, cond_pre: list,
     """The hoisted MLP forward, one call per ``_BLOCK`` rows of ``z``.
 
     ``cond_pre`` holds the projected conditions block by block; the step's
-    time row is added to one block at a time.
+    time row is added to one block at a time.  The output has the dtype of
+    ``mlp``.
     """
     out = [mlp_forward(mlp, z[i * _BLOCK:(i + 1) * _BLOCK], block + time_row)[0]
            for i, block in enumerate(cond_pre)]
@@ -211,25 +220,33 @@ def _reverse_chain(model: FractalModel, level: int, cond: np.ndarray, lrngs: lis
     ``cond`` holds the N conditions stacked like the tokens, and sample k
     draws its noise from ``lrngs[k]``.  The chain runs on the
     ``sample_steps(model)`` kept timesteps of ``model.sched``.
+
+    The level's MLP runs in float32, on copies of its weights made here, so
+    a model changed by training never leaves a stale copy.  The chain state
+    and every step around the MLP stay float64; a ``predictor`` is called
+    with float64 arrays.
     """
     lv = model.plan.levels[level]
     sched = respace(model.sched, sample_steps(model))
     if predictor is None:
         # the condition and the time embeddings do not change along the
-        # chain: project them through W0 once, not at every step.  The
-        # projection is kept in row blocks: a single (N*tokens, hidden)
-        # array (4 MB at N = 8) raises glibc's heap thresholds and the
-        # peak RSS of an 8-sample scene by 2-5 MB
+        # chain: project them through W0 once (in float64), not at every
+        # step.  The projection is kept in row blocks: a single
+        # (N*tokens, hidden) array (4 MB at N = 8 in float64) raises glibc's
+        # heap thresholds and the peak RSS of an 8-sample scene by 2-5 MB
         mlp = model.mlps[level]
         w0 = mlp.weights[0]
         d = lv.token_dim
-        cond_pre = [cond[r:r + _BLOCK] @ w0[d + model.time_dim:] + mlp.biases[0]
-                    for r in range(0, cond.shape[0], _BLOCK)]
+        cond_pre = [(cond[r:r + _BLOCK] @ w0[d + model.time_dim:] + mlp.biases[0])
+                    .astype(np.float32) for r in range(0, cond.shape[0], _BLOCK)]
         time_pre = time_embed(sched.t, model.time_dim) @ w0[d:d + model.time_dim]
-        time_rows = dict(zip(sched.t.tolist(), time_pre))
+        time_rows = dict(zip(sched.t.tolist(), time_pre.astype(np.float32)))
+        mlp32 = MlpParams(weights=[w.astype(np.float32) for w in mlp.weights],
+                          biases=[b.astype(np.float32) for b in mlp.biases])
 
         def pred(z, t, _cond):
-            return _predict_blocks(mlp, z, cond_pre, time_rows[t])
+            eps = _predict_blocks(mlp32, z.astype(np.float32), cond_pre, time_rows[t])
+            return eps.astype(np.float64)
     else:
         def pred(z, t, c):
             return predictor(level, z, t, c)
@@ -246,13 +263,13 @@ def generate(model: FractalModel, image: np.ndarray, rng, tau: float = 0.0,
     of N traces of the same image.  The N reverse chains run as one batch:
     the conv features are computed once, and each level stacks the N
     samples' tokens and conditions into ``(N*tokens, dim)`` arrays, so every
-    step of ``diffusion.sample`` is one ``reverse_step`` and a few MLP calls
-    of at most ``_BLOCK`` rows.  Sample k draws its noise from stream k on the
-    same paths as a single run on that stream.
+    step of ``diffusion.sample`` is one ``reverse_step`` and a few float32
+    MLP calls of at most ``_BLOCK`` rows.  Sample k draws its noise from
+    stream k on the same paths as a single run on that stream.
 
     ``predictor(level, z_tokens, t, cond)`` overrides the trained MLPs when
     given (used by the analytic-noise oracle tests); it receives the stacked
-    tokens and conditions.
+    tokens and conditions as float64 arrays.
     """
     single = isinstance(rng, RngStream)
     rngs = [rng] if single else list(rng)
@@ -305,8 +322,9 @@ def load_model(path) -> FractalModel:
     """Rebuild a model from a checkpoint; ``ConfigError`` naming the path if
     its meta or tensors do not describe one.
 
-    The model is built from the manifest first, and each tensor's bytes are
-    then read straight into its parameter array.
+    The model is built from the manifest first, on uninitialised storage
+    (no random initialisation is drawn), and each tensor's bytes are then
+    read straight into its parameter array.
     """
     from .nnet import read_checkpoint_manifest, read_checkpoint_tensors
     with open(path, "rb") as f:
@@ -315,9 +333,10 @@ def load_model(path) -> FractalModel:
             cfg = ScaleConfig(levels=tuple(tuple(l) for l in meta["levels"]),
                               d_min=meta["d_min"], d_max=meta["d_max"])
             sched = make_linear_schedule(meta["T"], meta["beta_start"], meta["beta_end"])
-            model = init_model(cfg, sched=sched, hidden=tuple(meta["hidden"]),
-                               feature_dim=meta["feature_dim"], time_dim=meta["time_dim"],
-                               timestep_reuse=meta["timestep_reuse"])
+            model = _assemble_model(cfg, sched, tuple(meta["hidden"]), meta["feature_dim"],
+                                    meta["time_dim"], meta["timestep_reuse"],
+                                    vcfr.ConvPyramidParams.empty(meta["feature_dim"]),
+                                    lambda i, sizes: MlpParams.empty(sizes))
         except (KeyError, TypeError, ValueError, FractalDepthError) as e:
             raise ConfigError(f"{path}: checkpoint meta does not describe a model: {e!r}") from e
         named = model.named_params()

@@ -64,6 +64,13 @@ class MlpParams:
     def named(self, prefix: str) -> dict:
         return _named_layers(self.weights, self.biases, prefix)
 
+    @classmethod
+    def empty(cls, sizes) -> "MlpParams":
+        """Layers of ``sizes`` on uninitialised float64 storage, for a
+        checkpoint to fill."""
+        return cls(weights=[np.empty((a, b)) for a, b in zip(sizes[:-1], sizes[1:])],
+                   biases=[np.empty(b) for b in sizes[1:]])
+
 
 def _named_layers(weights: list, biases: list, prefix: str) -> dict:
     out = {}
@@ -98,8 +105,12 @@ def mlp_forward(params: MlpParams, x: np.ndarray, pre0: np.ndarray = None):
     no activations and returns ``None`` as its cache, which
     :func:`mlp_backward` refuses.  Its output equals that of the
     out-of-place arithmetic bit for bit.
+
+    ``x`` and ``pre0`` are cast to the dtype of the weights, so float32
+    weights give a float32 forward and output.
     """
-    x = np.asarray(x, dtype=np.float64)
+    dtype = params.weights[0].dtype
+    x = np.asarray(x, dtype=dtype)
     squeeze = x.ndim == 1
     if squeeze:
         x = x[None, :]
@@ -108,7 +119,7 @@ def mlp_forward(params: MlpParams, x: np.ndarray, pre0: np.ndarray = None):
         if x.shape[1] != w0.shape[0]:
             raise ShapeError(f"input dim {x.shape[1]} != first layer {w0.shape[0]}")
     else:
-        pre0 = np.asarray(pre0, dtype=np.float64)
+        pre0 = np.asarray(pre0, dtype=dtype)
         if (x.shape[1] > w0.shape[0]
                 or pre0.shape not in ((w0.shape[1],), (x.shape[0], w0.shape[1]))):
             raise ShapeError(f"input dim {x.shape[1]} with pre0 {pre0.shape} does not fit "
@@ -140,9 +151,12 @@ def _forward_no_cache(params: MlpParams, x: np.ndarray, pre0: np.ndarray) -> np.
             a = h @ w
             a += b
         if i != n_layers - 1:
-            # silu(a) = a / (1 + exp(-a)), evaluated in one scratch array
+            # silu(a) = a / (1 + exp(-a)), evaluated in one scratch array.
+            # exp(-a) overflows to inf for a below -88.7 in float32 (-709 in
+            # float64); a / inf then gives -0, where |silu(a)| < 3e-37
             e = np.negative(a)
-            np.exp(e, out=e)
+            with np.errstate(over="ignore"):
+                np.exp(e, out=e)
             e += 1.0
             a /= e
         h = a

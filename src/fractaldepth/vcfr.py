@@ -73,6 +73,13 @@ class ConvPyramidParams:
         return {f"{prefix}.w1": self.w1, f"{prefix}.b1": self.b1,
                 f"{prefix}.w2": self.w2, f"{prefix}.b2": self.b2}
 
+    @classmethod
+    def empty(cls, feature_dim: int) -> "ConvPyramidParams":
+        """The pyramid on uninitialised float64 storage, for a checkpoint to fill."""
+        f = feature_dim
+        return cls(w1=np.empty((3, 3, 3, f)), b1=np.empty(f),
+                   w2=np.empty((3, 3, f, f)), b2=np.empty(f))
+
 
 def init_conv_pyramid(feature_dim: int, rng: RngStream) -> ConvPyramidParams:
     def he(shape, fan_in, *ids):

@@ -238,19 +238,21 @@ class TestRunners:
         for n in (1, 2, 8):
             out, _, _ = multisample_scene(model, cfg, 42, n, RngStream(0, ("m",)))
             assert out.alignment.alpha.shape == (n,)
-        # in batches of two or more every product has two or more rows, and
-        # such products give each row the same bits: N=2 is a prefix of N=8
-        for k in range(2):
-            for a, b in zip(runs[2][k].latents, runs[8][k].latents):
-                assert np.array_equal(a, b)
-            assert np.array_equal(runs[2][k].final.values, runs[8][k].final.values)
-        # N=1 runs its level-0 token as a 1-row product, which rounds
-        # differently from the same row inside a batch
-        single = runs[1][0]
-        for n in (2, 8):
-            for a, b in zip(single.latents, runs[n][0].latents):
-                assert np.max(np.abs(a - b)) <= 1e-12
-            assert np.max(np.abs(single.final.values - runs[n][0].final.values)) <= 1e-12
+        # the sampler's MLP runs in float32, and sgemm may round a row
+        # differently in products of 1, 2 and 8 rows (here at level 0, whose
+        # single token is one row per sample); the chain state is float64,
+        # so sample k differs only by that rounding of its noise predictions:
+        # a few float32 spacings EPS32 = 2**-23 relative to predictions below
+        # 0.05 at this random init, summed with chain coefficients that add
+        # up to about 1.  One EPS32 bounds the latents, and 2.3 EPS32 (the
+        # slope ln(d_max / d_min) / 2 of depth in latent) the depths, relative
+        eps32 = float(np.finfo(np.float32).eps)
+        pairs = [(runs[2][0], runs[8][0]), (runs[2][1], runs[8][1]),
+                 (runs[1][0], runs[2][0]), (runs[1][0], runs[8][0])]
+        for a, b in pairs:
+            for x, y in zip(a.latents, b.latents):
+                assert np.max(np.abs(x - y)) <= eps32
+            assert np.max(np.abs(a.final.values - b.final.values) / b.final.values) <= 2.3 * eps32
 
     def test_multisample_normalises_by_fusion_gamma(self, monkeypatch):
         # u_norm divides by N (N + gamma) with the gamma the fusion used

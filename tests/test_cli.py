@@ -6,7 +6,6 @@ import pytest
 
 from fractaldepth import fractal, urca
 from fractaldepth.cli import main
-from fractaldepth.errors import InputError
 from fractaldepth.imgio import read_depth_pfm
 from fractaldepth.urca import URCAConfig
 
@@ -81,11 +80,12 @@ class TestPipelines:
         # the reverse steps run per level: the tiny config has T = 10
         assert fields["steps"] == str(min(fractal.SAMPLE_STEPS, 10))
 
-    def test_sample_nonfinite_tau(self, tiny_run):
+    def test_sample_nonfinite_tau(self, tiny_run, capsys):
         cfg, ckpt, root = tiny_run
-        with pytest.raises(InputError, match="tau"):
-            main(["sample", "--config", str(cfg), "--checkpoint", str(ckpt),
-                  "--tau", "nan", "--out", str(root / "nan")])
+        code = main(["sample", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--tau", "nan", "--out", str(root / "nan")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("InputError: ") and "tau" in err
         assert not (root / "nan").exists()
 
     def test_fuse(self, tiny_run, capsys):
@@ -149,7 +149,33 @@ class TestPipelines:
             (root / change / "latent_level3.pfm").unlink()
         else:
             shutil.copy(root / change / "latent_level3.pfm", root / change / "latent_level4.pfm")
-        with pytest.raises(InputError):
-            main(["fuse", "--config", str(cfg), str(root / change / "depth.pfm"),
-                  str(root / change / "depth.pfm"), "--trace-dir", str(root / change),
-                  "--checkpoint", str(ckpt), "--out", str(root / f"{change}_fused")])
+        code = main(["fuse", "--config", str(cfg), str(root / change / "depth.pfm"),
+                     str(root / change / "depth.pfm"), "--trace-dir", str(root / change),
+                     "--checkpoint", str(ckpt), "--out", str(root / f"{change}_fused")])
+        assert code == 2 and capsys.readouterr().err.startswith("InputError: ")
+
+
+class TestTypedErrors:
+    """A library error is one stderr line and exit status 2, not a traceback."""
+
+    def _fails(self, capsys, argv, cls):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"{cls}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        return err
+
+    def test_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.pfm"
+        bad.write_bytes(b"Pf\n2 2\n-1.0\n")      # header only, no pixels
+        err = self._fails(capsys, ["fuse", str(bad), str(bad), "--out", str(tmp_path / "o")],
+                          "InputError")
+        assert "bad.pfm" in err
+
+    def test_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("uncertainty_threshold = nan\n")
+        err = self._fails(capsys, ["scene", "--config", str(cfg), "--out", str(tmp_path / "s")],
+                          "ConfigError")
+        assert "nan.cfg" in err and "uncertainty_threshold" in err

@@ -18,6 +18,30 @@ from fractaldepth.rng import RngStream
 
 CFG = ScaleConfig(levels=((1, 1), (4, 1), (8, 2)), d_min=0.1, d_max=10.0)
 
+# The sampler's MLP runs in float32, spaced EPS32 = 2**-23 ~ 1.2e-7 at 1.0;
+# the chain state is float64.  Two runs whose float32 products round
+# differently (against the float64 ``predictor=`` reference, or one row
+# inside products of different row counts) differ by the rounding of their
+# noise predictions, a few EPS32 relative to those.  Each reverse step adds
+# its prediction with the coefficient (1 - alpha)/sqrt(1 - abar), and the
+# coefficients of a chain sum to about 1, so latents differ by a few EPS32
+# times the largest predicted noise.  The random-init models here (final
+# layer scaled by 0.01) predict noise below 0.05, so one EPS32 bounds their
+# latents (they measured <= 2e-8).  A depth is exp-linear in its latent with
+# slope ln(d_max / d_min) / 2 <= 2.3 on these layouts, so depths are held to
+# 2.3 EPS32 relative.
+EPS32 = float(np.finfo(np.float32).eps)
+LATENT_TOL = EPS32
+DEPTH_RTOL = 2.3 * EPS32
+
+
+def assert_f32_close(a_trace, b_trace, latent_tol=LATENT_TOL, depth_rtol=DEPTH_RTOL):
+    """Latents within ``latent_tol``, and depths within ``depth_rtol`` relative."""
+    for x, y in zip(a_trace.latents, b_trace.latents):
+        assert np.max(np.abs(x - y)) <= latent_tol
+    for x, y in zip(a_trace.depths, b_trace.depths):
+        assert np.max(np.abs(x.values - y.values) / y.values) <= depth_rtol
+
 
 def small_model(seed=0, T=10, hidden=(16, 16)):
     return init_model(CFG, seed=seed, sched=make_linear_schedule(T), hidden=hidden,
@@ -109,6 +133,17 @@ class TestGenerate:
             assert d.values.shape == (8, 8)
             assert d.values.min() >= CFG.d_min and d.values.max() <= CFG.d_max
 
+    def test_outputs_float64(self):
+        # the MLP runs in float32; the chain state and every output are float64
+        model = small_model()
+        image, _ = scene(9)
+        for trace in generate(model, image, [RngStream(4, ("g",)), RngStream(5, ("g",))],
+                              tau=1.0):
+            assert all(l.dtype == np.float64 for l in trace.latents)
+            assert all(d.values.dtype == np.float64 for d in trace.depths)
+            assert trace.final.values.dtype == np.float64
+        assert all(w.dtype == np.float64 for m in model.mlps for w in m.weights)
+
     def test_same_seed_bit_identical(self):
         model = small_model()
         image, _ = scene(10)
@@ -173,9 +208,9 @@ class TestGenerate:
 
 
 class TestGenerateHoistedCondition:
-    """generate projects each level's condition once per chain; a predictor
-    that feeds the full [z, time, cond] row to the MLP at every step is the
-    reference."""
+    """generate projects each level's condition once per chain and runs the
+    MLP in float32; a float64 predictor that feeds the full [z, time, cond]
+    row to the MLP at every step is the reference."""
 
     @staticmethod
     def _full_concat(model):
@@ -196,9 +231,7 @@ class TestGenerateHoistedCondition:
         a = generate(model, image, RngStream(12, ("h",)), tau=tau)
         b = generate(model, image, RngStream(12, ("h",)), tau=tau,
                      predictor=self._full_concat(model))
-        for x, y in zip(a.latents, b.latents):
-            assert np.max(np.abs(x - y)) <= 1e-10
-        assert np.max(np.abs(a.final.values - b.final.values)) <= 1e-10
+        assert_f32_close(a, b)
 
 
 @functools.lru_cache(maxsize=None)
@@ -224,10 +257,11 @@ def _reference_model():
 class TestRespacedReference:
     """The respaced chain on the stored desk checkpoint."""
 
-    # SHA-256 of the tau = 0 latents of scenes 11 and 12, recorded with the
-    # chain that ran every one of the 60 steps (numpy 2.4.6, OpenBLAS 0.3.31;
-    # another BLAS build may round the products differently)
-    FULL_CHAIN_SHA256 = "51b64b4caf7ba3d3cac52d2171b61dd2f1f1ef41d44991ab1e9b8470ce483747"
+    # SHA-256 of the tau = 0 latents of scenes 11 and 12 from the chain that
+    # runs every one of the 60 steps, recorded with the float32 sampler
+    # (numpy 2.4.6, OpenBLAS 0.3.31; another BLAS build may round the
+    # products differently)
+    FULL_CHAIN_SHA256 = "92158ce9192a03599a8d50afd0d78c2dddc5540f68e7e656dc30e03e1d297951"
     # the full 60-step chain's mean RMSE at tau = 0 on scenes 2e7+0..15, and
     # its fused N = 8 RMSE on scenes 3e7+0..3 with sigma^2 = beta
     FULL_CHAIN_RMSE = 0.6923
@@ -239,11 +273,27 @@ class TestRespacedReference:
         model = _reference_model()
         monkeypatch.setattr(fractal_mod, "SAMPLE_STEPS", model.sched.T)
         cfg = bench.RunConfig()
+
+        def full_chain(image, s, **kw):
+            # the unrespaced schedule itself, not respace(sched, T)
+            with monkeypatch.context() as m:
+                m.setattr(fractal_mod, "respace", lambda sched, steps: sched)
+                return generate(model, image, RngStream(s, ("sample",)), tau=0.0, **kw)
+
         h = hashlib.sha256()
         for s in (11, 12):
             image, _ = bench.gen_scene(cfg.scene_spec(s))
-            for latent in generate(model, image, RngStream(s, ("sample",)), tau=0.0).latents:
-                h.update(np.ascontiguousarray(latent).tobytes())
+            trace = generate(model, image, RngStream(s, ("sample",)), tau=0.0)
+            reference = full_chain(image, s)
+            for a, b in zip(trace.latents, reference.latents):
+                assert np.array_equal(a, b)
+                h.update(np.ascontiguousarray(a).tobytes())
+            # the float64 full-row MLP: trained weights predict noise of unit
+            # size, so the bounds of EPS32 are scaled by 16 (measured: 2.8 and
+            # 6.5 EPS32)
+            full_row = TestGenerateHoistedCondition._full_concat(model)
+            assert_f32_close(trace, full_chain(image, s, predictor=full_row),
+                             16 * LATENT_TOL, 16 * DEPTH_RTOL)
         assert h.hexdigest() == self.FULL_CHAIN_SHA256
 
     def test_quality_floor(self):
@@ -272,12 +322,10 @@ class TestBatchedGenerate:
         streams = [RngStream(seed, ("b",)).child("sample", k) for k in range(n)]
         batch = generate(model, image, streams, tau=tau)
         assert isinstance(batch, list) and len(batch) == n
+        # a single run's float32 products have fewer rows than the batch's,
+        # and sgemm may round a row differently at another row count
         for stream, trace in zip(streams, batch):
-            alone = generate(model, image, stream, tau=tau)
-            for a, b in zip(alone.latents, trace.latents):
-                assert np.max(np.abs(a - b)) <= 1e-12
-            for a, b in zip(alone.depths, trace.depths):
-                assert np.max(np.abs(a.values - b.values)) <= 1e-12
+            assert_f32_close(generate(model, image, stream, tau=tau), trace)
 
     def test_oracle_predictor_sees_stacked_batch(self):
         model = small_model(T=100)
@@ -382,6 +430,21 @@ class TestPersistence:
         a = generate(model, image, RngStream(10, ("q",)), tau=0.0)
         b = generate(loaded, image, RngStream(10, ("q",)), tau=0.0)
         assert np.array_equal(a.final.values, b.final.values)
+
+    def test_load_draws_no_init(self, tmp_path, monkeypatch):
+        # the checkpoint fills every parameter, so no random init is drawn
+        path = tmp_path / "m.fadn"
+        save_model(path, small_model(seed=3))
+
+        def no_draw(self, *ids):
+            raise AssertionError(f"load_model drew from RngStream path {self.prefix + ids}")
+
+        monkeypatch.setattr(RngStream, "generator", no_draw)
+        loaded = load_model(path)
+        monkeypatch.undo()
+        again = tmp_path / "again.fadn"
+        save_model(again, loaded)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_reference_checkpoint_loads(self):
         model = load_model(REFERENCE)

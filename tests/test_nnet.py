@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,42 @@ class TestMlpForwardNoCache:
         assert y.shape == (3,)
         assert np.array_equal(y, self._out_of_place(p, x[None, :2], pre0)[0])
         assert np.array_equal(mlp_forward(p, x, pre0=p.biases[0])[0], mlp_forward(p, x)[0])
+
+
+class TestMlpForwardFloat32:
+    """Weights given in float32 make a float32 forward, as the sampler runs it."""
+
+    @staticmethod
+    def _f32(p):
+        return MlpParams(weights=[w.astype(np.float32) for w in p.weights],
+                         biases=[b.astype(np.float32) for b in p.biases])
+
+    def test_keeps_weight_dtype(self):
+        p = init_mlp([6, 32, 32, 3], RngStream(5, ("f32",)))
+        x = RngStream(6).normal((4, 6), "x")
+        pre0 = x[:, 2:] @ p.weights[0][2:] + p.biases[0]
+        y, _ = mlp_forward(self._f32(p), x)
+        y_pre0, _ = mlp_forward(self._f32(p), x[:, :2], pre0=pre0)
+        assert y.dtype == y_pre0.dtype == np.float32
+        # float32 keeps 24 bits; through two 32-wide hidden layers the output
+        # stays within a few hundred float32 spacings of the float64 forward
+        y64, _ = mlp_forward(p, x)
+        tol = 256 * np.finfo(np.float32).eps * np.max(np.abs(y64))
+        assert np.max(np.abs(y - y64)) <= tol and np.max(np.abs(y_pre0 - y64)) <= tol
+        # float64 weights still cast a float32 input up
+        assert mlp_forward(p, x.astype(np.float32))[0].dtype == np.float64
+
+    def test_silu_overflow_silent(self):
+        # exp(-a) overflows float32 below a = -88.7; silu(a) is then -0 or a
+        # tiny negative, and no RuntimeWarning is raised
+        p = MlpParams(weights=[np.eye(3, dtype=np.float32)] * 2,
+                      biases=[np.zeros(3, dtype=np.float32)] * 2)
+        pre0 = np.array([[-100.0, -1e4, -3e38], [-88.0, -89.0, -1e3]], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y, _ = mlp_forward(p, np.zeros((2, 0), dtype=np.float32), pre0=pre0)
+        assert y.dtype == np.float32 and np.all(np.isfinite(y))
+        assert np.all(y <= 0) and np.max(np.abs(y)) < 1e-35
 
 
 class TestMlpBackward:
