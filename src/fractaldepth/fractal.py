@@ -76,6 +76,8 @@ def _assemble_model(cfg: ScaleConfig, sched: NoiseSchedule, hidden, feature_dim:
                     time_dim: int, timestep_reuse: int, conv: vcfr.ConvPyramidParams,
                     make_mlp) -> FractalModel:
     """The model around ``conv``; level i's MLP is ``make_mlp(i, layer sizes)``."""
+    if timestep_reuse < 1:
+        raise ConfigError(f"timestep_reuse must be >= 1, got {timestep_reuse}")
     plan = build_schedule_plan(cfg)
     model = FractalModel(cfg=cfg, plan=plan, sched=sched, conv=conv,
                          gate_w=np.ones(len(plan.levels)),
@@ -118,53 +120,100 @@ def _build_condition(model: FractalModel, feats: list, state: np.ndarray, level:
     return (cond, fuse_cache) if want_cache else cond
 
 
-def _predict(model: FractalModel, level: int, z_tokens: np.ndarray, t: int,
-             cond: np.ndarray):
-    emb = np.broadcast_to(time_embed(float(t), model.time_dim), (z_tokens.shape[0], model.time_dim))
-    x = np.concatenate([z_tokens, emb, cond], axis=1)
-    return mlp_forward(model.mlps[level], x)
+# Rows of one stacked forward/backward in training: whole draws of a level,
+# at least one.  On a 2-vCPU OpenBLAS host, 1024-row blocks (level 2's four
+# draws at once) made desk_train slower (p50 61.4-62.2 against 58.0-58.9 ms)
+# and raised its peak RSS from 76 to 89.5 MB (README "Performance").
+_TRAIN_BLOCK = 256
+
+
+def _level_loss_and_grads(model: FractalModel, level: int, z_star: np.ndarray,
+                          cond: np.ndarray, rng: RngStream):
+    """The denoising loss of one level, averaged over its R timestep draws.
+
+    Returns the loss, the gradients of the level's MLP by parameter name,
+    and the gradient of the condition's pooled-feature columns.  The draws'
+    rows are stacked and run through the MLP in blocks of whole draws, one
+    forward and one backward per block; the condition, which every draw
+    shares, is projected through its rows of W0 once.
+    """
+    lv = model.plan.levels[level]
+    mlp = model.mlps[level]
+    n, d, td = lv.token_count, lv.token_dim, model.time_dim
+    R = model.timestep_reuse
+    x = np.empty((R * n, d + td))          # each draw's [z_t, time] rows
+    eps = np.empty((R * n, d))
+    for r in range(R):
+        t = int(rng.integers(1, model.sched.T + 1, "t", level, r))
+        rows = slice(r * n, (r + 1) * n)
+        eps[rows] = rng.normal((n, d), "eps", level, r)
+        x[rows, :d] = forward_noise(z_star, t, eps[rows], model.sched)
+        x[rows, d:] = time_embed(float(t), td)
+    w0 = mlp.weights[0]
+    cond_pre = cond @ w0[d + td:] + mlp.biases[0]
+    per_block = min(R, max(1, _TRAIN_BLOCK // n))
+    pre0 = np.tile(cond_pre, (per_block, 1)) if per_block > 1 else cond_pre
+    total = None                           # the blocks' MlpGrads, summed
+    sq_sum = 0.0
+    for lo in range(0, R, per_block):
+        k = min(per_block, R - lo)
+        rows = slice(lo * n, (lo + k) * n)
+        y, cache = mlp_forward(mlp, x[rows], pre0[:k * n], want_cache=True)
+        y -= eps[rows]
+        sq_sum += float(np.vdot(y, y))
+        y *= 2.0 / (n * d * R)
+        g = mlp_backward(mlp, cache, y)
+        # one block's activations at a time: holding them into the next
+        # block's forward raised desk_train's peak RSS by 2-3 MB
+        del y, cache
+        g0 = g.pre0.reshape(k, n, -1).sum(axis=0)    # summed over the draws
+        if total is None:
+            total, g0_sum = g, g0
+        else:
+            for acc, part in zip(total.weights + total.biases, g.weights + g.biases):
+                acc += part
+            g0_sum += g0
+        del g
+    # the backward gave W0's [z_t, time] rows; the condition rows follow
+    w0_grad = np.empty_like(w0)
+    w0_grad[:d + td] = total.weights[0]
+    np.matmul(cond.T, g0_sum, out=w0_grad[d + td:])
+    total.weights[0] = w0_grad
+    return (sq_sum / (n * d * R), total.named(f"mlp{level}"),
+            g0_sum @ w0[d + td:d + td + model.feature_dim].T)
+
+
+def loss_and_grads(model: FractalModel, image: np.ndarray, gt: DepthMap, rng: RngStream):
+    """The per-level losses of one teacher-forced step, and the gradients of
+    their sum by parameter name.  ``NumericsError`` if a loss is not finite."""
+    targets = encode_targets(gt, model)
+    feats, feat_cache = vcfr.extract_features(image, model.cfg, model.conv, want_cache=True)
+    grads = {"gate_w": np.zeros(model.n_levels), "gate_b": np.zeros(model.n_levels)}
+    feat_grads = []
+    losses = []
+    for level, lv in enumerate(model.plan.levels):
+        state = _level_state(model, level, targets[level - 1] if level > 0 else None)
+        cond, fuse_cache = _build_condition(model, feats, state, level, want_cache=True)
+        z_star = split_patches(targets[level], lv.patch_size).reshape(lv.token_count, lv.token_dim)
+        level_loss, mlp_grads, dfeat = _level_loss_and_grads(model, level, z_star, cond, rng)
+        losses.append(level_loss)
+        if not np.isfinite(level_loss):
+            raise NumericsError(f"non-finite loss at level {level}; step rejected")
+        grads.update(mlp_grads)
+        # condition gradient: only the pooled feature block trains upstream
+        # parameters (guidance and patch context come from fixed targets)
+        df, dw, db = vcfr.refine_condition_backward(dfeat, fuse_cache)
+        grads["gate_w"][level] = dw
+        grads["gate_b"][level] = db
+        feat_grads.append(df)
+    grads.update(vcfr.extract_features_backward(feat_grads, model.cfg, model.conv, feat_cache))
+    return losses, grads
 
 
 def train_step(model: FractalModel, image: np.ndarray, gt: DepthMap, rng: RngStream,
                lr: float, weight_decay: float = 0.05) -> list:
     """One teacher-forced optimizer step; returns the per-level losses."""
-    targets = encode_targets(gt, model)
-    feats, feat_cache = vcfr.extract_features(image, model.cfg, model.conv, want_cache=True)
-    grads = {name: np.zeros_like(p) for name, p in model.named_params().items()}
-    feat_grads = [None] * model.n_levels
-    losses = []
-    R = model.timestep_reuse
-    T = model.sched.T
-    for level, lv in enumerate(model.plan.levels):
-        state = _level_state(model, level, targets[level - 1] if level > 0 else None)
-        cond, fuse_cache = _build_condition(model, feats, state, level, want_cache=True)
-        z_star = split_patches(targets[level], lv.patch_size).reshape(lv.token_count, lv.token_dim)
-        level_loss = 0.0
-        dcond_total = np.zeros_like(cond)
-        for r in range(R):
-            t = int(rng.integers(1, T + 1, "t", level, r))
-            eps = rng.normal(z_star.shape, "eps", level, r)
-            z_t = forward_noise(z_star, t, eps, model.sched)
-            y, cache = _predict(model, level, z_t, t, cond)
-            diff = y - eps
-            level_loss += float(np.mean(diff * diff)) / R
-            dy = 2.0 * diff / (diff.size * R)
-            g = mlp_backward(model.mlps[level], cache, dy)
-            for name, gv in g.named(f"mlp{level}").items():
-                grads[name] += gv
-            dcond_total += g.x[:, lv.token_dim + model.time_dim:]
-        losses.append(level_loss)
-        if not np.isfinite(level_loss):
-            raise NumericsError(f"non-finite loss at level {level}; step rejected")
-        # condition gradient: only the pooled feature block trains upstream
-        # parameters (guidance and patch context come from fixed targets)
-        df, dw, db = vcfr.refine_condition_backward(dcond_total[:, :model.feature_dim], fuse_cache)
-        grads[f"gate_w"][level] += dw
-        grads[f"gate_b"][level] += db
-        feat_grads[level] = df
-    conv_grads = vcfr.extract_features_backward(feat_grads, model.cfg, model.conv, feat_cache)
-    for name, gv in conv_grads.items():
-        grads[name] += gv
+    losses, grads = loss_and_grads(model, image, gt, rng)
     adamw_step(model.named_params(), grads, model.opt_state, lr, weight_decay=weight_decay)
     return losses
 

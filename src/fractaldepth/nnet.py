@@ -20,12 +20,18 @@ from .errors import ConfigError, NumericsError, ShapeError
 from .rng import RngStream
 
 
+# exp(-x) overflows to inf for x below -88.7 in float32 (-709 in float64).
+# The sigmoid 1 / (1 + inf) is then 0 and silu(x) = x / inf is -0, their
+# limits, so the overflow is not reported.
+
 def silu(x: np.ndarray) -> np.ndarray:
-    return x / (1.0 + np.exp(-x))
+    with np.errstate(over="ignore"):
+        return x / (1.0 + np.exp(-x))
 
 
 def silu_grad(x: np.ndarray) -> np.ndarray:
-    s = 1.0 / (1.0 + np.exp(-x))
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-x))
     return s * (1.0 + x * (1.0 - s))
 
 
@@ -94,17 +100,21 @@ def init_mlp(sizes, rng: RngStream, final_scale: float = 1.0) -> MlpParams:
     return MlpParams(weights=weights, biases=biases)
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray, pre0: np.ndarray = None):
+def mlp_forward(params: MlpParams, x: np.ndarray, pre0: np.ndarray = None,
+                want_cache: bool = None):
     """Returns (output, cache); accepts a vector or a (batch, dim) matrix.
 
     ``pre0``, when given, is the layer-0 pre-activation contributed by the
     input columns past ``x`` (their product with the rest of ``W0``, plus
     ``b0``), so callers can project inputs that do not change between calls
-    once.  Layer 0 then computes ``x @ W0[:x.shape[1]] + pre0``.  Such a
-    call is inference only: it adds biases and applies SiLU in place, keeps
-    no activations and returns ``None`` as its cache, which
-    :func:`mlp_backward` refuses.  Its output equals that of the
-    out-of-place arithmetic bit for bit.
+    once.  Layer 0 then computes ``x @ W0[:x.shape[1]] + pre0``.
+
+    ``want_cache`` keeps the activations :func:`mlp_backward` needs: each
+    layer's input and each hidden layer's sigmoid.  By default only a
+    forward without ``pre0`` keeps them.  A forward that keeps none adds
+    biases and applies SiLU in place and returns ``None`` as its cache,
+    which :func:`mlp_backward` refuses.  Either way the output equals that
+    of the out-of-place arithmetic bit for bit.
 
     ``x`` and ``pre0`` are cast to the dtype of the weights, so float32
     weights give a float32 forward and output.
@@ -124,18 +134,39 @@ def mlp_forward(params: MlpParams, x: np.ndarray, pre0: np.ndarray = None):
                 or pre0.shape not in ((w0.shape[1],), (x.shape[0], w0.shape[1]))):
             raise ShapeError(f"input dim {x.shape[1]} with pre0 {pre0.shape} does not fit "
                              f"first layer {w0.shape}")
-        h = _forward_no_cache(params, x, pre0)
+    if want_cache is None:
+        want_cache = pre0 is None
+    if not want_cache:
+        h = _forward_no_cache(params, x, params.biases[0] if pre0 is None else pre0)
         return (h[0] if squeeze else h), None
-    inputs, preacts = [], []
+    inputs, sigmoids = [], []
     h = x
     n_layers = len(params.weights)
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         inputs.append(h)
-        a = h @ w + b
-        preacts.append(a)
-        h = a if i == n_layers - 1 else silu(a)
-    cache = (inputs, preacts, squeeze)
+        if i == 0 and pre0 is not None:
+            a = h @ w[:h.shape[1]]
+            a += pre0
+        else:
+            a = h @ w
+            a += b
+        if i != n_layers - 1:
+            sigmoids.append(_silu_in_place(a))
+        h = a
+    cache = (inputs, sigmoids, squeeze, pre0 is not None)
     return (h[0] if squeeze else h), cache
+
+
+def _silu_in_place(a: np.ndarray) -> np.ndarray:
+    """Writes silu(a) into ``a`` and returns the sigmoid 1 / (1 + exp(-a)),
+    both from one exp and bit for bit equal to :func:`silu` and the sigmoid
+    of :func:`silu_grad`."""
+    e = np.negative(a)
+    with np.errstate(over="ignore"):
+        np.exp(e, out=e)
+    e += 1.0
+    a /= e
+    return np.reciprocal(e, out=e)
 
 
 def _forward_no_cache(params: MlpParams, x: np.ndarray, pre0: np.ndarray) -> np.ndarray:
@@ -167,23 +198,34 @@ def _forward_no_cache(params: MlpParams, x: np.ndarray, pre0: np.ndarray) -> np.
 class MlpGrads:
     weights: list
     biases: list
-    x: np.ndarray
+    x: np.ndarray       # input gradient; None after a ``pre0`` forward
+    pre0: np.ndarray    # gradient of the layer-0 pre-activation, per row
 
     def named(self, prefix: str) -> dict:
         return _named_layers(self.weights, self.biases, prefix)
 
 
 def mlp_backward(params: MlpParams, cache, grad_out: np.ndarray) -> MlpGrads:
-    """Exact reverse-mode gradients for :func:`mlp_forward`."""
+    """Exact reverse-mode gradients for :func:`mlp_forward`.
+
+    ``pre0`` is the gradient of the layer-0 pre-activation, one row per
+    input row.  After a forward with ``pre0``, ``weights[0]`` holds only the
+    rows of ``W0`` that ``x`` met and no input gradient is formed: the
+    caller that projected the other columns applies their chain rule.
+
+    The backward works in the cache's hidden activations, so one cache
+    serves one backward.
+    """
     if cache is None:
-        raise ShapeError("a forward with pre0 keeps no activations and has no backward")
-    inputs, preacts, squeeze = cache
+        raise ShapeError("a forward that kept no activations has no backward")
+    inputs, sigmoids, squeeze, narrowed = cache
     g = np.asarray(grad_out, dtype=np.float64)
     if squeeze:
         g = g[None, :]
-    if g.shape != preacts[-1].shape:
-        raise ShapeError(f"output grad shape {g.shape} != {preacts[-1].shape}")
-    if inputs[0].shape[1] != params.weights[0].shape[0]:
+    out_shape = (inputs[0].shape[0], params.weights[-1].shape[1])
+    if g.shape != out_shape:
+        raise ShapeError(f"output grad shape {g.shape} != {out_shape}")
+    if not narrowed and inputs[0].shape[1] != params.weights[0].shape[0]:
         raise ShapeError(f"cached input dim {inputs[0].shape[1]} != first layer "
                          f"{params.weights[0].shape[0]}")
     n_layers = len(params.weights)
@@ -191,11 +233,24 @@ def mlp_backward(params: MlpParams, cache, grad_out: np.ndarray) -> MlpGrads:
     dbs = [None] * n_layers
     for i in range(n_layers - 1, -1, -1):
         if i != n_layers - 1:
-            g = g * silu_grad(preacts[i])
+            # silu'(a) = s + h (1 - s) from the kept sigmoid s and h = silu(a),
+            # written as h q + 1 - q with q = 1 - s into the two cached arrays
+            # (no later step reads them); g is this call's own array here
+            h = inputs[i + 1]
+            q = np.subtract(1.0, sigmoids[i], out=sigmoids[i])
+            h *= q
+            h += 1.0
+            h -= q
+            g *= h
         dws[i] = inputs[i].T @ g
         dbs[i] = g.sum(axis=0)
-        g = g @ params.weights[i].T
-    return MlpGrads(weights=dws, biases=dbs, x=(g[0] if squeeze else g))
+        if i:
+            g = g @ params.weights[i].T
+    dx = None if narrowed else g @ params.weights[0].T
+    if squeeze:
+        g = g[0]
+        dx = None if dx is None else dx[0]
+    return MlpGrads(weights=dws, biases=dbs, x=dx, pre0=g)
 
 
 # --- AdamW ----------------------------------------------------------------
@@ -211,32 +266,47 @@ def adamw_step(params: dict, grads: dict, state: AdamWState, lr: float,
                betas=(0.9, 0.95), weight_decay: float = 0.05, eps: float = 1e-8) -> None:
     """One decoupled-weight-decay Adam step over a dict of parameter arrays.
 
-    Rejects the whole step (state untouched) if any gradient is non-finite.
+    Rejects the whole step (state untouched) if any gradient is non-finite
+    or does not have its parameter's shape.  The update runs in place, in
+    two scratch arrays the size of the largest tensor, with the operations
+    and their order of ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``, so it
+    equals that formula bit for bit.
     """
-    for name, g in grads.items():
+    for name, p in params.items():
+        g = grads[name]
+        if p.shape != g.shape:
+            raise ShapeError(f"{name}: param shape {p.shape} != grad shape {g.shape}")
         if not np.all(np.isfinite(g)):
             raise NumericsError(f"non-finite gradient for {name!r}; step rejected")
     b1, b2 = betas
     state.step += 1
     t = state.step
+    size = max((p.size for p in params.values()), default=0)
+    scratch_a, scratch_b = np.empty(size), np.empty(size)
     for name, p in params.items():
         g = grads[name]
-        if p.shape != g.shape:
-            raise ShapeError(f"{name}: param shape {p.shape} != grad shape {g.shape}")
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
+        a = scratch_a[:p.size].reshape(p.shape)
+        b = scratch_b[:p.size].reshape(p.shape)
         # decoupled decay applied before the moment update
         p *= (1.0 - lr * weight_decay)
         m = state.m[name]
         v = state.v[name]
         m *= b1
-        m += (1 - b1) * g
+        m += np.multiply(1 - b1, g, out=a)
         v *= b2
-        v += (1 - b2) * g * g
-        mhat = m / (1 - b1 ** t)
-        vhat = v / (1 - b2 ** t)
-        p -= lr * mhat / (np.sqrt(vhat) + eps)
+        np.multiply(1 - b2, g, out=a)
+        a *= g
+        v += a
+        np.divide(m, 1 - b1 ** t, out=a)     # mhat
+        a *= lr
+        np.divide(v, 1 - b2 ** t, out=b)     # vhat
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        p -= a
 
 
 @dataclass(frozen=True)

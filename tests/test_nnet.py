@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from fractaldepth.errors import ConfigError, NumericsError, ShapeError
 from fractaldepth.nnet import (AdamWState, LrSchedule, MlpParams, adamw_step, grad_check,
                                init_mlp, load_checkpoint, lr_at, mlp_backward, mlp_forward,
-                               save_checkpoint, silu, time_embed)
+                               save_checkpoint, silu, silu_grad, time_embed)
 from fractaldepth.rng import RngStream
 
 
@@ -85,6 +86,26 @@ class TestMlpForwardPre0:
         y, _ = mlp_forward(p, x[:3], pre0=pre0)
         assert y.shape == (2,)
         assert np.max(np.abs(y - mlp_forward(p, x)[0])) <= 1e-12
+
+    @pytest.mark.parametrize("k", [0, 3, 9])
+    def test_cached_backward_matches_full_input(self, k):
+        # the training layout: x holds the first k columns, pre0 projects the
+        # rest; the backward gives W0's first k rows and the pre-activation
+        # gradient, from which the rest of W0 and the input follow
+        p = init_mlp([9, 7, 7, 3], RngStream(k, ("pre0bw",)))
+        x = RngStream(k, ("x",)).normal((5, 9))
+        dy = RngStream(k, ("dy",)).normal((5, 3))
+        w0 = p.weights[0]
+        y, cache = mlp_forward(p, x[:, :k], x[:, k:] @ w0[k:] + p.biases[0], want_cache=True)
+        g = mlp_backward(p, cache, dy)
+        y_ref, cache_ref = mlp_forward(p, x)
+        ref = mlp_backward(p, cache_ref, dy)
+        assert np.max(np.abs(y - y_ref)) <= 1e-12
+        assert g.x is None and g.weights[0].shape == (k, 7)
+        dw0 = np.concatenate([g.weights[0], x[:, k:].T @ g.pre0])
+        for a, b in zip([dw0] + g.weights[1:] + g.biases, ref.weights + ref.biases):
+            assert np.max(np.abs(a - b)) <= 1e-12
+        assert np.max(np.abs(g.pre0 @ w0[k:].T - ref.x[:, k:]), initial=0.0) <= 1e-12
 
     def test_shape_mismatch(self):
         p = init_mlp([5, 4, 2], RngStream(1))
@@ -165,6 +186,26 @@ class TestMlpForwardFloat32:
             y, _ = mlp_forward(p, np.zeros((2, 0), dtype=np.float32), pre0=pre0)
         assert y.dtype == np.float32 and np.all(np.isfinite(y))
         assert np.all(y <= 0) and np.max(np.abs(y)) < 1e-35
+
+
+class TestSiluOverflow:
+    """exp(-x) overflows below x = -88.7 in float32 and -709 in float64;
+    silu and its derivative then take their limits, with no warning."""
+
+    @pytest.mark.parametrize("dtype, x", [(np.float32, -100.0), (np.float64, -800.0)])
+    def test_limits_without_warning(self, dtype, x):
+        a = np.array([x, -x], dtype=dtype)
+        p = MlpParams(weights=[np.eye(2, dtype=dtype)] * 2, biases=[np.zeros(2, dtype=dtype)] * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s, ds = silu(a), silu_grad(a)
+            y, cache = mlp_forward(p, a)
+            g = mlp_backward(p, cache, np.ones(2))
+        assert s.dtype == ds.dtype == dtype
+        assert s[0] == 0 and s[1] == -x          # silu(-big) = -0, silu(big) = big
+        assert ds[0] == 0 and ds[1] == 1
+        assert np.array_equal(y, s)
+        assert np.array_equal(g.x, ds)
 
 
 class TestMlpBackward:
@@ -257,6 +298,66 @@ class TestAdamW:
         with pytest.raises(NumericsError):
             adamw_step(p, {"w": np.array([1.0, np.nan])}, st, lr=0.1)
         assert st.step == 0 and np.allclose(p["w"], 1.0)
+
+    def test_shape_mismatch_rejected_state_unchanged(self):
+        p = {"a": np.ones(2), "b": np.ones(3)}
+        st = AdamWState()
+        with pytest.raises(ShapeError):
+            adamw_step(p, {"a": np.ones(2), "b": np.ones(4)}, st, lr=0.1)
+        assert st.step == 0 and not st.m and np.all(p["a"] == 1.0)
+
+    @staticmethod
+    def _out_of_place_step(params, grads, state, lr, betas=(0.9, 0.95), weight_decay=0.05,
+                           eps=1e-8):
+        """The AdamW formula with one temporary array per operation."""
+        b1, b2 = betas
+        state.step += 1
+        t = state.step
+        for name, p in params.items():
+            g = grads[name]
+            m = state.m.setdefault(name, np.zeros_like(p))
+            v = state.v.setdefault(name, np.zeros_like(p))
+            p *= (1.0 - lr * weight_decay)
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            mhat = m / (1 - b1 ** t)
+            vhat = v / (1 - b2 ** t)
+            p -= lr * mhat / (np.sqrt(vhat) + eps)
+
+    def test_bit_identical_to_out_of_place(self):
+        shapes = {"w": (300, 257), "b": (5,), "conv": (3, 3, 2, 4), "one": (1,), "m": (7, 5)}
+        rng = np.random.default_rng(3)
+        ours = {k: rng.normal(size=s) for k, s in shapes.items()}
+        ref = {k: v.copy() for k, v in ours.items()}
+        st_ours, st_ref = AdamWState(), AdamWState()
+        for step in range(20):
+            grads = {k: rng.normal(size=s) * 10.0 ** rng.integers(-9, 3)
+                     for k, s in shapes.items()}
+            lr = 1e-3 * (1 + step % 7)
+            adamw_step(ours, grads, st_ours, lr, weight_decay=0.05)
+            self._out_of_place_step(ref, grads, st_ref, lr, weight_decay=0.05)
+        for k in shapes:
+            for a, b in ((ours[k], ref[k]), (st_ours.m[k], st_ref.m[k]),
+                         (st_ours.v[k], st_ref.v[k])):
+                assert a.tobytes() == b.tobytes(), k
+
+    def test_peak_memory_two_scratch_arrays(self):
+        from fractaldepth.bench import RunConfig, build_model
+        params = build_model(RunConfig()).named_params()
+        rng = np.random.default_rng(0)
+        grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
+        st = AdamWState()
+        adamw_step(params, grads, st, lr=1e-3)        # makes the moments
+        largest = max(p.nbytes for p in params.values())
+        tracemalloc.start()
+        try:
+            adamw_step(params, grads, st, lr=1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * largest + 16 * 1024, (peak, largest)
 
     def test_quadratic_descent(self):
         # loss = 0.5 ||w - target||^2; 200 steps reduce it monotonically
