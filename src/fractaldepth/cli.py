@@ -122,12 +122,8 @@ def cmd_fuse(args) -> int:
     imgio.write_pgm16(os.path.join(args.out, "consensus.pgm"), out.consensus)
     imgio.write_pfm(os.path.join(args.out, "uncertainty.pfm"), out.uncertainty)
     hist, edges, frac = urca.uncertainty_stats(out.uncertainty, cfg.uncertainty_threshold)
-    import csv as _csv
-    with open(os.path.join(args.out, "uncertainty_stats.csv"), "w", newline="") as f:
-        w = _csv.writer(f)
-        w.writerow(["bin_left", "count"])
-        for left, count in zip(edges[:-1], hist):
-            w.writerow([f"{left:.6f}", int(count)])
+    bench._write_csv(os.path.join(args.out, "uncertainty_stats.csv"), ["bin_left", "count"],
+                     [[f"{left:.6f}", int(count)] for left, count in zip(edges[:-1], hist)])
     print(f"fraction of pixels with U > {cfg.uncertainty_threshold}: {frac:.6f}")
     print(f"outputs written to {args.out}")
     return 0

@@ -106,18 +106,17 @@ def _level_state(model: FractalModel, level: int, prev_latent) -> np.ndarray:
     return upsample_bilinear(prev_latent, res)
 
 
-def _build_condition(model: FractalModel, feats: list, state: np.ndarray, level: int,
-                     want_cache: bool = False):
+def _build_condition(model: FractalModel, feats: list, state: np.ndarray, level: int):
+    """The level's condition rows, and the cache of its VCFR fusion."""
     lv = model.plan.levels[level]
-    out = vcfr.refine_condition(feats[level], state, model.gate_w[level],
-                                model.gate_b[level], lv.patch_size, want_cache=want_cache)
-    pooled, fuse_cache = out if want_cache else (out, None)
+    pooled, fuse_cache = vcfr.refine_condition(feats[level], state, model.gate_w[level],
+                                               model.gate_b[level], lv.patch_size)
     cond = vcfr.append_guidance_token(pooled, state, model.cfg)
     if level == model.n_levels - 1:
         center, ctx = split_patches_with_context(state, lv.patch_size)
         n = center.shape[0]
         cond = np.concatenate([cond, center.reshape(n, -1), ctx.reshape(n, -1)], axis=1)
-    return (cond, fuse_cache) if want_cache else cond
+    return cond, fuse_cache
 
 
 # Rows of one stacked forward/backward in training: whole draws of a level,
@@ -158,7 +157,7 @@ def _level_loss_and_grads(model: FractalModel, level: int, z_star: np.ndarray,
     for lo in range(0, R, per_block):
         k = min(per_block, R - lo)
         rows = slice(lo * n, (lo + k) * n)
-        y, cache = mlp_forward(mlp, x[rows], pre0[:k * n], want_cache=True)
+        y, cache = mlp_forward(mlp, x[rows], pre0[:k * n])
         y -= eps[rows]
         sq_sum += float(np.vdot(y, y))
         y *= 2.0 / (n * d * R)
@@ -187,13 +186,13 @@ def loss_and_grads(model: FractalModel, image: np.ndarray, gt: DepthMap, rng: Rn
     """The per-level losses of one teacher-forced step, and the gradients of
     their sum by parameter name.  ``NumericsError`` if a loss is not finite."""
     targets = encode_targets(gt, model)
-    feats, feat_cache = vcfr.extract_features(image, model.cfg, model.conv, want_cache=True)
+    feats, feat_cache = vcfr.extract_features(image, model.cfg, model.conv)
     grads = {"gate_w": np.zeros(model.n_levels), "gate_b": np.zeros(model.n_levels)}
     feat_grads = []
     losses = []
     for level, lv in enumerate(model.plan.levels):
         state = _level_state(model, level, targets[level - 1] if level > 0 else None)
-        cond, fuse_cache = _build_condition(model, feats, state, level, want_cache=True)
+        cond, fuse_cache = _build_condition(model, feats, state, level)
         z_star = split_patches(targets[level], lv.patch_size).reshape(lv.token_count, lv.token_dim)
         level_loss, mlp_grads, dfeat = _level_loss_and_grads(model, level, z_star, cond, rng)
         losses.append(level_loss)
@@ -257,7 +256,8 @@ def _predict_blocks(mlp: MlpParams, z: np.ndarray, cond_pre: list,
     time row is added to one block at a time.  The output has the dtype of
     ``mlp``.
     """
-    out = [mlp_forward(mlp, z[i * _BLOCK:(i + 1) * _BLOCK], block + time_row)[0]
+    out = [mlp_forward(mlp, z[i * _BLOCK:(i + 1) * _BLOCK], block + time_row,
+                       want_cache=False)[0]
            for i, block in enumerate(cond_pre)]
     return out[0] if len(out) == 1 else np.concatenate(out)
 
@@ -327,12 +327,14 @@ def generate(model: FractalModel, image: np.ndarray, rng, tau: float = 0.0,
     image = np.asarray(image, dtype=np.float64)
     if not np.all(np.isfinite(image)):
         raise InputError("image has non-finite pixels")
-    feats = vcfr.extract_features(image, model.cfg, model.conv)
+    # [0] drops the conv cache here: held, it would stay alive through every
+    # chain (27 MB at 256 x 256)
+    feats = vcfr.extract_features(image, model.cfg, model.conv)[0]
     latents = [[] for _ in rngs]
     for level, lv in enumerate(model.plan.levels):
         prevs = [l[-1] if l else None for l in latents]
-        cond = np.concatenate([_build_condition(model, feats, _level_state(model, level, p), level)
-                               for p in prevs])
+        cond = np.concatenate([_build_condition(model, feats, _level_state(model, level, p),
+                                                level)[0] for p in prevs])
         z = _reverse_chain(model, level, cond, [r.child("level", level) for r in rngs], tau,
                            predictor)
         for k, zk in enumerate(np.split(z, len(rngs))):

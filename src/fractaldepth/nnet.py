@@ -1,8 +1,11 @@
 """Noise predictor network with hand-derived gradients, plus optimizer bits.
 
 The predictor is a small fully-connected net (SiLU hidden layers, linear
-output).  Backward passes are written out explicitly and validated against
-central finite differences; no autodiff framework is involved.
+output) on (batch, dim) inputs.  One forward loop serves every caller: it
+optionally takes the layer-0 pre-activation of hoisted input columns and
+optionally keeps the activations its backward needs.  Backward passes are
+written out explicitly and validated against central finite differences; no
+autodiff framework is involved.
 """
 
 from __future__ import annotations
@@ -101,104 +104,61 @@ def init_mlp(sizes, rng: RngStream, final_scale: float = 1.0) -> MlpParams:
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray, pre0: np.ndarray = None,
-                want_cache: bool = None):
-    """Returns (output, cache); accepts a vector or a (batch, dim) matrix.
+                want_cache: bool = True):
+    """Returns (output, cache) for a (batch, dim) input ``x``.
 
-    ``pre0``, when given, is the layer-0 pre-activation contributed by the
-    input columns past ``x`` (their product with the rest of ``W0``, plus
-    ``b0``), so callers can project inputs that do not change between calls
-    once.  Layer 0 then computes ``x @ W0[:x.shape[1]] + pre0``.
+    Layer 0 computes ``x @ W0[:k] + pre0``, ``k`` being the columns of
+    ``x``; without ``pre0`` that is ``x @ W0 + b0``.  A ``pre0`` given is the
+    layer-0 pre-activation of the input columns past ``x`` (their product
+    with the rest of ``W0``, plus ``b0``), one row or one per row of ``x``,
+    so callers project inputs that do not change between calls once.
 
-    ``want_cache`` keeps the activations :func:`mlp_backward` needs: each
-    layer's input and each hidden layer's sigmoid.  By default only a
-    forward without ``pre0`` keeps them.  A forward that keeps none adds
-    biases and applies SiLU in place and returns ``None`` as its cache,
-    which :func:`mlp_backward` refuses.  Either way the output equals that
-    of the out-of-place arithmetic bit for bit.
+    Each hidden layer applies SiLU in place, through one scratch array, and
+    its output equals that of the out-of-place arithmetic bit for bit.  The
+    cache holds what :func:`mlp_backward` needs, ``(inputs, sigmoids)``:
+    each layer's input and each hidden layer's sigmoid.  ``want_cache=False``
+    keeps neither and returns ``None`` as the cache.
 
     ``x`` and ``pre0`` are cast to the dtype of the weights, so float32
     weights give a float32 forward and output.
     """
-    dtype = params.weights[0].dtype
-    x = np.asarray(x, dtype=dtype)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
     w0 = params.weights[0]
+    x = np.asarray(x, dtype=w0.dtype)
     if pre0 is None:
-        if x.shape[1] != w0.shape[0]:
-            raise ShapeError(f"input dim {x.shape[1]} != first layer {w0.shape[0]}")
+        pre0 = params.biases[0]
+        fits = x.ndim == 2 and x.shape[1] == w0.shape[0]
     else:
-        pre0 = np.asarray(pre0, dtype=dtype)
-        if (x.shape[1] > w0.shape[0]
-                or pre0.shape not in ((w0.shape[1],), (x.shape[0], w0.shape[1]))):
-            raise ShapeError(f"input dim {x.shape[1]} with pre0 {pre0.shape} does not fit "
-                             f"first layer {w0.shape}")
-    if want_cache is None:
-        want_cache = pre0 is None
-    if not want_cache:
-        h = _forward_no_cache(params, x, params.biases[0] if pre0 is None else pre0)
-        return (h[0] if squeeze else h), None
+        pre0 = np.asarray(pre0, dtype=w0.dtype)
+        fits = (x.ndim == 2 and x.shape[1] <= w0.shape[0]
+                and pre0.shape in ((w0.shape[1],), (x.shape[0], w0.shape[1])))
+    if not fits:
+        raise ShapeError(f"input {x.shape} with pre0 {pre0.shape} does not fit "
+                         f"first layer {w0.shape}")
     inputs, sigmoids = [], []
     h = x
     n_layers = len(params.weights)
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        inputs.append(h)
-        if i == 0 and pre0 is not None:
-            a = h @ w[:h.shape[1]]
-            a += pre0
-        else:
-            a = h @ w
-            a += b
+        if want_cache:
+            inputs.append(h)
+        a = h @ w[:h.shape[1]]
+        a += pre0 if i == 0 else b
         if i != n_layers - 1:
-            sigmoids.append(_silu_in_place(a))
-        h = a
-    cache = (inputs, sigmoids, squeeze, pre0 is not None)
-    return (h[0] if squeeze else h), cache
-
-
-def _silu_in_place(a: np.ndarray) -> np.ndarray:
-    """Writes silu(a) into ``a`` and returns the sigmoid 1 / (1 + exp(-a)),
-    both from one exp and bit for bit equal to :func:`silu` and the sigmoid
-    of :func:`silu_grad`."""
-    e = np.negative(a)
-    with np.errstate(over="ignore"):
-        np.exp(e, out=e)
-    e += 1.0
-    a /= e
-    return np.reciprocal(e, out=e)
-
-
-def _forward_no_cache(params: MlpParams, x: np.ndarray, pre0: np.ndarray) -> np.ndarray:
-    """The ``pre0`` forward: per layer one product array, plus one scratch
-    array for SiLU; no activations are kept."""
-    n_layers = len(params.weights)
-    h = x
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        if i == 0:
-            a = h @ w[:h.shape[1]]
-            a += pre0
-        else:
-            a = h @ w
-            a += b
-        if i != n_layers - 1:
-            # silu(a) = a / (1 + exp(-a)), evaluated in one scratch array.
-            # exp(-a) overflows to inf for a below -88.7 in float32 (-709 in
-            # float64); a / inf then gives -0, where |silu(a)| < 3e-37
+            # silu(a) = a / (1 + exp(-a)) with e = 1 + exp(-a) as scratch
             e = np.negative(a)
             with np.errstate(over="ignore"):
                 np.exp(e, out=e)
             e += 1.0
             a /= e
+            if want_cache:
+                sigmoids.append(np.reciprocal(e, out=e))
         h = a
-    return h
+    return h, ((inputs, sigmoids) if want_cache else None)
 
 
 @dataclass
 class MlpGrads:
     weights: list
     biases: list
-    x: np.ndarray       # input gradient; None after a ``pre0`` forward
     pre0: np.ndarray    # gradient of the layer-0 pre-activation, per row
 
     def named(self, prefix: str) -> dict:
@@ -208,26 +168,20 @@ class MlpGrads:
 def mlp_backward(params: MlpParams, cache, grad_out: np.ndarray) -> MlpGrads:
     """Exact reverse-mode gradients for :func:`mlp_forward`.
 
-    ``pre0`` is the gradient of the layer-0 pre-activation, one row per
-    input row.  After a forward with ``pre0``, ``weights[0]`` holds only the
-    rows of ``W0`` that ``x`` met and no input gradient is formed: the
-    caller that projected the other columns applies their chain rule.
+    ``weights[0]`` is ``inputs[0].T @ g``: the rows of ``W0`` that ``x``
+    met, which is all of ``W0`` after a forward without ``pre0``.  ``pre0``
+    is the gradient of the layer-0 pre-activation, one row per input row;
+    the input gradient is ``pre0 @ W0[:k].T``, and a caller that projected
+    other columns into ``pre0`` applies their chain rule from it.
 
     The backward works in the cache's hidden activations, so one cache
     serves one backward.
     """
-    if cache is None:
-        raise ShapeError("a forward that kept no activations has no backward")
-    inputs, sigmoids, squeeze, narrowed = cache
+    inputs, sigmoids = cache
     g = np.asarray(grad_out, dtype=np.float64)
-    if squeeze:
-        g = g[None, :]
     out_shape = (inputs[0].shape[0], params.weights[-1].shape[1])
     if g.shape != out_shape:
         raise ShapeError(f"output grad shape {g.shape} != {out_shape}")
-    if not narrowed and inputs[0].shape[1] != params.weights[0].shape[0]:
-        raise ShapeError(f"cached input dim {inputs[0].shape[1]} != first layer "
-                         f"{params.weights[0].shape[0]}")
     n_layers = len(params.weights)
     dws = [None] * n_layers
     dbs = [None] * n_layers
@@ -246,11 +200,7 @@ def mlp_backward(params: MlpParams, cache, grad_out: np.ndarray) -> MlpGrads:
         dbs[i] = g.sum(axis=0)
         if i:
             g = g @ params.weights[i].T
-    dx = None if narrowed else g @ params.weights[0].T
-    if squeeze:
-        g = g[0]
-        dx = None if dx is None else dx[0]
-    return MlpGrads(weights=dws, biases=dbs, x=dx, pre0=g)
+    return MlpGrads(weights=dws, biases=dbs, pre0=g)
 
 
 # --- AdamW ----------------------------------------------------------------
@@ -339,8 +289,9 @@ class GradCheckReport:
 
 def grad_check(params: MlpParams, x: np.ndarray, tolerance: float = 1e-4,
                h: float = 1e-5) -> GradCheckReport:
-    """Analytic vs central-finite-difference gradients of L = 0.5*||y||^2."""
-    x = np.asarray(x, dtype=np.float64)
+    """Analytic vs central-finite-difference gradients of L = 0.5*||y||^2;
+    a vector ``x`` is one input row."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y, cache = mlp_forward(params, x)
     grads = mlp_backward(params, cache, y)
     analytic = grads.named("p")

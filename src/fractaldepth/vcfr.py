@@ -6,7 +6,8 @@ level.  Per level, the features are fused with the current depth state by
 a scalar sigmoid gate with a residual path, pooled per token, and extended
 with a guidance scalar equal to the mean log-depth of the current state.
 All gradients are hand-derived so the extractor and fusion parameters can
-be trained jointly with the noise predictors.
+be trained jointly with the noise predictors.  Each forward returns its
+output and the cache its backward reads; generation drops the cache at once.
 """
 
 from __future__ import annotations
@@ -37,16 +38,24 @@ def conv3x3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
 
 
 def conv3x3_backward(grad_a: np.ndarray, xp: np.ndarray, w: np.ndarray):
-    """Gradients of the pre-activation wrt (x, w, b); ``xp`` is the padded
+    """Gradients of the pre-activation wrt (w, b); ``xp`` is the padded
     input returned by :func:`conv3x3_forward`."""
     h, wd, cin = xp.shape[0] - 2, xp.shape[1] - 2, xp.shape[2]
     g2 = grad_a.reshape(h * wd, -1)
     db = g2.sum(axis=0)
     dw = np.empty_like(w)
-    dxp = np.zeros(xp.shape)
     for di in range(3):
         for dj in range(3):
             dw[di, dj] = xp[di:di + h, dj:dj + wd].reshape(h * wd, cin).T @ g2
+    return dw, db
+
+
+def conv3x3_input_grad(grad_a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Gradient of the pre-activation wrt the unpadded input x."""
+    h, wd = grad_a.shape[:2]
+    dxp = np.zeros((h + 2, wd + 2, w.shape[2]))
+    for di in range(3):
+        for dj in range(3):
             # grad wrt padded x at offset (di, dj) of each window
             dxp[di:di + h, dj:dj + wd] += grad_a @ w[di, dj].T
     # fold edge-replicated borders back onto the interior
@@ -59,7 +68,7 @@ def conv3x3_backward(grad_a: np.ndarray, xp: np.ndarray, w: np.ndarray):
     dx[0, -1] += dxp[0, -1]
     dx[-1, 0] += dxp[-1, 0]
     dx[-1, -1] += dxp[-1, -1]
-    return dx, dw, db
+    return dx
 
 
 @dataclass
@@ -94,9 +103,13 @@ def init_conv_pyramid(feature_dim: int, rng: RngStream) -> ConvPyramidParams:
     )
 
 
-def extract_features(image: np.ndarray, cfg: ScaleConfig, params: ConvPyramidParams,
-                     want_cache: bool = False):
-    """Per-level feature grids from an (H, W, 3) image in [0, 1]."""
+def extract_features(image: np.ndarray, cfg: ScaleConfig, params: ConvPyramidParams):
+    """Per-level feature grids from an (H, W, 3) image in [0, 1], and the
+    cache :func:`extract_features_backward` reads.
+
+    The cache holds both layers' pre-activations and padded inputs; a
+    caller with no backward to run drops it at once.
+    """
     image = np.asarray(image, dtype=np.float64)
     res_final = cfg.final_resolution
     if image.shape != (res_final, res_final, 3):
@@ -105,11 +118,7 @@ def extract_features(image: np.ndarray, cfg: ScaleConfig, params: ConvPyramidPar
     h1 = silu(a1)
     a2, xp2 = conv3x3_forward(h1, params.w2, params.b2)
     f = silu(a2)
-    feats = [downsample_mean(f, res) for res, _ in cfg.levels]
-    if not want_cache:
-        return feats
-    cache = (a1, xp1, a2, xp2)
-    return feats, cache
+    return [downsample_mean(f, res) for res, _ in cfg.levels], (a1, xp1, a2, xp2)
 
 
 def extract_features_backward(grad_feats, cfg: ScaleConfig, params: ConvPyramidParams, cache) -> dict:
@@ -122,20 +131,21 @@ def extract_features_backward(grad_feats, cfg: ScaleConfig, params: ConvPyramidP
             continue
         df += downsample_mean_adjoint(g, res_final // res)
     da2 = df * silu_grad(a2)
-    dh1, dw2, db2 = conv3x3_backward(da2, xp2, params.w2)
-    da1 = dh1 * silu_grad(a1)
-    _, dw1, db1 = conv3x3_backward(da1, xp1, params.w1)
+    dw2, db2 = conv3x3_backward(da2, xp2, params.w2)
+    da1 = conv3x3_input_grad(da2, params.w2) * silu_grad(a1)
+    dw1, db1 = conv3x3_backward(da1, xp1, params.w1)
     return {"conv.w1": dw1, "conv.b1": db1, "conv.w2": dw2, "conv.b2": db2}
 
 
 # --- Gated fusion + token pooling -----------------------------------------
 
 def refine_condition(f: np.ndarray, z: np.ndarray, gate_w: float, gate_b: float,
-                     patch: int, want_cache: bool = False):
+                     patch: int):
     """Per-cell gated fusion g = f * sigmoid(w z + b) + f, pooled per token.
 
     ``f`` is (res, res, F), ``z`` is (res, res); tokens follow the level's
-    row-major patch partition.  Returns (n_tokens, F).
+    row-major patch partition.  Returns the (n_tokens, F) pooled tokens and
+    the cache :func:`refine_condition_backward` reads.
     """
     f = np.asarray(f, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
@@ -145,10 +155,7 @@ def refine_condition(f: np.ndarray, z: np.ndarray, gate_w: float, gate_b: float,
     s = 1.0 / (1.0 + np.exp(-(gate_w * z + gate_b)))
     g = f * (1.0 + s)[:, :, None]
     n = res // patch
-    pooled = downsample_mean(g, n).reshape(n * n, -1)
-    if not want_cache:
-        return pooled
-    return pooled, (f, z, s, patch)
+    return downsample_mean(g, n).reshape(n * n, -1), (f, z, s, patch)
 
 
 def refine_condition_backward(grad_tokens: np.ndarray, cache):

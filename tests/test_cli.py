@@ -100,7 +100,8 @@ class TestPipelines:
         assert "fraction of pixels with U >" in out
         c = read_depth_pfm(root / "fused" / "consensus.pfm")
         assert c.values.shape == (64, 64)
-        assert (root / "fused" / "uncertainty_stats.csv").exists()
+        stats = (root / "fused" / "uncertainty_stats.csv").read_text().splitlines()
+        assert stats[0] == "bin_left,count" and len(stats) == 65
         fields = dict(line.split("=", 1)
                       for line in (root / "fused" / "alignment.txt").read_text().splitlines())
         assert set(fields) == {"alpha", "beta", "iterations", "converged", "objective"}

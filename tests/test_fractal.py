@@ -128,15 +128,14 @@ def _per_draw_step(model, image, gt, rng, lr, weight_decay=0.05):
     backward of the full [z_t, time, cond] rows per draw: the reference for
     the stacked pass of ``train_step``."""
     targets = encode_targets(gt, model)
-    feats, feat_cache = vcfr.extract_features(image, model.cfg, model.conv, want_cache=True)
+    feats, feat_cache = vcfr.extract_features(image, model.cfg, model.conv)
     grads = {name: np.zeros_like(p) for name, p in model.named_params().items()}
     feat_grads = []
     losses = []
     R = model.timestep_reuse
     for level, lv in enumerate(model.plan.levels):
         state = fractal_mod._level_state(model, level, targets[level - 1] if level else None)
-        cond, fuse_cache = fractal_mod._build_condition(model, feats, state, level,
-                                                        want_cache=True)
+        cond, fuse_cache = fractal_mod._build_condition(model, feats, state, level)
         z_star = split_patches(targets[level], lv.patch_size).reshape(lv.token_count, -1)
         level_loss = 0.0
         dcond = np.zeros_like(cond)
@@ -152,7 +151,7 @@ def _per_draw_step(model, image, gt, rng, lr, weight_decay=0.05):
             g = mlp_backward(model.mlps[level], cache, 2.0 * diff / (diff.size * R))
             for name, gv in g.named(f"mlp{level}").items():
                 grads[name] += gv
-            dcond += g.x[:, lv.token_dim + model.time_dim:]
+            dcond += g.pre0 @ model.mlps[level].weights[0][lv.token_dim + model.time_dim:].T
         losses.append(level_loss)
         df, dw, db = vcfr.refine_condition_backward(dcond[:, :model.feature_dim], fuse_cache)
         grads["gate_w"][level] += dw

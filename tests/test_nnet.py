@@ -39,12 +39,12 @@ class TestMlpForward:
     def test_zero_params_zero_output(self):
         p = MlpParams(weights=[np.zeros((3, 4)), np.zeros((4, 2))],
                       biases=[np.zeros(4), np.zeros(2)])
-        y, _ = mlp_forward(p, np.ones(3))
-        assert np.array_equal(y, np.zeros(2))
+        y, _ = mlp_forward(p, np.ones((1, 3)))
+        assert np.array_equal(y, np.zeros((1, 2)))
 
     def test_identity_single_layer(self):
         p = MlpParams(weights=[np.eye(5)], biases=[np.zeros(5)])
-        x = np.random.default_rng(0).normal(size=5)
+        x = np.random.default_rng(0).normal(size=(1, 5))
         y, _ = mlp_forward(p, x)
         assert np.allclose(y, x)
 
@@ -53,7 +53,7 @@ class TestMlpForward:
         w0, b0 = rng.normal(size=(4, 6)), rng.normal(size=6)
         w1, b1 = rng.normal(size=(6, 3)), rng.normal(size=3)
         p = MlpParams(weights=[w0, w1], biases=[b0, b1])
-        x = rng.normal(size=4)
+        x = rng.normal(size=(1, 4))
         a0 = x @ w0 + b0
         h0 = a0 / (1 + np.exp(-a0))
         expect = h0 @ w1 + b1
@@ -63,7 +63,15 @@ class TestMlpForward:
     def test_dim_mismatch(self):
         p = MlpParams(weights=[np.zeros((3, 2))], biases=[np.zeros(2)])
         with pytest.raises(ShapeError):
-            mlp_forward(p, np.zeros(4))
+            mlp_forward(p, np.zeros((1, 4)))
+
+    def test_vector_input_rejected(self):
+        # x is a (batch, dim) matrix; a vector is not read as one row
+        p = init_mlp([5, 4, 2], RngStream(1))
+        with pytest.raises(ShapeError):
+            mlp_forward(p, np.zeros(5))
+        with pytest.raises(ShapeError):
+            mlp_forward(p, np.zeros(3), pre0=np.zeros(4))
 
 
 class TestMlpForwardPre0:
@@ -79,33 +87,25 @@ class TestMlpForwardPre0:
         y_ref, _ = mlp_forward(p, x)
         assert np.max(np.abs(y - y_ref)) <= 1e-12
 
-    def test_vector_input_takes_row_pre0(self):
-        p = init_mlp([5, 4, 2], RngStream(1))
-        x = RngStream(2).normal((5,), "x")
-        pre0 = x[3:] @ p.weights[0][3:] + p.biases[0]
-        y, _ = mlp_forward(p, x[:3], pre0=pre0)
-        assert y.shape == (2,)
-        assert np.max(np.abs(y - mlp_forward(p, x)[0])) <= 1e-12
-
     @pytest.mark.parametrize("k", [0, 3, 9])
     def test_cached_backward_matches_full_input(self, k):
         # the training layout: x holds the first k columns, pre0 projects the
         # rest; the backward gives W0's first k rows and the pre-activation
-        # gradient, from which the rest of W0 and the input follow
+        # gradient, from which the rest of W0 follows
         p = init_mlp([9, 7, 7, 3], RngStream(k, ("pre0bw",)))
         x = RngStream(k, ("x",)).normal((5, 9))
         dy = RngStream(k, ("dy",)).normal((5, 3))
         w0 = p.weights[0]
-        y, cache = mlp_forward(p, x[:, :k], x[:, k:] @ w0[k:] + p.biases[0], want_cache=True)
+        y, cache = mlp_forward(p, x[:, :k], x[:, k:] @ w0[k:] + p.biases[0])
         g = mlp_backward(p, cache, dy)
         y_ref, cache_ref = mlp_forward(p, x)
         ref = mlp_backward(p, cache_ref, dy)
         assert np.max(np.abs(y - y_ref)) <= 1e-12
-        assert g.x is None and g.weights[0].shape == (k, 7)
+        assert g.weights[0].shape == (k, 7) and ref.weights[0].shape == (9, 7)
+        assert np.max(np.abs(g.pre0 - ref.pre0)) <= 1e-12
         dw0 = np.concatenate([g.weights[0], x[:, k:].T @ g.pre0])
         for a, b in zip([dw0] + g.weights[1:] + g.biases, ref.weights + ref.biases):
             assert np.max(np.abs(a - b)) <= 1e-12
-        assert np.max(np.abs(g.pre0 @ w0[k:].T - ref.x[:, k:]), initial=0.0) <= 1e-12
 
     def test_shape_mismatch(self):
         p = init_mlp([5, 4, 2], RngStream(1))
@@ -118,17 +118,22 @@ class TestMlpForwardPre0:
 
 
 class TestMlpForwardNoCache:
-    """The ``pre0`` forward adds biases and applies SiLU in place and keeps
-    no activations; its output must equal the out-of-place arithmetic bit
-    for bit."""
+    """The forward adds biases and applies SiLU in place, with or without
+    its cache; its output and cache must equal the out-of-place arithmetic
+    bit for bit."""
 
     @staticmethod
     def _out_of_place(params, x, pre0):
+        """The output, each layer's input and each hidden sigmoid."""
+        inputs, sigmoids = [], []
         h = x
         for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+            inputs.append(h)
             a = h @ w[:h.shape[1]] + pre0 if i == 0 else h @ w + b
-            h = a if i == len(params.weights) - 1 else silu(a)
-        return h
+            if i == len(params.weights) - 1:
+                return a, inputs, sigmoids
+            sigmoids.append(1.0 / (1.0 + np.exp(-a)))
+            h = silu(a)
 
     @pytest.mark.parametrize("rows", [1, 16, 256, 257, 300])
     def test_bit_identical(self, rows):
@@ -136,20 +141,18 @@ class TestMlpForwardNoCache:
         p = init_mlp([1 + 16 + 17, 256, 256, 256, 1], RngStream(rows, ("nc",)))
         x = RngStream(rows, ("x",)).normal((rows, 34))
         pre0 = x[:, 1:] @ p.weights[0][1:] + p.biases[0]
-        y, cache = mlp_forward(p, x[:, :1], pre0=pre0)
-        assert cache is None
-        assert np.array_equal(y, self._out_of_place(p, x[:, :1], pre0))
-        # a pre0 of b0 alone over the full input is the caching forward
-        assert np.array_equal(mlp_forward(p, x, pre0=p.biases[0])[0], mlp_forward(p, x)[0])
-
-    def test_vector_input(self):
-        p = init_mlp([6, 32, 32, 3], RngStream(3, ("nc",)))
-        x = RngStream(4).normal((6,), "x")
-        pre0 = x[2:] @ p.weights[0][2:] + p.biases[0]
-        y, _ = mlp_forward(p, x[:2], pre0=pre0)
-        assert y.shape == (3,)
-        assert np.array_equal(y, self._out_of_place(p, x[None, :2], pre0)[0])
-        assert np.array_equal(mlp_forward(p, x, pre0=p.biases[0])[0], mlp_forward(p, x)[0])
+        # without pre0, layer 0 adds b0 to the product with all of W0
+        for xs, pre0_ref, pre0_arg in ((x[:, :1], pre0, pre0), (x, p.biases[0], None)):
+            ref = self._out_of_place(p, xs, pre0_ref)
+            for want_cache in (True, False):
+                y, cache = mlp_forward(p, xs, pre0=pre0_arg, want_cache=want_cache)
+                assert np.array_equal(y, ref[0])
+                if not want_cache:
+                    assert cache is None
+                    continue
+                for kept, expect in zip(cache, ref[1:]):
+                    assert len(kept) == len(expect)
+                    assert all(np.array_equal(a, b) for a, b in zip(kept, expect))
 
 
 class TestMlpForwardFloat32:
@@ -199,46 +202,37 @@ class TestSiluOverflow:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             s, ds = silu(a), silu_grad(a)
-            y, cache = mlp_forward(p, a)
-            g = mlp_backward(p, cache, np.ones(2))
+            y, cache = mlp_forward(p, a[None])
+            g = mlp_backward(p, cache, np.ones((1, 2)))
         assert s.dtype == ds.dtype == dtype
         assert s[0] == 0 and s[1] == -x          # silu(-big) = -0, silu(big) = big
         assert ds[0] == 0 and ds[1] == 1
-        assert np.array_equal(y, s)
-        assert np.array_equal(g.x, ds)
+        assert np.array_equal(y[0], s)
+        assert np.array_equal(g.pre0[0], ds)     # W1 = I: the pre-activation grad is silu
 
 
 class TestMlpBackward:
     def test_zero_grad(self):
         p = init_mlp([3, 5, 2], RngStream(0))
-        y, cache = mlp_forward(p, np.ones(3))
-        g = mlp_backward(p, cache, np.zeros(2))
+        y, cache = mlp_forward(p, np.ones((1, 3)))
+        g = mlp_backward(p, cache, np.zeros((1, 2)))
         assert all(np.all(w == 0) for w in g.weights)
-        assert np.all(g.x == 0)
+        assert np.all(g.pre0 == 0)
 
     def test_linear_layer_hand_grad(self):
         # single linear layer, loss = sum(y): dW[i, j] = x[i]
         p = MlpParams(weights=[np.zeros((3, 2))], biases=[np.zeros(2)])
-        x = np.array([1.0, 2.0, 3.0])
+        x = np.array([[1.0, 2.0, 3.0]])
         _, cache = mlp_forward(p, x)
-        g = mlp_backward(p, cache, np.ones(2))
+        g = mlp_backward(p, cache, np.ones((1, 2)))
         assert np.allclose(g.weights[0], np.outer(x, np.ones(2)))
         assert np.allclose(g.biases[0], 1.0)
 
     def test_finite_difference_all_params(self):
         p = init_mlp([4, 8, 8, 3], RngStream(3))
-        x = RngStream(4).normal((4,), "x")
+        x = RngStream(4).normal((1, 4), "x")
         report = grad_check(p, x, tolerance=1e-4)
         assert report.passed, f"max rel error {report.max_rel_error}"
-
-    def test_pre0_cache_rejected(self):
-        # the cache of a pre0 forward holds only the narrowed input, so a
-        # backward would return a dW0 of the wrong shape
-        p = init_mlp([5, 4, 2], RngStream(7))
-        x = RngStream(8).normal((3, 5), "x")
-        _, cache = mlp_forward(p, x[:, :2], pre0=x[:, 2:] @ p.weights[0][2:] + p.biases[0])
-        with pytest.raises(ShapeError):
-            mlp_backward(p, cache, np.ones((3, 2)))
 
 
 class TestGradCheckHarness:

@@ -5,8 +5,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from fractaldepth.core import ScaleConfig
 from fractaldepth.errors import ShapeError
 from fractaldepth.rng import RngStream
-from fractaldepth.vcfr import (append_guidance_token, conv3x3_forward, extract_features,
-                               extract_features_backward, init_conv_pyramid,
+from fractaldepth.vcfr import (append_guidance_token, conv3x3_forward, conv3x3_input_grad,
+                               extract_features, extract_features_backward, init_conv_pyramid,
                                refine_condition, refine_condition_backward)
 
 CFG = ScaleConfig(levels=((1, 1), (4, 1), (16, 1), (32, 4)), d_min=0.1, d_max=10.0)
@@ -35,12 +35,22 @@ class TestConv3x3:
         assert np.max(np.abs(a - conv3x3_einsum(x, w, b))) <= 1e-12
         assert np.array_equal(xp[1:-1, 1:-1], x)
 
+    @pytest.mark.parametrize("shape", [(1, 1, 3), (5, 7, 3), (9, 4, 2)])
+    def test_input_grad_is_adjoint(self, shape):
+        # <conv(x) - b, g> = <x, input_grad(g)> for the linear part of the conv
+        rng = np.random.default_rng(sum(shape) + 1)
+        x = rng.normal(size=shape)
+        w = rng.normal(size=(3, 3, shape[2], 5))
+        g = rng.normal(size=shape[:2] + (5,))
+        a, _ = conv3x3_forward(x, w, np.zeros(5))
+        assert np.vdot(a, g) == pytest.approx(np.vdot(x, conv3x3_input_grad(g, w)), rel=1e-12)
+
 
 class TestExtractFeatures:
     def test_constant_image_constant_features(self):
         params = _params()
         image = np.full((32, 32, 3), 0.4)
-        feats = extract_features(image, CFG, params)
+        feats, _ = extract_features(image, CFG, params)
         assert len(feats) == 4
         for f in feats:
             assert np.allclose(f, f.reshape(-1, f.shape[-1])[0], atol=1e-12)
@@ -51,8 +61,8 @@ class TestExtractFeatures:
         a = rng.uniform(0, 1, (32, 32, 3))
         b = a.copy()
         b[16, 16] += 0.1
-        fa = extract_features(a, CFG, params)[-1]
-        fb = extract_features(b, CFG, params)[-1]
+        fa = extract_features(a, CFG, params)[0][-1]
+        fb = extract_features(b, CFG, params)[0][-1]
         diff = np.abs(fa - fb).sum(axis=-1)
         # two 3x3 convs: 5x5 receptive field around the perturbed pixel
         ys, xs = np.nonzero(diff > 1e-14)
@@ -61,8 +71,8 @@ class TestExtractFeatures:
     def test_deterministic(self):
         params = _params()
         image = np.random.default_rng(1).uniform(0, 1, (32, 32, 3))
-        a = extract_features(image, CFG, params)
-        b = extract_features(image, CFG, params)
+        a, _ = extract_features(image, CFG, params)
+        b, _ = extract_features(image, CFG, params)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
@@ -73,13 +83,13 @@ class TestExtractFeatures:
     def test_backward_finite_difference(self):
         params = _params(seed=2, F=4)
         image = np.random.default_rng(2).uniform(0, 1, (32, 32, 3))
-        feats, cache = extract_features(image, CFG, params, want_cache=True)
+        feats, cache = extract_features(image, CFG, params)
         # loss = sum of squares of every level's features
         grad_feats = [2 * f for f in feats]
         grads = extract_features_backward(grad_feats, CFG, params, cache)
 
         def loss():
-            fs = extract_features(image, CFG, params)
+            fs, _ = extract_features(image, CFG, params)
             return sum(float(np.sum(f * f)) for f in fs)
 
         h = 1e-6
@@ -101,12 +111,12 @@ class TestExtractFeatures:
 class TestRefineCondition:
     def test_gate_at_rest(self):
         f = np.random.default_rng(0).normal(size=(4, 4, 8))
-        cond = refine_condition(f, np.zeros((4, 4)), gate_w=1.0, gate_b=0.0, patch=1)
+        cond, _ = refine_condition(f, np.zeros((4, 4)), gate_w=1.0, gate_b=0.0, patch=1)
         assert np.allclose(cond, 1.5 * f.reshape(16, 8))
 
     def test_zero_features_zero_condition(self):
         z = np.random.default_rng(1).normal(size=(4, 4))
-        cond = refine_condition(np.zeros((4, 4, 8)), z, 0.7, -0.2, patch=2)
+        cond, _ = refine_condition(np.zeros((4, 4, 8)), z, 0.7, -0.2, patch=2)
         assert np.all(cond == 0)
 
     def test_per_cell_oracle(self):
@@ -114,7 +124,7 @@ class TestRefineCondition:
         f = rng.normal(size=(4, 4, 3))
         z = rng.normal(size=(4, 4))
         w, b = 0.9, 0.1
-        cond = refine_condition(f, z, w, b, patch=2)
+        cond, _ = refine_condition(f, z, w, b, patch=2)
         expect = np.zeros((4, 3))
         for ti, (i0, j0) in enumerate([(0, 0), (0, 2), (2, 0), (2, 2)]):
             acc = np.zeros(3)
@@ -135,11 +145,11 @@ class TestRefineCondition:
         f = rng.normal(size=(4, 4, 3))
         z = rng.normal(size=(4, 4))
         w, b = 0.8, -0.3
-        pooled, cache = refine_condition(f, z, w, b, patch=2, want_cache=True)
+        pooled, cache = refine_condition(f, z, w, b, patch=2)
         df, dw, db = refine_condition_backward(2 * pooled, cache)
 
         def loss(fv, wv, bv):
-            out = refine_condition(fv, z, wv, bv, patch=2)
+            out, _ = refine_condition(fv, z, wv, bv, patch=2)
             return float(np.sum(out * out))
 
         h = 1e-6
