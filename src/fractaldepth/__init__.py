@@ -12,6 +12,6 @@ from .fractal import (FractalModel, GenerationTrace, decode_level_depth, encode_
                       generate, init_model, load_model, save_model, train_step)
 from .rng import RngStream
 from .urca import (AlignmentParams, ConsensusOutput, URCAConfig, align_samples,
-                   charbonnier, consensus_pixel, fuse, uncertainty_stats)
+                   fuse, uncertainty_stats)
 
 __version__ = "0.1.0"

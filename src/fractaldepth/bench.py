@@ -12,8 +12,8 @@ import numpy as np
 from .core import DepthMap, ScaleConfig, SchedulePlan, named_scale_config
 from .diffusion import make_linear_schedule
 from .errors import ConfigError, FractalDepthError, InputError, ShapeError
-from .fractal import (FractalModel, generate, init_model, load_model, save_model,
-                      train_step)
+from .fractal import (FractalModel, decode_level_depth, generate, init_model, load_model,
+                      save_model, train_step)
 from .nnet import LrSchedule, lr_at
 from .rng import RngStream
 from .urca import URCAConfig, fuse, uncertainty_stats
@@ -206,6 +206,9 @@ def load_run_config(path) -> RunConfig:
     if not 0.0 <= cfg.uncertainty_threshold < math.inf:
         raise ConfigError(f"{path}: uncertainty_threshold must be finite and >= 0, "
                           f"got {cfg.uncertainty_threshold}")
+    if cfg.val_every > 0 and cfg.val_scenes < 1:
+        raise ConfigError(f"{path}: val_scenes must be >= 1 when val_every > 0, "
+                          f"got {cfg.val_scenes}")
     return cfg
 
 
@@ -233,7 +236,9 @@ def _metrics_row(report: MetricsReport):
 
 
 def _mean_report(reports) -> MetricsReport:
-    """Field-wise mean of per-scene reports."""
+    """Field-wise mean of per-scene reports; ``InputError`` if there are none."""
+    if not reports:
+        raise InputError("no scenes to average: the scene count must be >= 1")
     return MetricsReport(*[float(np.mean([getattr(r, f.name) for r in reports]))
                            for f in fields(MetricsReport)])
 
@@ -314,7 +319,8 @@ def multisample_scene(model: FractalModel, cfg: RunConfig, scene_seed: int, n: i
     traces = generate(model, image, [srng.child("sample", k) for k in range(n)],
                       tau=cfg.multisample_tau)
     ucfg = URCAConfig()
-    out = fuse([t.final for t in traces], traces[0].depths, ucfg)
+    levels = [decode_level_depth(latent, model) for latent in traces[0].latents]
+    out = fuse([t.final for t in traces], levels, ucfg)
     # fixed normalization: energy per unit weight (N + gamma) gives the mean
     # disagreement; the extra 1/N converts ensemble spread into uncertainty
     # about the consensus itself, which shrinks as runs accumulate

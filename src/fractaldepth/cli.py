@@ -57,7 +57,7 @@ def cmd_scene(args) -> int:
     spec = cfg.scene_spec(args.seed if args.seed is not None else 0)
     image, depth = bench.gen_scene(spec)
     os.makedirs(args.out, exist_ok=True)
-    imgio.write_depth_pfm(os.path.join(args.out, "depth.pfm"), depth)
+    imgio.write_pfm(os.path.join(args.out, "depth.pfm"), depth.values)
     imgio.write_pgm16(os.path.join(args.out, "depth.pgm"), depth)
     for c, name in enumerate("rgb"):
         imgio.write_pfm(os.path.join(args.out, f"image_{name}.pfm"), image[:, :, c])
@@ -99,7 +99,7 @@ def cmd_fuse(args) -> int:
     trace_depths = None
     if args.trace_dir:
         if not args.checkpoint:
-            raise SystemExit("--trace-dir requires --checkpoint to decode level latents")
+            raise InputError("--trace-dir requires --checkpoint to decode level latents")
         model = load_model(args.checkpoint)
         names = [f"latent_level{i}.pfm" for i in range(model.n_levels)]
         found = fnmatch.filter(os.listdir(args.trace_dir), "latent_level*.pfm")
@@ -118,7 +118,7 @@ def cmd_fuse(args) -> int:
         f.write(f"objective={align.objective_trace[-1]!r}\n")
     if not align.converged:
         print(f"warning: alignment did not converge in {align.iterations} iterations")
-    imgio.write_depth_pfm(os.path.join(args.out, "consensus.pfm"), out.consensus)
+    imgio.write_pfm(os.path.join(args.out, "consensus.pfm"), out.consensus.values)
     imgio.write_pgm16(os.path.join(args.out, "consensus.pgm"), out.consensus)
     imgio.write_pfm(os.path.join(args.out, "uncertainty.pfm"), out.uncertainty)
     hist, edges, frac = urca.uncertainty_stats(out.uncertainty, cfg.uncertainty_threshold)

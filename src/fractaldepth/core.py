@@ -35,14 +35,6 @@ class DepthMap:
             if self.valid_mask.shape != self.values.shape:
                 raise ShapeError("valid_mask shape must match values")
 
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class ScaleConfig:
@@ -176,19 +168,17 @@ def log_normalize(d: DepthMap, cfg: ScaleConfig) -> np.ndarray:
     return 2.0 * (np.log(clamped) - math.log(cfg.d_min)) / span - 1.0
 
 
-def denormalize(z: np.ndarray, cfg: ScaleConfig) -> DepthMap:
-    """Inverse of :func:`log_normalize`; latents are clamped to [-1, 1]."""
-    span = math.log(cfg.d_max) - math.log(cfg.d_min)
-    zc = np.clip(np.asarray(z, dtype=np.float64), -1.0, 1.0)
-    d = np.exp(math.log(cfg.d_min) + (zc + 1.0) * 0.5 * span)
-    # exp/log round-trip can land epsilon outside the clamp range
-    return DepthMap(values=np.clip(d, cfg.d_min, cfg.d_max))
-
-
 def latent_to_log_depth(z: np.ndarray, cfg: ScaleConfig) -> np.ndarray:
     """Recover ln(depth in meters) from a normalized latent (no clamping)."""
     span = math.log(cfg.d_max) - math.log(cfg.d_min)
     return math.log(cfg.d_min) + (np.asarray(z, dtype=np.float64) + 1.0) * 0.5 * span
+
+
+def denormalize(z: np.ndarray, cfg: ScaleConfig) -> DepthMap:
+    """Inverse of :func:`log_normalize`; latents are clamped to [-1, 1]."""
+    d = np.exp(latent_to_log_depth(np.clip(np.asarray(z, dtype=np.float64), -1.0, 1.0), cfg))
+    # exp/log round-trip can land epsilon outside the clamp range
+    return DepthMap(values=np.clip(d, cfg.d_min, cfg.d_max))
 
 
 def split_patches(grid: np.ndarray, patch: int) -> np.ndarray:

@@ -27,7 +27,6 @@ first-layer projections.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,16 +98,6 @@ def respace(sched: NoiseSchedule, steps: int) -> NoiseSchedule:
     beta = np.where(consecutive, sched.beta[idx], 1.0 - alpha)
     return NoiseSchedule(t=sched.t[idx], beta=beta, alpha=alpha, alpha_bar=alpha_bar,
                          sigma=_posterior_sigma(beta, alpha_bar))
-
-
-def schedule_to_csv(sched: NoiseSchedule, path) -> None:
-    """Dump (t, beta, alpha, alpha_bar, sigma) rows, one per step, for audit."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t", "beta", "alpha", "alpha_bar", "sigma"])
-        for k in range(sched.T):
-            w.writerow([int(sched.t[k])] + [repr(float(a[k])) for a in
-                                            (sched.beta, sched.alpha, sched.alpha_bar, sched.sigma)])
 
 
 def _check_t(t: int, sched: NoiseSchedule) -> None:

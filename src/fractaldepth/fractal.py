@@ -65,21 +65,24 @@ def init_model(cfg: ScaleConfig, seed: int = 0, *, sched: NoiseSchedule,
                hidden=(256, 256, 256), feature_dim: int = 16, time_dim: int = 16,
                timestep_reuse: int = 4) -> FractalModel:
     rng = RngStream(seed, ("init",))
-    conv = vcfr.init_conv_pyramid(feature_dim, rng.child("conv"))
     # small final layer keeps the initial loss near the unit noise variance
-    return _assemble_model(cfg, sched, hidden, feature_dim, time_dim, timestep_reuse, conv,
+    return _assemble_model(cfg, sched, hidden, feature_dim, time_dim, timestep_reuse,
+                           lambda f: vcfr.init_conv_pyramid(f, rng.child("conv")),
                            lambda i, sizes: init_mlp(sizes, rng.child("mlp", i),
                                                      final_scale=0.01))
 
 
 def _assemble_model(cfg: ScaleConfig, sched: NoiseSchedule, hidden, feature_dim: int,
-                    time_dim: int, timestep_reuse: int, conv: vcfr.ConvPyramidParams,
-                    make_mlp) -> FractalModel:
-    """The model around ``conv``; level i's MLP is ``make_mlp(i, layer sizes)``."""
+                    time_dim: int, timestep_reuse: int, make_conv, make_mlp) -> FractalModel:
+    """The model around the conv pyramid ``make_conv(feature_dim)``; level
+    i's MLP is ``make_mlp(i, layer sizes)``."""
     if timestep_reuse < 1:
         raise ConfigError(f"timestep_reuse must be >= 1, got {timestep_reuse}")
+    if min((feature_dim, time_dim, *hidden)) < 1:
+        raise ConfigError(f"layer sizes must be >= 1, got hidden={tuple(hidden)}, "
+                          f"feature_dim={feature_dim}, time_dim={time_dim}")
     plan = build_schedule_plan(cfg)
-    model = FractalModel(cfg=cfg, plan=plan, sched=sched, conv=conv,
+    model = FractalModel(cfg=cfg, plan=plan, sched=sched, conv=make_conv(feature_dim),
                          gate_w=np.ones(len(plan.levels)),
                          gate_b=np.zeros(len(plan.levels)),
                          mlps=[], feature_dim=feature_dim, time_dim=time_dim,
@@ -220,8 +223,7 @@ def train_step(model: FractalModel, image: np.ndarray, gt: DepthMap, rng: RngStr
 @dataclass
 class GenerationTrace:
     latents: list      # per-level sampled latent grids, coarse -> fine
-    depths: list       # per-level DepthMap decoded at the final resolution
-    final: DepthMap
+    final: DepthMap    # the finest latent decoded
 
 
 def decode_level_depth(latent: np.ndarray, model: FractalModel) -> DepthMap:
@@ -340,10 +342,7 @@ def generate(model: FractalModel, image: np.ndarray, rng, tau: float = 0.0,
         for k, zk in enumerate(np.split(z, len(rngs))):
             latents[k].append(reassemble_patches(
                 zk.reshape(lv.token_count, lv.patch_size, lv.patch_size), lv.resolution))
-    traces = []
-    for sample_latents in latents:
-        depths = [decode_level_depth(latent, model) for latent in sample_latents]
-        traces.append(GenerationTrace(latents=sample_latents, depths=depths, final=depths[-1]))
+    traces = [GenerationTrace(latents=l, final=decode_level_depth(l[-1], model)) for l in latents]
     return traces[0] if single else traces
 
 
@@ -386,7 +385,7 @@ def load_model(path) -> FractalModel:
             sched = make_linear_schedule(meta["T"], meta["beta_start"], meta["beta_end"])
             model = _assemble_model(cfg, sched, tuple(meta["hidden"]), meta["feature_dim"],
                                     meta["time_dim"], meta["timestep_reuse"],
-                                    vcfr.ConvPyramidParams.empty(meta["feature_dim"]),
+                                    vcfr.ConvPyramidParams.empty,
                                     lambda i, sizes: MlpParams.empty(sizes))
         except (KeyError, TypeError, ValueError, FractalDepthError) as e:
             raise ConfigError(f"{path}: checkpoint meta does not describe a model: {e!r}") from e
@@ -405,11 +404,12 @@ def load_model(path) -> FractalModel:
 
 def save_trace(trace: GenerationTrace, out_dir, manifest: dict) -> None:
     """Per-level PFM latents, final PGM/PFM depth and a key=value manifest."""
-    from .imgio import write_depth_pfm, write_pfm, write_pgm16
+    # imported at call time, so that perfbench/tracer.py's patched writers are seen
+    from .imgio import write_pfm, write_pgm16
     os.makedirs(out_dir, exist_ok=True)
     for i, latent in enumerate(trace.latents):
         write_pfm(os.path.join(out_dir, f"latent_level{i}.pfm"), latent)
-    write_depth_pfm(os.path.join(out_dir, "depth.pfm"), trace.final)
+    write_pfm(os.path.join(out_dir, "depth.pfm"), trace.final.values)
     write_pgm16(os.path.join(out_dir, "depth.pgm"), trace.final)
     with open(os.path.join(out_dir, "manifest.txt"), "w") as f:
         for k, v in manifest.items():

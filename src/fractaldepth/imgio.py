@@ -1,8 +1,9 @@
 """Depth map and latent grid file I/O.
 
-Depth maps are stored either as 16-bit binary PGM (value = depth *
-counts_per_meter, 0 marks invalid pixels) or as 32-bit little-endian PFM
-with the conventional negative scale header.  Latent grids use PFM only.
+Depth maps are written as 16-bit binary PGM (value = depth *
+counts_per_meter, 0 marks invalid pixels) for viewing, and written and read
+as 32-bit little-endian PFM with the conventional negative scale header.
+Latent grids use PFM only.
 """
 
 from __future__ import annotations
@@ -20,41 +21,10 @@ def write_pgm16(path, depth: DepthMap, counts_per_meter: float = 256.0) -> None:
     scaled = np.round(depth.values * counts_per_meter)
     scaled = np.clip(scaled, 1, 65535).astype(">u2")
     scaled[~depth.valid_mask] = 0
+    h, w = scaled.shape
     with open(path, "wb") as f:
-        f.write(f"P5\n{depth.width} {depth.height}\n65535\n".encode("ascii"))
+        f.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
         f.write(scaled.tobytes())
-
-
-def read_pgm16(path, counts_per_meter: float = 256.0) -> DepthMap:
-    with open(path, "rb") as f:
-        data = f.read()
-    # parse exactly three header tokens; the raster starts one byte after
-    # the whitespace that terminates maxval (raster bytes may themselves
-    # look like whitespace, so a naive split would corrupt them)
-    pos = 0
-    tokens = []
-    while len(tokens) < 4:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        tokens.append(data[start:pos])
-    pos += 1  # single whitespace after maxval
-    if tokens[0] != b"P5":
-        raise InputError(f"{path}: not a binary PGM file")
-    if not all(t.isdigit() for t in tokens[1:]):
-        raise InputError(f"{path}: malformed PGM header {b' '.join(tokens)!r}")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if maxval != 65535:
-        raise InputError(f"{path}: expected 16-bit PGM, maxval={maxval}")
-    raw = data[pos:pos + width * height * 2]
-    if len(raw) != width * height * 2:
-        raise InputError(f"{path}: raster has {len(raw)} of {width * height * 2} bytes")
-    counts = np.frombuffer(raw, dtype=">u2").reshape(height, width).astype(np.float64)
-    valid = counts > 0
-    values = np.where(valid, counts / counts_per_meter, 1.0)
-    return DepthMap(values=values, valid_mask=valid)
 
 
 def write_pfm(path, values: np.ndarray) -> None:
@@ -93,10 +63,6 @@ def read_pfm(path) -> np.ndarray:
         raise InputError(f"{path}: raster has {len(raw)} of {size} bytes")
     data = np.frombuffer(raw, dtype="<f4" if scale < 0 else ">f4").reshape(h, w)
     return np.flipud(data).astype(np.float64)
-
-
-def write_depth_pfm(path, depth: DepthMap) -> None:
-    write_pfm(path, depth.values)
 
 
 def read_depth_pfm(path) -> DepthMap:

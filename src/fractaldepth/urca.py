@@ -64,15 +64,6 @@ class URCAConfig:
             raise InputError("need delta_stab >= 0, eps_c > 0")
 
 
-def charbonnier(x, eps_c: float):
-    """rho(x) = sqrt(x^2 + eps^2) - eps: even, convex, rho(0) = 0."""
-    if eps_c <= 0:
-        raise InputError("eps_c must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    out = np.sqrt(x * x + eps_c * eps_c) - eps_c
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass
 class AlignmentParams:
     alpha: np.ndarray   # (N,) scales, gauge sum(alpha) = N
@@ -268,16 +259,6 @@ def _consensus_minimize(s: np.ndarray, r, cfg: URCAConfig):
     _, d1, d2 = _energy(z, vals, scale, weight, cfg.eps_c)
     z = np.clip(z - d1 / d2, lo, hi)
     return z, _energy(z, vals, scale, weight, cfg.eps_c)[0]
-
-
-def consensus_pixel(s, r=None, cfg: URCAConfig = URCAConfig()):
-    """Consensus value M and uncertainty U = E(M) for one pixel."""
-    s = np.asarray(s, dtype=np.float64).reshape(-1)
-    if s.size == 0:
-        raise InputError("need at least one sample value")
-    r = None if r is None else np.asarray(r, dtype=np.float64).reshape(-1)
-    z, u = _consensus_minimize(s, r, cfg)
-    return float(z), float(u)
 
 
 @dataclass

@@ -20,7 +20,7 @@ from fractaldepth.fractal import load_model
 from fractaldepth.nnet import (AdamWState, LrSchedule, adamw_step, grad_check, init_mlp,
                                lr_at, mlp_backward, mlp_forward, time_embed)
 from fractaldepth.rng import RngStream
-from fractaldepth.urca import URCAConfig, align_samples, consensus_pixel
+from fractaldepth.urca import URCAConfig, _consensus_minimize, align_samples
 
 
 CRITERION_LINES = []
@@ -209,7 +209,7 @@ def test_c05_consensus_oracle():
                          tau_s=float(g.uniform(0.05, 0.3)),
                          tau_r=float(g.uniform(0.05, 0.3)),
                          eps_c=float(g.uniform(1e-3, 1e-2)))
-        m, u = consensus_pixel(s, r, cfg)
+        m, u = (float(v) for v in _consensus_minimize(s, r, cfg))
         mg, ug = _grid_oracle(s, r, cfg)
         worst_m = max(worst_m, abs(m - mg))
         worst_u = max(worst_u, abs(u - ug) / max(abs(ug), 1e-12))

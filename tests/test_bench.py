@@ -179,14 +179,26 @@ class TestRunConfig:
         ("uncertainty_threshold = -1", "bad.cfg: uncertainty_threshold"),
         ("epochs = 2.5", "bad.cfg:2: "),            # does not convert
         ("seed = x", "bad.cfg:2: "),
+        ("val_scenes = 0", "bad.cfg: val_scenes"),  # validation runs by default
     ], ids=["scale_config", "urca_lambda", "urca_lambda_nan", "tau_inf",
             "multisample_tau_nan", "threshold_nan", "threshold_inf",
-            "threshold_negative", "epochs", "seed"])
+            "threshold_negative", "epochs", "seed", "val_scenes"])
     def test_invalid_values_caught_eagerly(self, tmp_path, line, where):
         p = tmp_path / "bad.cfg"
         p.write_text(f"# comment\n{line}\n")
         with pytest.raises(ConfigError, match=where):
             load_run_config(p)
+
+
+    def test_no_val_scenes_without_validation(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("val_every = 0\nval_scenes = 0\n")
+        assert load_run_config(p).val_scenes == 0
+
+    @pytest.mark.parametrize("key", ["hidden_width", "feature_dim", "time_dim"])
+    def test_zero_layer_size_rejected(self, key):
+        with pytest.raises(ConfigError, match="layer sizes"):
+            build_model(_tiny_cfg(**{key: 0}))
 
 
 def _tiny_cfg(**kw):
@@ -287,6 +299,21 @@ class TestRunners:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "n,abs_rel,sq_rel,rmse,rmse_log,delta1,delta2,delta3,u_exceedance"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("runner", ["eval", "multisample", "validation"])
+    def test_no_scenes_rejected(self, tmp_path, runner):
+        # a mean over no scenes would be NaN metrics, written as a CSV of NaNs
+        cfg = _tiny_cfg()
+        model = build_model(cfg)
+        out = tmp_path / "out.csv"
+        with pytest.raises(InputError, match="scene count"):
+            if runner == "eval":
+                run_eval(cfg, None, out, n_scenes=0, model=model)
+            elif runner == "multisample":
+                run_multisample(cfg, None, [1], out, n_scenes=0, model=model)
+            else:
+                run_train(_tiny_cfg(val_every=2, val_scenes=0), tmp_path)
+        assert not any(tmp_path.glob("*.csv"))
 
     def test_multisample_bad_n(self):
         with pytest.raises(InputError):

@@ -174,6 +174,29 @@ class TestTypedErrors:
                           "InputError")
         assert "bad.pfm" in err
 
+    def test_no_scenes(self, tiny_run, capsys):
+        cfg, ckpt, root = tiny_run
+        err = self._fails(capsys, ["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
+                                   "--scenes", "0", "--out", str(root / "eval0")], "InputError")
+        assert "scene count" in err
+        assert not (root / "eval0" / "eval.csv").exists()
+
+    def test_trace_dir_without_checkpoint(self, tiny_run, capsys):
+        cfg, ckpt, root = tiny_run
+        main(["sample", "--config", str(cfg), "--checkpoint", str(ckpt), "--out",
+              str(root / "nockpt")])
+        depth = str(root / "nockpt" / "depth.pfm")
+        err = self._fails(capsys, ["fuse", depth, depth, "--trace-dir", str(root / "nockpt"),
+                                   "--out", str(root / "nockpt_fused")], "InputError")
+        assert "--checkpoint" in err
+
+    def test_zero_layer_size(self, tmp_path, capsys):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("feature_dim = 0\n")
+        err = self._fails(capsys, ["train", "--config", str(cfg), "--out", str(tmp_path / "t")],
+                          "ConfigError")
+        assert "layer sizes" in err
+
     def test_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "nan.cfg"
         cfg.write_text("uncertainty_threshold = nan\n")

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractaldepth.diffusion import (forward_noise, make_linear_schedule, respace, reverse_step,
-                                    sample, schedule_to_csv)
+                                    sample)
 from fractaldepth.errors import ConfigError, InputError, ShapeError, TimestepError
 from fractaldepth.rng import RngStream
 
@@ -42,18 +42,6 @@ class TestSchedule:
             make_linear_schedule(10, 0.0, 0.02)
         with pytest.raises(ConfigError):
             make_linear_schedule(0)
-
-    def test_csv_dump(self, tmp_path):
-        s = make_linear_schedule(5)
-        path = tmp_path / "sched.csv"
-        schedule_to_csv(s, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,beta,alpha,alpha_bar,sigma"
-        assert len(lines) == 6
-        # every value cell is a plain number that reads back exactly
-        for t, line in enumerate(lines[1:], start=1):
-            cells = [float(c) for c in line.split(",")]
-            assert cells == [t, s.beta[t - 1], s.alpha[t - 1], s.alpha_bar[t - 1], s.sigma[t - 1]]
 
 
 class TestRespace:

@@ -38,11 +38,11 @@ DEPTH_RTOL = 2.3 * EPS32
 
 
 def assert_f32_close(a_trace, b_trace, latent_tol=LATENT_TOL, depth_rtol=DEPTH_RTOL):
-    """Latents within ``latent_tol``, and depths within ``depth_rtol`` relative."""
+    """Latents within ``latent_tol``, and final depths within ``depth_rtol`` relative."""
     for x, y in zip(a_trace.latents, b_trace.latents):
         assert np.max(np.abs(x - y)) <= latent_tol
-    for x, y in zip(a_trace.depths, b_trace.depths):
-        assert np.max(np.abs(x.values - y.values) / y.values) <= depth_rtol
+    x, y = a_trace.final.values, b_trace.final.values
+    assert np.max(np.abs(x - y) / y) <= depth_rtol
 
 
 def small_model(seed=0, T=10, hidden=(16, 16)):
@@ -239,12 +239,13 @@ class TestGenerate:
         model = small_model()
         image, _ = scene(9)
         trace = generate(model, image, RngStream(4, ("g",)), tau=0.0)
-        assert len(trace.latents) == 3 and len(trace.depths) == 3
+        assert len(trace.latents) == 3
         for latent, (res, _) in zip(trace.latents, CFG.levels):
             assert latent.shape == (res, res)
-        for d in trace.depths:
-            assert d.values.shape == (8, 8)
-            assert d.values.min() >= CFG.d_min and d.values.max() <= CFG.d_max
+        d = trace.final
+        assert d.values.shape == (8, 8)
+        assert d.values.min() >= CFG.d_min and d.values.max() <= CFG.d_max
+        assert np.array_equal(d.values, decode_level_depth(trace.latents[-1], model).values)
 
     def test_outputs_float64(self):
         # the MLP runs in float32; the chain state and every output are float64
@@ -253,7 +254,6 @@ class TestGenerate:
         for trace in generate(model, image, [RngStream(4, ("g",)), RngStream(5, ("g",))],
                               tau=1.0):
             assert all(l.dtype == np.float64 for l in trace.latents)
-            assert all(d.values.dtype == np.float64 for d in trace.depths)
             assert trace.final.values.dtype == np.float64
         assert all(w.dtype == np.float64 for m in model.mlps for w in m.weights)
 
@@ -605,6 +605,22 @@ class TestPersistence:
         path = tmp_path / "m.fadn"
         self._rewrite(path, edit)
         with pytest.raises(ConfigError, match="m.fadn"):
+            load_model(path)
+
+    def test_zero_width_rejected(self, tmp_path):
+        # tensors that agree with the zero-width meta, so only the layer-size
+        # check can reject it (not a ZeroDivisionError: nothing is initialised)
+        def zero_width(p, m):
+            m["hidden"] = [0, 0]
+            for i in range(len(CFG.levels)):
+                p[f"mlp{i}.w0"] = np.zeros((p[f"mlp{i}.w0"].shape[0], 0))
+                p[f"mlp{i}.w1"] = np.zeros((0, 0))
+                p[f"mlp{i}.w2"] = np.zeros((0, p[f"mlp{i}.w2"].shape[1]))
+                p[f"mlp{i}.b0"] = p[f"mlp{i}.b1"] = np.zeros(0)
+
+        path = tmp_path / "m.fadn"
+        self._rewrite(path, zero_width)
+        with pytest.raises(ConfigError, match="m.fadn.*layer sizes"):
             load_model(path)
 
     def test_trace_dump(self, tmp_path):

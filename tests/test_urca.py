@@ -6,8 +6,22 @@ from hypothesis import strategies as st
 from fractaldepth import urca
 from fractaldepth.core import DepthMap
 from fractaldepth.errors import InputError, ShapeError
-from fractaldepth.urca import (URCAConfig, align_samples, charbonnier, consensus_pixel, fuse,
-                               uncertainty_stats)
+from fractaldepth.urca import URCAConfig, align_samples, fuse, uncertainty_stats
+
+
+def _pixel_consensus(s, r=None, cfg=URCAConfig()):
+    """M and U = E(M) of one pixel, from the solver that ``fuse`` runs per pixel."""
+    r = None if r is None else np.asarray(r, float)
+    m, u = urca._consensus_minimize(np.asarray(s, float), r, cfg)
+    return float(m), float(u)
+
+
+def _rho(x, eps_c):
+    """rho(x) as the consensus energy computes it: one sample at z = 0, unit
+    scale and weight."""
+    one = np.ones(1)
+    e = urca._energy(0.0, np.asarray(x, float)[None], one, one, eps_c)[0]
+    return float(e) if e.ndim == 0 else e
 
 
 def _prior_weight(stack):
@@ -22,7 +36,8 @@ def _reference_objective(stack, alpha, beta, eps_c):
     total = _prior_weight(stack) * float(np.sum((alpha - 1.0) ** 2))
     for a in range(n):
         for b in range(a + 1, n):
-            total += float(np.sum(charbonnier(aligned[a] - aligned[b], eps_c)))
+            r = aligned[a] - aligned[b]
+            total += float(np.sum(np.sqrt(r * r + eps_c * eps_c) - eps_c))
     return total
 
 
@@ -110,29 +125,29 @@ class TestURCAConfig:
 
 class TestCharbonnier:
     def test_zero(self):
-        assert charbonnier(0.0, 1e-3) == 0.0
+        assert _rho(0.0, 1e-3) == 0.0
 
     def test_known_value(self):
-        assert charbonnier(3.0, 1e-3) == pytest.approx(np.sqrt(9 + 1e-6) - 1e-3, rel=1e-14)
+        assert _rho(3.0, 1e-3) == pytest.approx(np.sqrt(9 + 1e-6) - 1e-3, rel=1e-14)
 
     def test_even(self):
         x = np.linspace(-5, 5, 41)
-        assert np.allclose(charbonnier(x, 0.01), charbonnier(-x, 0.01))
+        assert np.allclose(_rho(x, 0.01), _rho(-x, 0.01))
 
     def test_l1_asymptote(self):
         # rho(x) -> |x| - eps for |x| >> eps
-        assert charbonnier(1e4, 1e-3) == pytest.approx(1e4 - 1e-3, abs=1e-9)
+        assert _rho(1e4, 1e-3) == pytest.approx(1e4 - 1e-3, abs=1e-9)
 
     def test_bad_eps(self):
         with pytest.raises(InputError):
-            charbonnier(1.0, 0.0)
+            URCAConfig(eps_c=0.0)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(-10, 10), st.floats(-10, 10), st.floats(0.01, 0.99))
     def test_convex(self, a, b, t):
         eps = 1e-2
-        mid = charbonnier(t * a + (1 - t) * b, eps)
-        assert mid <= t * charbonnier(a, eps) + (1 - t) * charbonnier(b, eps) + 1e-12
+        mid = _rho(t * a + (1 - t) * b, eps)
+        assert mid <= t * _rho(a, eps) + (1 - t) * _rho(b, eps) + 1e-12
 
 
 class TestAlignSamples:
@@ -301,12 +316,12 @@ class TestConsensusPixel:
     CFG = URCAConfig()
 
     def test_single_sample_exact(self):
-        m, u = consensus_pixel([2.7], cfg=self.CFG)
+        m, u = _pixel_consensus([2.7], cfg=self.CFG)
         assert m == pytest.approx(2.7, abs=1e-5)
         assert u == pytest.approx(0.0, abs=1e-6)
 
     def test_symmetric_pair_midpoint(self):
-        m, _ = consensus_pixel([1.0, 3.0], cfg=self.CFG)
+        m, _ = _pixel_consensus([1.0, 3.0], cfg=self.CFG)
         assert m == pytest.approx(2.0, abs=1e-6)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
@@ -317,8 +332,8 @@ class TestConsensusPixel:
         g = np.random.default_rng(n)
         for _ in range(50):
             s = g.uniform(1.0, 4.0, n)
-            m0, _ = consensus_pixel(s, cfg=self.CFG)
-            m1, _ = consensus_pixel(np.nextafter(s, np.inf), cfg=self.CFG)
+            m0, _ = _pixel_consensus(s, cfg=self.CFG)
+            m1, _ = _pixel_consensus(np.nextafter(s, np.inf), cfg=self.CFG)
             assert abs(m1 - m0) <= 1e-6
 
     def test_huge_depths_terminate(self, monkeypatch):
@@ -327,7 +342,7 @@ class TestConsensusPixel:
         calls = []
         energy = urca._energy
         monkeypatch.setattr(urca, "_energy", lambda *a: calls.append(1) or energy(*a))
-        m, u = consensus_pixel([1e12, 1e12 + 3.0], [1e12 + 1.0], cfg=self.CFG)
+        m, u = _pixel_consensus([1e12, 1e12 + 3.0], [1e12 + 1.0], cfg=self.CFG)
         assert 1e12 <= m <= 1e12 + 3.0 and np.isfinite(u)
         assert len(calls) <= urca._MAX_ROUNDS + 2
         calls.clear()
@@ -345,14 +360,14 @@ class TestConsensusPixel:
         # when E' <= 0 at M - 1e-6 and >= 0 at M + 1e-6
         cfg = URCAConfig(gamma=gamma, tau_s=tau_s, tau_r=tau_r, eps_c=eps_c)
         r = r or None
-        m, _ = consensus_pixel(s, r, cfg)
+        m, _ = _pixel_consensus(s, r, cfg)
         assert _grid_slope(m - 1e-6, s, r, cfg) <= 0.0 <= _grid_slope(m + 1e-6, s, r, cfg)
 
     def test_grid_oracle_samples_only(self):
         rng = np.random.default_rng(4)
         for _ in range(5):
             s = rng.uniform(1.0, 4.0, 5)
-            m, u = consensus_pixel(s, cfg=self.CFG)
+            m, u = _pixel_consensus(s, cfg=self.CFG)
             zg, ug = _grid_argmin(s, None, self.CFG, s.min(), s.max())
             assert abs(m - zg) <= 1e-3
             assert abs(u - ug) <= 1e-6 * max(1.0, abs(ug))
@@ -361,7 +376,7 @@ class TestConsensusPixel:
         rng = np.random.default_rng(5)
         s = rng.uniform(1.0, 3.0, 4)
         r = rng.uniform(1.0, 3.0, 3)
-        m, u = consensus_pixel(s, r, cfg=self.CFG)
+        m, u = _pixel_consensus(s, r, cfg=self.CFG)
         zg, ug = _grid_argmin(s, list(r), self.CFG,
                               min(s.min(), r.min()), max(s.max(), r.max()))
         assert abs(m - zg) <= 1e-3
@@ -369,8 +384,8 @@ class TestConsensusPixel:
 
     def test_recursive_term_pulls_toward_reference(self):
         s = [2.0, 2.0, 2.0]
-        m_free, _ = consensus_pixel(s, cfg=self.CFG)
-        m_pull, _ = consensus_pixel(s, [3.0], cfg=self.CFG)
+        m_free, _ = _pixel_consensus(s, cfg=self.CFG)
+        m_pull, _ = _pixel_consensus(s, [3.0], cfg=self.CFG)
         assert m_free == pytest.approx(2.0, abs=1e-5)
         assert m_pull > m_free
 
@@ -378,19 +393,15 @@ class TestConsensusPixel:
         # robust consensus of a tight cluster plus one outlier stays near the
         # cluster, unlike the arithmetic mean
         s = [2.0, 2.01, 1.99, 2.02, 9.0]
-        m, _ = consensus_pixel(s, cfg=self.CFG)
+        m, _ = _pixel_consensus(s, cfg=self.CFG)
         assert abs(m - 2.0) < abs(np.mean(s) - 2.0)
         assert abs(m - 2.0) <= 0.1
-
-    def test_empty_rejected(self):
-        with pytest.raises(InputError):
-            consensus_pixel([], cfg=self.CFG)
 
     def test_energy_nonnegative(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             s = rng.uniform(0.5, 9.0, rng.integers(1, 6))
-            _, u = consensus_pixel(s, cfg=self.CFG)
+            _, u = _pixel_consensus(s, cfg=self.CFG)
             assert u >= -1e-12
 
 
