@@ -12,11 +12,12 @@ import numpy as np
 from .core import DepthMap, ScaleConfig, SchedulePlan, named_scale_config
 from .diffusion import make_linear_schedule
 from .errors import ConfigError, FractalDepthError, InputError, ShapeError
-from .fractal import (FractalModel, decode_level_depth, generate, init_model, load_model,
-                      save_model, train_step)
+# load_model is not called here, but perfbench/tracer.py patches this binding
+from .fractal import (FractalModel, decode_level_depth, generate, init_model,  # noqa: F401
+                      load_model, save_model, train_step)
 from .nnet import LrSchedule, lr_at
 from .rng import RngStream
-from .urca import URCAConfig, fuse, uncertainty_stats
+from .urca import URCAConfig, fuse, reliability, uncertainty_stats
 
 
 # --- Scene generation ------------------------------------------------------
@@ -173,6 +174,11 @@ class RunConfig:
     def scene_spec(self, seed: int) -> SceneSpec:
         return SceneSpec(seed=seed, resolution=self.scale().final_resolution)
 
+    def hidden(self) -> tuple:
+        if self.hidden_depth < 0:
+            raise ConfigError(f"hidden_depth must be >= 0, got {self.hidden_depth}")
+        return (self.hidden_width,) * self.hidden_depth
+
 
 def load_run_config(path) -> RunConfig:
     """Plain-text key=value config, one entry per line, '#' comments."""
@@ -198,6 +204,7 @@ def load_run_config(path) -> RunConfig:
     try:             # validate eagerly
         cfg.scale()
         cfg.schedule()
+        cfg.hidden()
     except FractalDepthError as e:
         raise ConfigError(f"{path}: {e}") from e
     if not (math.isfinite(cfg.tau) and math.isfinite(cfg.multisample_tau)):
@@ -213,13 +220,16 @@ def load_run_config(path) -> RunConfig:
 
 
 def build_model(cfg: RunConfig) -> FractalModel:
-    return init_model(cfg.scale(), seed=cfg.seed, sched=cfg.schedule(),
-                      hidden=(cfg.hidden_width,) * cfg.hidden_depth,
+    return init_model(cfg.scale(), cfg.seed, sched=cfg.schedule(), hidden=cfg.hidden(),
                       feature_dim=cfg.feature_dim, time_dim=cfg.time_dim,
                       timestep_reuse=cfg.timestep_reuse)
 
 
 # --- Runners ---------------------------------------------------------------
+
+# the first scene seed of each runner's held-out scenes
+VAL_SEED_BASE, EVAL_SEED_BASE, MULTISAMPLE_SEED_BASE = 10_000_000, 20_000_000, 30_000_000
+
 
 def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as f:
@@ -243,13 +253,12 @@ def _mean_report(reports) -> MetricsReport:
                            for f in fields(MetricsReport)])
 
 
-def eval_scenes(model: FractalModel, cfg: RunConfig, scene_seeds, tau: float,
-                rng: RngStream):
+def eval_scenes(model: FractalModel, cfg: RunConfig, scene_seeds, rng: RngStream):
     """Single-sample evaluation; returns (mean MetricsReport, per-scene list)."""
     reports = []
     for s in scene_seeds:
         image, gt = gen_scene(cfg.scene_spec(s))
-        trace = generate(model, image, rng.child("eval", s), tau=tau)
+        trace = generate(model, image, rng.child("eval", s), tau=cfg.tau)
         reports.append(metrics(trace.final, gt))
     return _mean_report(reports), reports
 
@@ -266,7 +275,7 @@ def run_train(cfg: RunConfig, out_dir) -> str:
                           total_steps=total, final_lr=cfg.final_lr)
     loss_rows = []
     val_rows = []
-    val_seeds = [10_000_000 + i for i in range(cfg.val_scenes)]
+    val_seeds = [VAL_SEED_BASE + i for i in range(cfg.val_scenes)]
     step = 0
     for epoch in range(cfg.epochs):
         order = rng.generator("order", epoch).permutation(cfg.train_scenes)
@@ -278,7 +287,7 @@ def run_train(cfg: RunConfig, out_dir) -> str:
             loss_rows.append([step, f"{lr:.8f}"] + [f"{l:.6f}" for l in losses])
             step += 1
             if cfg.val_every > 0 and step % cfg.val_every == 0:
-                mean, _ = eval_scenes(model, cfg, val_seeds, cfg.tau, rng.child("val", step))
+                mean, _ = eval_scenes(model, cfg, val_seeds, rng.child("val", step))
                 val_rows.append([step] + _metrics_row(mean))
     ckpt = os.path.join(out_dir, "checkpoint.fadn")
     save_model(ckpt, model)
@@ -289,14 +298,11 @@ def run_train(cfg: RunConfig, out_dir) -> str:
     return ckpt
 
 
-def run_eval(cfg: RunConfig, checkpoint, out_csv, n_scenes: int = 16,
-             scene_seed_base: int = 20_000_000, model: FractalModel = None):
+def run_eval(cfg: RunConfig, model: FractalModel, out_csv, n_scenes: int):
     """Held-out single-sample evaluation; writes one CSV row per scene."""
-    if model is None:
-        model = load_model(checkpoint)
     rng = RngStream(cfg.seed, ("evalrun",))
-    seeds = [scene_seed_base + i for i in range(n_scenes)]
-    mean, reports = eval_scenes(model, cfg, seeds, cfg.tau, rng)
+    seeds = [EVAL_SEED_BASE + i for i in range(n_scenes)]
+    mean, reports = eval_scenes(model, cfg, seeds, rng)
     rows = [[s] + _metrics_row(r) for s, r in zip(seeds, reports)]
     rows.append(["mean"] + _metrics_row(mean))
     if out_csv:
@@ -321,20 +327,13 @@ def multisample_scene(model: FractalModel, cfg: RunConfig, scene_seed: int, n: i
     ucfg = URCAConfig()
     levels = [decode_level_depth(latent, model) for latent in traces[0].latents]
     out = fuse([t.final for t in traces], levels, ucfg)
-    # fixed normalization: energy per unit weight (N + gamma) gives the mean
-    # disagreement; the extra 1/N converts ensemble spread into uncertainty
-    # about the consensus itself, which shrinks as runs accumulate
-    u_norm = out.uncertainty / (n * (n + ucfg.gamma))
-    return out, u_norm, gt
+    return out, reliability(out.uncertainty, n, ucfg), gt
 
 
-def run_multisample(cfg: RunConfig, checkpoint, n_list, out_csv, n_scenes: int = 10,
-                    scene_seed_base: int = 30_000_000, model: FractalModel = None):
+def run_multisample(cfg: RunConfig, model: FractalModel, n_list, out_csv, n_scenes: int):
     """Per-N fused metrics and uncertainty exceedance; one CSV row per N."""
     if any(n < 1 for n in n_list):
         raise InputError("sample counts must be >= 1")
-    if model is None:
-        model = load_model(checkpoint)
     rng = RngStream(cfg.seed, ("multisample",))
     rows = []
     summaries = []
@@ -342,7 +341,7 @@ def run_multisample(cfg: RunConfig, checkpoint, n_list, out_csv, n_scenes: int =
         reports = []
         exceed = []
         for i in range(n_scenes):
-            out, u_norm, gt = multisample_scene(model, cfg, scene_seed_base + i, n, rng)
+            out, u_norm, gt = multisample_scene(model, cfg, MULTISAMPLE_SEED_BASE + i, n, rng)
             reports.append(metrics(out.consensus, gt))
             _, _, frac = uncertainty_stats(u_norm, cfg.uncertainty_threshold)
             exceed.append(frac)

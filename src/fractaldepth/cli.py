@@ -6,6 +6,7 @@ import argparse
 import fnmatch
 import os
 import sys
+from dataclasses import replace
 
 from . import bench, imgio, urca
 from .core import NAMED_CONFIGS, build_schedule_plan, named_scale_config
@@ -20,14 +21,10 @@ def _load_cfg(args) -> bench.RunConfig:
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
     if getattr(args, "tau", None) is not None:
-        overrides["tau"] = args.tau
-        overrides["multisample_tau"] = args.tau
+        overrides.update(tau=args.tau, multisample_tau=args.tau)
     if getattr(args, "scale_config", None):
         overrides["scale_config"] = args.scale_config
-    if overrides:
-        from dataclasses import replace
-        cfg = replace(cfg, **overrides)
-    return cfg
+    return replace(cfg, **overrides)
 
 
 def cmd_plan(args) -> int:
@@ -74,9 +71,12 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
+    if args.scenes < 1:
+        raise InputError(f"the scene count must be >= 1, got --scenes {args.scenes}")
+    model = load_model(args.checkpoint)
     out_csv = os.path.join(args.out, "eval.csv")
     os.makedirs(args.out, exist_ok=True)
-    mean, _ = bench.run_eval(cfg, args.checkpoint, out_csv, n_scenes=args.scenes)
+    mean, _ = bench.run_eval(cfg, model, out_csv, args.scenes)
     print(f"mean: abs_rel={mean.abs_rel:.4f} rmse={mean.rmse:.4f} delta1={mean.delta1:.4f}")
     print(f"per-scene metrics written to {out_csv}")
     return 0
@@ -107,7 +107,8 @@ def cmd_fuse(args) -> int:
             raise InputError(f"{args.trace_dir}: expected {names}, found {sorted(found)}")
         trace_depths = [decode_level_depth(imgio.read_pfm(os.path.join(args.trace_dir, n)), model)
                         for n in names]
-    out = urca.fuse(samples, trace_depths, urca.URCAConfig())
+    ucfg = urca.URCAConfig()
+    out = urca.fuse(samples, trace_depths, ucfg)
     os.makedirs(args.out, exist_ok=True)
     align = out.alignment
     with open(os.path.join(args.out, "alignment.txt"), "w") as f:
@@ -120,8 +121,9 @@ def cmd_fuse(args) -> int:
         print(f"warning: alignment did not converge in {align.iterations} iterations")
     imgio.write_pfm(os.path.join(args.out, "consensus.pfm"), out.consensus.values)
     imgio.write_pgm16(os.path.join(args.out, "consensus.pgm"), out.consensus)
-    imgio.write_pfm(os.path.join(args.out, "uncertainty.pfm"), out.uncertainty)
-    hist, edges, frac = urca.uncertainty_stats(out.uncertainty, cfg.uncertainty_threshold)
+    u_norm = urca.reliability(out.uncertainty, len(samples), ucfg)
+    imgio.write_pfm(os.path.join(args.out, "uncertainty.pfm"), u_norm)
+    hist, edges, frac = urca.uncertainty_stats(u_norm, cfg.uncertainty_threshold)
     bench._write_csv(os.path.join(args.out, "uncertainty_stats.csv"), ["bin_left", "count"],
                      [[f"{left:.6f}", int(count)] for left, count in zip(edges[:-1], hist)])
     print(f"fraction of pixels with U > {cfg.uncertainty_threshold}: {frac:.6f}")

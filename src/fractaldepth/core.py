@@ -102,10 +102,6 @@ class LevelPlan:
 class SchedulePlan:
     levels: tuple  # (LevelPlan, ...) coarse -> fine
 
-    @property
-    def token_counts(self) -> tuple:
-        return tuple(l.token_count for l in self.levels)
-
 
 def build_schedule_plan(cfg: ScaleConfig) -> SchedulePlan:
     """Token counts and dimensions per level: (res/patch)^2 tokens of patch^2 cells."""

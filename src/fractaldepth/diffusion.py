@@ -68,7 +68,7 @@ def _posterior_sigma(beta: np.ndarray, alpha_bar: np.ndarray) -> np.ndarray:
     return np.sqrt((1.0 - abar_prev) / (1.0 - alpha_bar) * beta)
 
 
-def make_linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
+def make_linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     if T < 1:
         raise ConfigError(f"T must be >= 1, got {T}")
     if not (0.0 < beta_start <= beta_end < 1.0):

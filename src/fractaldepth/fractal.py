@@ -24,6 +24,7 @@ from .diffusion import NoiseSchedule, forward_noise, make_linear_schedule, respa
 from .diffusion import reverse_step  # noqa: F401
 from .errors import ConfigError, FractalDepthError, InputError, NumericsError, ShapeError
 from .nnet import (AdamWState, MlpParams, adamw_step, init_mlp, mlp_backward, mlp_forward,
+                   read_checkpoint_manifest, read_checkpoint_tensors, save_checkpoint,
                    time_embed)
 from .rng import RngStream
 
@@ -61,9 +62,8 @@ class FractalModel:
         return out
 
 
-def init_model(cfg: ScaleConfig, seed: int = 0, *, sched: NoiseSchedule,
-               hidden=(256, 256, 256), feature_dim: int = 16, time_dim: int = 16,
-               timestep_reuse: int = 4) -> FractalModel:
+def init_model(cfg: ScaleConfig, seed: int, *, sched: NoiseSchedule, hidden,
+               feature_dim: int, time_dim: int, timestep_reuse: int) -> FractalModel:
     rng = RngStream(seed, ("init",))
     # small final layer keeps the initial loss near the unit noise variance
     return _assemble_model(cfg, sched, hidden, feature_dim, time_dim, timestep_reuse,
@@ -78,9 +78,9 @@ def _assemble_model(cfg: ScaleConfig, sched: NoiseSchedule, hidden, feature_dim:
     i's MLP is ``make_mlp(i, layer sizes)``."""
     if timestep_reuse < 1:
         raise ConfigError(f"timestep_reuse must be >= 1, got {timestep_reuse}")
-    if min((feature_dim, time_dim, *hidden)) < 1:
-        raise ConfigError(f"layer sizes must be >= 1, got hidden={tuple(hidden)}, "
-                          f"feature_dim={feature_dim}, time_dim={time_dim}")
+    if min((feature_dim, time_dim, *hidden)) < 1 or time_dim % 2:
+        raise ConfigError(f"layer sizes must be >= 1 and time_dim even (sin/cos pairs), got "
+                          f"hidden={tuple(hidden)}, feature_dim={feature_dim}, time_dim={time_dim}")
     plan = build_schedule_plan(cfg)
     model = FractalModel(cfg=cfg, plan=plan, sched=sched, conv=make_conv(feature_dim),
                          gate_w=np.ones(len(plan.levels)),
@@ -213,10 +213,10 @@ def loss_and_grads(model: FractalModel, image: np.ndarray, gt: DepthMap, rng: Rn
 
 
 def train_step(model: FractalModel, image: np.ndarray, gt: DepthMap, rng: RngStream,
-               lr: float, weight_decay: float = 0.05) -> list:
+               lr: float, weight_decay: float) -> list:
     """One teacher-forced optimizer step; returns the per-level losses."""
     losses, grads = loss_and_grads(model, image, gt, rng)
-    adamw_step(model.named_params(), grads, model.opt_state, lr, weight_decay=weight_decay)
+    adamw_step(model.named_params(), grads, model.opt_state, lr, weight_decay)
     return losses
 
 
@@ -305,8 +305,7 @@ def _reverse_chain(model: FractalModel, level: int, cond: np.ndarray, lrngs: lis
                   [r.child("tokens") for r in lrngs])
 
 
-def generate(model: FractalModel, image: np.ndarray, rng, tau: float = 0.0,
-             predictor=None):
+def generate(model: FractalModel, image: np.ndarray, rng, tau: float, predictor=None):
     """Full coarse-to-fine generation pass.
 
     ``rng`` is one :class:`RngStream`, which gives one
@@ -348,8 +347,8 @@ def generate(model: FractalModel, image: np.ndarray, rng, tau: float = 0.0,
 
 # --- Checkpoint + trace persistence ---------------------------------------
 
-def model_meta(model: FractalModel) -> dict:
-    return {
+def save_model(path, model: FractalModel) -> None:
+    save_checkpoint(path, model.named_params(), {
         "levels": [list(l) for l in model.cfg.levels],
         "d_min": model.cfg.d_min,
         "d_max": model.cfg.d_max,
@@ -360,12 +359,7 @@ def model_meta(model: FractalModel) -> dict:
         "time_dim": model.time_dim,
         "timestep_reuse": model.timestep_reuse,
         "hidden": [int(s) for s in model.mlps[0].sizes[1:-1]],
-    }
-
-
-def save_model(path, model: FractalModel) -> None:
-    from .nnet import save_checkpoint
-    save_checkpoint(path, model.named_params(), meta=model_meta(model))
+    })
 
 
 def load_model(path) -> FractalModel:
@@ -376,7 +370,6 @@ def load_model(path) -> FractalModel:
     (no random initialisation is drawn), and each tensor's bytes are then
     read straight into its parameter array.
     """
-    from .nnet import read_checkpoint_manifest, read_checkpoint_tensors
     with open(path, "rb") as f:
         meta, entries = read_checkpoint_manifest(f, path)
         try:

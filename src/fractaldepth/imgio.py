@@ -1,7 +1,7 @@
 """Depth map and latent grid file I/O.
 
 Depth maps are written as 16-bit binary PGM (value = depth *
-counts_per_meter, 0 marks invalid pixels) for viewing, and written and read
+``COUNTS_PER_METER``, 0 marks invalid pixels) for viewing, and written and read
 as 32-bit little-endian PFM with the conventional negative scale header.
 Latent grids use PFM only.
 """
@@ -16,9 +16,11 @@ import numpy as np
 from .core import DepthMap
 from .errors import InputError
 
+COUNTS_PER_METER = 256.0      # PGM depth steps of 1/256 m
 
-def write_pgm16(path, depth: DepthMap, counts_per_meter: float = 256.0) -> None:
-    scaled = np.round(depth.values * counts_per_meter)
+
+def write_pgm16(path, depth: DepthMap) -> None:
+    scaled = np.round(depth.values * COUNTS_PER_METER)
     scaled = np.clip(scaled, 1, 65535).astype(">u2")
     scaled[~depth.valid_mask] = 0
     h, w = scaled.shape

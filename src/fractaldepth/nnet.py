@@ -212,14 +212,17 @@ class AdamWState:
     step: int = 0
 
 
+_BETAS, _EPS = (0.9, 0.95), 1e-8      # AdamW moment decays and denominator guard
+
+
 def adamw_step(params: dict, grads: dict, state: AdamWState, lr: float,
-               betas=(0.9, 0.95), weight_decay: float = 0.05, eps: float = 1e-8) -> None:
+               weight_decay: float) -> None:
     """One decoupled-weight-decay Adam step over a dict of parameter arrays.
 
     Rejects the whole step (state untouched) if any gradient is non-finite
     or does not have its parameter's shape.  The update runs in place, in
     two scratch arrays the size of the largest tensor, with the operations
-    and their order of ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``, so it
+    and their order of ``p -= lr * (m / c1) / (sqrt(v / c2) + _EPS)``, so it
     equals that formula bit for bit.
     """
     for name, p in params.items():
@@ -228,7 +231,7 @@ def adamw_step(params: dict, grads: dict, state: AdamWState, lr: float,
             raise ShapeError(f"{name}: param shape {p.shape} != grad shape {g.shape}")
         if not np.all(np.isfinite(g)):
             raise NumericsError(f"non-finite gradient for {name!r}; step rejected")
-    b1, b2 = betas
+    b1, b2 = _BETAS
     state.step += 1
     t = state.step
     size = max((p.size for p in params.values()), default=0)
@@ -254,7 +257,7 @@ def adamw_step(params: dict, grads: dict, state: AdamWState, lr: float,
         a *= lr
         np.divide(v, 1 - b2 ** t, out=b)     # vhat
         np.sqrt(b, out=b)
-        b += eps
+        b += _EPS
         a /= b
         p -= a
 
@@ -284,7 +287,6 @@ def lr_at(step: int, sched: LrSchedule) -> float:
 class GradCheckReport:
     max_rel_error: float
     passed: bool
-    tolerance: float
 
 
 def grad_check(params: MlpParams, x: np.ndarray, tolerance: float = 1e-4,
@@ -312,8 +314,7 @@ def grad_check(params: MlpParams, x: np.ndarray, tolerance: float = 1e-4,
             denom = max(abs(num), abs(ana), 1e-8)
             rel = abs(num - ana) / denom if (num != 0.0 or ana != 0.0) else 0.0
             max_rel = max(max_rel, rel)
-    return GradCheckReport(max_rel_error=max_rel, passed=max_rel <= tolerance,
-                           tolerance=tolerance)
+    return GradCheckReport(max_rel_error=max_rel, passed=max_rel <= tolerance)
 
 
 # --- Checkpoint container -------------------------------------------------
@@ -321,10 +322,10 @@ def grad_check(params: MlpParams, x: np.ndarray, tolerance: float = 1e-4,
 _MAGIC = b"FADN1"
 
 
-def save_checkpoint(path, named_params: dict, meta: dict = None) -> None:
+def save_checkpoint(path, named_params: dict, meta: dict) -> None:
     """Binary container: magic, JSON manifest, little-endian float64 blobs."""
     manifest = {
-        "meta": meta or {},
+        "meta": meta,
         "tensors": [{"name": k, "shape": list(v.shape)} for k, v in named_params.items()],
     }
     mbytes = json.dumps(manifest, sort_keys=True).encode("utf-8")

@@ -84,6 +84,7 @@ _TOL = 1e-10
 # finite input; 64 halvings bring any bracket under 1.8e13 m to _Z_TOL.
 _Z_TOL = 1e-6
 _MAX_ROUNDS = 64
+_HIST_BINS = 64     # bins of the uncertainty_stats histogram
 
 
 def _basis(block: np.ndarray) -> np.ndarray:
@@ -299,15 +300,22 @@ def fuse(samples, trace_depths=None, cfg: URCAConfig = URCAConfig()) -> Consensu
                            uncertainty=u, alignment=align)
 
 
-def uncertainty_stats(u_map: np.ndarray, threshold: float = 1.0, bins: int = 64):
-    """Fixed-bin histogram over [0, max] and the exceedance fraction."""
+def reliability(u: np.ndarray, n: int, cfg: URCAConfig) -> np.ndarray:
+    """The reliability proxy U = u / (n (n + gamma)) of ``n`` fused samples:
+    the consensus energy ``u`` per unit weight is their mean disagreement, and
+    the extra 1/n makes it the uncertainty of the consensus, shrinking with n."""
+    return u / (n * (n + cfg.gamma))
+
+
+def uncertainty_stats(u_map: np.ndarray, threshold: float):
+    """``_HIST_BINS``-bin histogram over [0, max] and the exceedance fraction."""
     u = np.asarray(u_map, dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(u)):
         raise InputError("uncertainty map must be finite")
     if not np.isfinite(threshold):
         raise InputError(f"uncertainty threshold must be finite, got {threshold}")
     top = float(u.max()) if u.size else 0.0
-    edges = np.linspace(0.0, top if top > 0 else 1.0, bins + 1)
+    edges = np.linspace(0.0, top if top > 0 else 1.0, _HIST_BINS + 1)
     hist, _ = np.histogram(u, bins=edges)
     exceedance = float(np.mean(u > threshold)) if u.size else 0.0
     return hist, edges, exceedance

@@ -78,9 +78,8 @@ class ConvPyramidParams:
     w2: np.ndarray  # (3, 3, F, F)
     b2: np.ndarray
 
-    def named(self, prefix: str = "conv") -> dict:
-        return {f"{prefix}.w1": self.w1, f"{prefix}.b1": self.b1,
-                f"{prefix}.w2": self.w2, f"{prefix}.b2": self.b2}
+    def named(self) -> dict:
+        return {"conv.w1": self.w1, "conv.b1": self.b1, "conv.w2": self.w2, "conv.b2": self.b2}
 
     @classmethod
     def empty(cls, feature_dim: int) -> "ConvPyramidParams":
@@ -134,7 +133,7 @@ def extract_features_backward(grad_feats, cfg: ScaleConfig, params: ConvPyramidP
     dw2, db2 = conv3x3_backward(da2, xp2, params.w2)
     da1 = conv3x3_input_grad(da2, params.w2) * silu_grad(a1)
     dw1, db1 = conv3x3_backward(da1, xp1, params.w1)
-    return {"conv.w1": dw1, "conv.b1": db1, "conv.w2": dw2, "conv.b2": db2}
+    return ConvPyramidParams(w1=dw1, b1=db1, w2=dw2, b2=db2).named()
 
 
 # --- Gated fusion + token pooling -----------------------------------------

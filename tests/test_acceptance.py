@@ -78,7 +78,7 @@ def test_c03_exact_noise_collapse():
     t0 = time.monotonic()
     worst = 0.0
     for T in (10, 100, 1000):
-        sched = make_linear_schedule(T)
+        sched = make_linear_schedule(T, 1e-4, 0.02)
         z_star = np.random.default_rng(303).normal(size=(4, 4))
 
         def oracle(z_t, t, cond):
@@ -266,8 +266,7 @@ def multi_run(acc_dir, desk_run):
         from dataclasses import replace
         scfg = replace(cfg, seed=seed)
         out_csv = acc_dir / f"multisample_seed{seed}.csv"
-        per_seed[seed] = run_multisample(scfg, None, [1, 8], out_csv, n_scenes=10,
-                                         model=desk_run["model"])
+        per_seed[seed] = run_multisample(scfg, desk_run["model"], [1, 8], out_csv, 10)
         csvs[seed] = out_csv
     return {"per_seed": per_seed, "csvs": csvs, "seconds": time.monotonic() - t0}
 
@@ -322,9 +321,9 @@ def test_c09_plan_fidelity(capsys):
 def test_c10_end_to_end_smoke(acc_dir, desk_run):
     cfg = desk_run["cfg"]
     untrained = build_model(cfg)
-    base_mean, base_reports = run_eval(cfg, None, None, n_scenes=16, model=untrained)
+    base_mean, base_reports = run_eval(cfg, untrained, None, 16)
     csv_path = acc_dir / "eval_trained.csv"
-    mean, reports = run_eval(cfg, None, csv_path, n_scenes=16, model=desk_run["model"])
+    mean, reports = run_eval(cfg, desk_run["model"], csv_path, 16)
     reduction = 1.0 - mean.rmse / base_mean.rmse
     mono = all(r.delta1 <= r.delta2 <= r.delta3
                for r in base_reports + reports + [base_mean, mean])
@@ -345,8 +344,7 @@ def test_c11_determinism(acc_dir, toy_run, desk_run, multi_run):
     # multi-sample rerun (seed 0)
     from dataclasses import replace
     ms2 = acc_dir / "multisample_seed0_rerun.csv"
-    run_multisample(replace(desk_run["cfg"], seed=0), None, [1, 8], ms2, n_scenes=10,
-                    model=desk_run["model"])
+    run_multisample(replace(desk_run["cfg"], seed=0), desk_run["model"], [1, 8], ms2, 10)
     ms_ok = multi_run["csvs"][0].read_bytes() == ms2.read_bytes()
     # full training rerun
     out2 = acc_dir / "train_rerun"

@@ -9,6 +9,7 @@ from fractaldepth.bench import (RunConfig, SceneSpec, build_model,
                                 multisample_scene, run_eval, run_multisample, run_train)
 from fractaldepth.core import DepthMap, build_schedule_plan, named_scale_config
 from fractaldepth.errors import ConfigError, InputError, ShapeError
+from fractaldepth.fractal import load_model
 from fractaldepth.rng import RngStream
 from fractaldepth.urca import URCAConfig
 
@@ -180,9 +181,10 @@ class TestRunConfig:
         ("epochs = 2.5", "bad.cfg:2: "),            # does not convert
         ("seed = x", "bad.cfg:2: "),
         ("val_scenes = 0", "bad.cfg: val_scenes"),  # validation runs by default
+        ("hidden_depth = -2", "bad.cfg: hidden_depth"),
     ], ids=["scale_config", "urca_lambda", "urca_lambda_nan", "tau_inf",
             "multisample_tau_nan", "threshold_nan", "threshold_inf",
-            "threshold_negative", "epochs", "seed", "val_scenes"])
+            "threshold_negative", "epochs", "seed", "val_scenes", "hidden_depth"])
     def test_invalid_values_caught_eagerly(self, tmp_path, line, where):
         p = tmp_path / "bad.cfg"
         p.write_text(f"# comment\n{line}\n")
@@ -199,6 +201,17 @@ class TestRunConfig:
     def test_zero_layer_size_rejected(self, key):
         with pytest.raises(ConfigError, match="layer sizes"):
             build_model(_tiny_cfg(**{key: 0}))
+
+    def test_negative_hidden_depth_rejected(self):
+        # (16,) * -2 is (), which would build one-layer linear MLPs
+        with pytest.raises(ConfigError, match="hidden_depth"):
+            build_model(_tiny_cfg(hidden_depth=-2))
+
+    @pytest.mark.parametrize("time_dim", [1, 3])
+    def test_odd_time_dim_rejected(self, time_dim):
+        # rejected at build time, not at the first time_embed of a step
+        with pytest.raises(ConfigError, match="time_dim even"):
+            build_model(_tiny_cfg(time_dim=time_dim))
 
 
 def _tiny_cfg(**kw):
@@ -223,7 +236,7 @@ class TestRunners:
         cfg = _tiny_cfg()
         ckpt = run_train(cfg, tmp_path / "train")
         out = tmp_path / "eval.csv"
-        mean, reports = run_eval(cfg, ckpt, out, n_scenes=2)
+        mean, reports = run_eval(cfg, load_model(ckpt), out, 2)
         assert len(reports) == 2
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 2 + 1  # header, scenes, mean row
@@ -294,7 +307,7 @@ class TestRunners:
         cfg = _tiny_cfg()
         ckpt = run_train(cfg, tmp_path / "t")
         out = tmp_path / "ms.csv"
-        summaries = run_multisample(cfg, ckpt, [1, 2], out, n_scenes=1)
+        summaries = run_multisample(cfg, load_model(ckpt), [1, 2], out, 1)
         assert [n for n, _, _ in summaries] == [1, 2]
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "n,abs_rel,sq_rel,rmse,rmse_log,delta1,delta2,delta3,u_exceedance"
@@ -308,16 +321,16 @@ class TestRunners:
         out = tmp_path / "out.csv"
         with pytest.raises(InputError, match="scene count"):
             if runner == "eval":
-                run_eval(cfg, None, out, n_scenes=0, model=model)
+                run_eval(cfg, model, out, 0)
             elif runner == "multisample":
-                run_multisample(cfg, None, [1], out, n_scenes=0, model=model)
+                run_multisample(cfg, model, [1], out, 0)
             else:
                 run_train(_tiny_cfg(val_every=2, val_scenes=0), tmp_path)
         assert not any(tmp_path.glob("*.csv"))
 
     def test_multisample_bad_n(self):
         with pytest.raises(InputError):
-            run_multisample(_tiny_cfg(), None, [0], None, model=build_model(_tiny_cfg()))
+            run_multisample(_tiny_cfg(), build_model(_tiny_cfg()), [0], None, 10)
 
     def test_train_deterministic(self, tmp_path):
         cfg = _tiny_cfg()

@@ -6,7 +6,7 @@ import pytest
 
 from fractaldepth import fractal, urca
 from fractaldepth.cli import main
-from fractaldepth.imgio import read_depth_pfm
+from fractaldepth.imgio import read_depth_pfm, read_pfm
 from fractaldepth.urca import URCAConfig
 
 
@@ -110,6 +110,24 @@ class TestPipelines:
         assert float(fields["objective"]) >= 0.0
         assert "did not converge" not in out
 
+    def test_fuse_writes_normalised_uncertainty(self, tiny_run, capsys):
+        # uncertainty.pfm and the printed fraction are the reliability proxy
+        # of run_multisample, U / (N (N + gamma)), not the raw energy
+        cfg, ckpt, root = tiny_run
+        for seed in (10, 11):
+            main(["sample", "--config", str(cfg), "--checkpoint", str(ckpt),
+                  "--seed", str(seed), "--tau", "1.0", "--out", str(root / f"t{seed}")])
+        paths = [root / "t10" / "depth.pfm", root / "t11" / "depth.pfm"]
+        code, out = run(capsys, "fuse", "--config", str(cfg), *map(str, paths),
+                        "--out", str(root / "norm"))
+        assert code == 0
+        ucfg = URCAConfig()
+        raw = urca.fuse([read_depth_pfm(p) for p in paths], None, ucfg).uncertainty
+        u_norm = raw / (2 * (2 + ucfg.gamma))
+        assert np.array_equal(read_pfm(root / "norm" / "uncertainty.pfm"),
+                              u_norm.astype(np.float32).astype(np.float64))
+        assert f"fraction of pixels with U > 1.0: {np.mean(u_norm > 1.0):.6f}" in out
+
     def test_fuse_reports_cap(self, tiny_run, capsys, monkeypatch):
         cfg, ckpt, root = tiny_run
         for seed in (5, 6):
@@ -179,7 +197,8 @@ class TestTypedErrors:
         err = self._fails(capsys, ["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
                                    "--scenes", "0", "--out", str(root / "eval0")], "InputError")
         assert "scene count" in err
-        assert not (root / "eval0" / "eval.csv").exists()
+        # rejected before the checkpoint is read or --out is made
+        assert not (root / "eval0").exists()
 
     def test_trace_dir_without_checkpoint(self, tiny_run, capsys):
         cfg, ckpt, root = tiny_run

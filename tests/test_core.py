@@ -14,15 +14,15 @@ from fractaldepth.rng import RngStream
 class TestSchedulePlan:
     def test_paper_config_token_counts(self):
         plan = build_schedule_plan(named_scale_config("paper"))
-        assert plan.token_counts == (1, 16, 256, 256)
+        assert tuple(l.token_count for l in plan.levels) == (1, 16, 256, 256)
 
     def test_paper_table_reading(self):
         plan = build_schedule_plan(named_scale_config("paper-table"))
-        assert plan.token_counts == (1, 16, 16, 256)
+        assert tuple(l.token_count for l in plan.levels) == (1, 16, 16, 256)
 
     def test_desk_config(self):
         plan = build_schedule_plan(named_scale_config("desk"))
-        assert plan.token_counts == (1, 16, 256, 64)
+        assert tuple(l.token_count for l in plan.levels) == (1, 16, 256, 64)
         assert tuple(l.token_dim for l in plan.levels) == (1, 1, 1, 64)
 
     def test_single_level_rejected(self):

@@ -24,13 +24,13 @@ class TestSchedule:
             assert s.alpha_bar[t - 1] == pytest.approx(s.alpha[t - 1] * s.alpha_bar[t - 2])
 
     def test_sigma_final_step_zero(self):
-        s = make_linear_schedule(50)
+        s = make_linear_schedule(50, 1e-4, 0.02)
         assert s.sigma[0] == 0.0
         assert np.all(s.sigma[1:] > 0)
 
     def test_sigma_is_posterior_std(self):
         # beta-tilde_t = (1 - abar_{t-1}) / (1 - abar_t) * beta_t
-        s = make_linear_schedule(50)
+        s = make_linear_schedule(50, 1e-4, 0.02)
         for t in range(2, 51):
             expect = (1 - s.abar(t - 1)) / (1 - s.abar(t)) * s.beta[t - 1]
             assert s.sigma[t - 1] ** 2 == pytest.approx(expect, rel=1e-12)
@@ -41,13 +41,13 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             make_linear_schedule(10, 0.0, 0.02)
         with pytest.raises(ConfigError):
-            make_linear_schedule(0)
+            make_linear_schedule(0, 1e-4, 0.02)
 
 
 class TestRespace:
     @pytest.mark.parametrize("T", [1, 2, 60, 1000])
     def test_full_respace_is_bit_equal(self, T):
-        s = make_linear_schedule(T)
+        s = make_linear_schedule(T, 1e-4, 0.02)
         r = respace(s, T)
         for name in ("t", "beta", "alpha", "alpha_bar", "sigma"):
             a, b = getattr(s, name), getattr(r, name)
@@ -56,10 +56,10 @@ class TestRespace:
     @pytest.mark.parametrize("steps", [0, 61])
     def test_bad_step_counts(self, steps):
         with pytest.raises(ConfigError):
-            respace(make_linear_schedule(60), steps)
+            respace(make_linear_schedule(60, 1e-4, 0.02), steps)
 
     def test_kept_pairs(self):
-        s = make_linear_schedule(60)
+        s = make_linear_schedule(60, 1e-4, 0.02)
         r = respace(s, 15)
         assert r.t.tolist() == np.round(np.linspace(60, 1, 15)).astype(int)[::-1].tolist()
         assert r.alpha_bar.tolist() == [s.abar(t) for t in r.t]
@@ -74,7 +74,7 @@ class TestRespace:
     def test_exact_noise_collapse(self, T, data, tau):
         # with the oracle noise the step into t' = 0 lands on z* from any state
         S = data.draw(st.integers(1, T))
-        sched = make_linear_schedule(T)
+        sched = make_linear_schedule(T, 1e-4, 0.02)
         z_star = np.random.default_rng(T).normal(size=(4, 4))
         seen = []
 
@@ -91,7 +91,7 @@ class TestRespace:
 
 
 class TestForwardNoise:
-    sched = make_linear_schedule(100)
+    sched = make_linear_schedule(100, 1e-4, 0.02)
 
     def test_zero_latent(self):
         eps = np.random.default_rng(0).normal(size=(4, 4))
@@ -131,7 +131,7 @@ class TestForwardNoise:
 
 
 class TestReverseStep:
-    sched = make_linear_schedule(100)
+    sched = make_linear_schedule(100, 1e-4, 0.02)
 
     def test_exact_noise_at_t1(self):
         rng = np.random.default_rng(4)
@@ -165,7 +165,7 @@ class TestReverseStep:
 class TestSample:
     def test_exact_noise_collapse(self):
         for T in (10, 100, 1000):
-            sched = make_linear_schedule(T)
+            sched = make_linear_schedule(T, 1e-4, 0.02)
             z_star = np.random.default_rng(7).normal(size=(4, 4))
 
             def oracle(z_t, t, cond):
@@ -178,7 +178,7 @@ class TestSample:
     @pytest.mark.parametrize("tau", [0.0, 1.0])
     def test_stacked_streams_equal_single_runs(self, tau):
         # a row-wise predictor: chain k of the stack sees only its own rows
-        sched = make_linear_schedule(20)
+        sched = make_linear_schedule(20, 1e-4, 0.02)
         pred = lambda z, t, c: np.tanh(z) * (0.01 * t) + c
         streams = [RngStream(4, ("n",)).child("sample", k) for k in range(3)]
         stacked = sample(pred, 0.5, (5, 2), sched, tau, streams)
@@ -187,7 +187,7 @@ class TestSample:
         assert np.array_equal(stacked, np.concatenate(alone))
 
     def test_exact_noise_collapse_stacked(self):
-        sched = make_linear_schedule(100)
+        sched = make_linear_schedule(100, 1e-4, 0.02)
         z_star = np.random.default_rng(8).normal(size=(4, 4))
         target = np.tile(z_star, (3, 1))
 
@@ -199,21 +199,21 @@ class TestSample:
         assert np.max(np.abs(out - target)) <= 1e-9
 
     def test_bad_predictor_and_no_streams(self):
-        sched = make_linear_schedule(10)
+        sched = make_linear_schedule(10, 1e-4, 0.02)
         with pytest.raises(ShapeError):
             sample(lambda z, t, c: z[:1], None, (2, 2), sched, 0.0, RngStream(0))
         with pytest.raises(InputError):
             sample(lambda z, t, c: z, None, (2, 2), sched, 0.0, [])
 
     def test_stochastic_determinism(self):
-        sched = make_linear_schedule(20)
+        sched = make_linear_schedule(20, 1e-4, 0.02)
         pred = lambda z, t, c: 0.1 * z
         a = sample(pred, None, (4, 4), sched, 1.0, RngStream(9, ("s",)))
         b = sample(pred, None, (4, 4), sched, 1.0, RngStream(9, ("s",)))
         assert np.array_equal(a, b)
 
     def test_temperature_changes_only_stochastic_runs(self):
-        sched = make_linear_schedule(20)
+        sched = make_linear_schedule(20, 1e-4, 0.02)
         pred = lambda z, t, c: 0.1 * z
         a = sample(pred, None, (4, 4), sched, 0.0, RngStream(9, ("s",)))
         b = sample(pred, None, (4, 4), sched, 0.5, RngStream(9, ("s",)))

@@ -46,7 +46,7 @@ def assert_f32_close(a_trace, b_trace, latent_tol=LATENT_TOL, depth_rtol=DEPTH_R
 
 
 def small_model(seed=0, T=10, hidden=(16, 16)):
-    return init_model(CFG, seed=seed, sched=make_linear_schedule(T), hidden=hidden,
+    return init_model(CFG, seed=seed, sched=make_linear_schedule(T, 1e-4, 0.02), hidden=hidden,
                       feature_dim=4, time_dim=4, timestep_reuse=2)
 
 
@@ -91,7 +91,7 @@ class TestTrainStep:
     def test_losses_finite_and_nonnegative(self):
         model = small_model()
         image, gt = scene(3)
-        losses = train_step(model, image, gt, RngStream(0, ("s",)), lr=1e-3)
+        losses = train_step(model, image, gt, RngStream(0, ("s",)), lr=1e-3, weight_decay=0.05)
         assert len(losses) == 3
         assert all(np.isfinite(l) and l >= 0 for l in losses)
 
@@ -100,7 +100,8 @@ class TestTrainStep:
         runs = []
         for _ in range(2):
             model = small_model(seed=5)
-            runs.append(train_step(model, image, gt, RngStream(1, ("s",)), lr=1e-3))
+            runs.append(train_step(model, image, gt, RngStream(1, ("s",)), lr=1e-3,
+                                   weight_decay=0.05))
         assert runs[0] == runs[1]
 
     def test_initial_loss_near_unit_variance(self):
@@ -110,16 +111,18 @@ class TestTrainStep:
         for step in range(100):
             image, gt = scene(100 + step)
             # lr=0 keeps parameters at initialization
-            total.append(np.mean(train_step(model, image, gt, rng.child(step), lr=0.0)))
+            total.append(np.mean(train_step(model, image, gt, rng.child(step), lr=0.0,
+                                            weight_decay=0.05)))
         assert np.mean(total) == pytest.approx(1.0, abs=0.2)
 
     def test_loss_decreases_with_training(self):
         model = small_model(seed=7, T=20)
         image, gt = scene(8)
         rng = RngStream(3, ("t",))
-        first = np.mean(train_step(model, image, gt, rng.child(0), lr=3e-3))
+        first = np.mean(train_step(model, image, gt, rng.child(0), lr=3e-3, weight_decay=0.05))
         for step in range(1, 60):
-            last = np.mean(train_step(model, image, gt, rng.child(step), lr=3e-3))
+            last = np.mean(train_step(model, image, gt, rng.child(step), lr=3e-3,
+                                      weight_decay=0.05))
         assert last < first
 
 
@@ -173,10 +176,11 @@ class TestStackedTrainStep:
     def _model(name, R, seed=4):
         if name == "desk":
             return init_model(named_scale_config("desk"), seed=seed,
-                              sched=make_linear_schedule(60), timestep_reuse=R)
+                              sched=make_linear_schedule(60, 1e-4, 0.02), hidden=(256, 256, 256),
+                              feature_dim=16, time_dim=16, timestep_reuse=R)
         cfg = ScaleConfig(levels=((2, 1), (8, 2)), d_min=0.1, d_max=10.0)
-        return init_model(cfg, seed=seed, sched=make_linear_schedule(30), hidden=(24, 24),
-                          feature_dim=4, time_dim=6, timestep_reuse=R)
+        return init_model(cfg, seed=seed, sched=make_linear_schedule(30, 1e-4, 0.02),
+                          hidden=(24, 24), feature_dim=4, time_dim=6, timestep_reuse=R)
 
     @pytest.mark.parametrize("R", [1, 2, 4])
     @pytest.mark.parametrize("name", ["two_level", "desk"])
@@ -186,7 +190,7 @@ class TestStackedTrainStep:
         rng = RngStream(9, ("stack",))
         for step in range(3):
             image, gt = bench.gen_scene(bench.SceneSpec(seed=step, resolution=res))
-            a = train_step(stacked, image, gt, rng.child(step), lr=2e-3)
+            a = train_step(stacked, image, gt, rng.child(step), lr=2e-3, weight_decay=0.05)
             b = _per_draw_step(reference, image, gt, rng.child(step), lr=2e-3)
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
         # relative in each tensor's norm: AdamW divides every entry by its own
@@ -205,7 +209,8 @@ class TestStackedTrainStep:
         model = self._model("two_level", 2, seed=5)
         # a few steps away from the initialisation, so no gradient is trivial
         for step in range(3):
-            train_step(model, *scene(20 + step), RngStream(2, ("fd", step)), lr=3e-3)
+            train_step(model, *scene(20 + step), RngStream(2, ("fd", step)), lr=3e-3,
+                       weight_decay=0.05)
         image, gt = scene(30)
         rng = RngStream(3, ("fd",))          # the same draws on every call
         _, grads = fractal_mod.loss_and_grads(model, image, gt, rng)
@@ -317,7 +322,7 @@ class TestGenerate:
             return np.zeros_like(z)
 
         generate(model, image, RngStream(8, ("c",)), tau=0.0, predictor=count)
-        assert tuple(seen[i] for i in range(3)) == model.plan.token_counts
+        assert [seen[i] for i in range(3)] == [l.token_count for l in model.plan.levels]
 
 
 class TestGenerateHoistedCondition:
@@ -337,11 +342,13 @@ class TestGenerateHoistedCondition:
     def test_matches_full_concat(self, levels, tau):
         if levels is None:
             cfg = named_scale_config("desk")
-            model = init_model(cfg, seed=3, sched=make_linear_schedule(60))
+            model = init_model(cfg, seed=3, sched=make_linear_schedule(60, 1e-4, 0.02),
+                               hidden=(256, 256, 256), feature_dim=16, time_dim=16,
+                               timestep_reuse=4)
         else:
             cfg = ScaleConfig(levels=levels, d_min=0.1, d_max=10.0)
-            model = init_model(cfg, seed=3, sched=make_linear_schedule(30), hidden=(32, 32),
-                               feature_dim=4, time_dim=6)
+            model = init_model(cfg, seed=3, sched=make_linear_schedule(30, 1e-4, 0.02),
+                               hidden=(32, 32), feature_dim=4, time_dim=6, timestep_reuse=4)
         res = cfg.final_resolution
         image = np.random.default_rng(4).uniform(0, 1, (res, res, 3))
         a = generate(model, image, RngStream(12, ("h",)), tau=tau)
@@ -355,11 +362,12 @@ def _batch_model(name):
     """A small model on the desk layout, or on a 2-level layout whose 144
     finest tokens put a sample boundary inside a row block."""
     if name == "desk":
-        return init_model(named_scale_config("desk"), seed=2, sched=make_linear_schedule(8),
-                          hidden=(32, 32), feature_dim=4, time_dim=4)
+        return init_model(named_scale_config("desk"), seed=2,
+                          sched=make_linear_schedule(8, 1e-4, 0.02), hidden=(32, 32),
+                          feature_dim=4, time_dim=4, timestep_reuse=4)
     cfg = ScaleConfig(levels=((3, 1), (12, 1)), d_min=0.1, d_max=10.0)
-    return init_model(cfg, seed=2, sched=make_linear_schedule(8), hidden=(24, 24),
-                      feature_dim=4, time_dim=6)
+    return init_model(cfg, seed=2, sched=make_linear_schedule(8, 1e-4, 0.02), hidden=(24, 24),
+                      feature_dim=4, time_dim=6, timestep_reuse=4)
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "desk_seed0.fadn"
@@ -418,9 +426,9 @@ class TestRespacedReference:
         from fractaldepth import bench
         model = _reference_model()
         cfg = bench.RunConfig()
-        mean, _ = bench.run_eval(cfg, None, None, model=model)
+        mean, _ = bench.run_eval(cfg, model, None, 16)
         assert mean.rmse <= 1.02 * self.FULL_CHAIN_RMSE
-        ((_, fused, _),) = bench.run_multisample(cfg, None, [8], None, n_scenes=4, model=model)
+        ((_, fused, _),) = bench.run_multisample(cfg, model, [8], None, 4)
         assert fused.rmse <= self.FULL_CHAIN_FUSED_RMSE
 
 
@@ -478,7 +486,7 @@ class TestBatchedGenerate:
         model = small_model()
         image, _ = scene(1)
         with pytest.raises(InputError):
-            generate(model, image, [])
+            generate(model, image, [], tau=0.0)
 
 
 class TestNonFiniteImage:
@@ -488,7 +496,7 @@ class TestNonFiniteImage:
         image, _ = scene(16)
         image[3, 5, 1] = bad
         with pytest.raises(InputError):
-            generate(model, image, RngStream(0, ("n",)))
+            generate(model, image, RngStream(0, ("n",)), tau=0.0)
         with pytest.raises(InputError):
             generate(model, image, [RngStream(0, ("n",)), RngStream(1, ("n",))], tau=1.0)
 
@@ -536,7 +544,7 @@ class TestPersistence:
     def test_model_round_trip(self, tmp_path):
         model = small_model(seed=9)
         image, gt = scene(14)
-        train_step(model, image, gt, RngStream(9, ("p",)), lr=1e-3)
+        train_step(model, image, gt, RngStream(9, ("p",)), lr=1e-3, weight_decay=0.05)
         path = tmp_path / "m.fadn"
         save_model(path, model)
         loaded = load_model(path)
@@ -621,6 +629,19 @@ class TestPersistence:
         path = tmp_path / "m.fadn"
         self._rewrite(path, zero_width)
         with pytest.raises(ConfigError, match="m.fadn.*layer sizes"):
+            load_model(path)
+
+    def test_odd_time_dim_rejected(self, tmp_path):
+        # tensors that agree with time_dim = 3 (one embedding row fewer in
+        # each w0), so only the time_dim check can reject it
+        def odd_time_dim(p, m):
+            m["time_dim"] = 3
+            for i in range(len(CFG.levels)):
+                p[f"mlp{i}.w0"] = p[f"mlp{i}.w0"][1:].copy()
+
+        path = tmp_path / "m.fadn"
+        self._rewrite(path, odd_time_dim)
+        with pytest.raises(ConfigError, match="m.fadn.*time_dim even"):
             load_model(path)
 
     def test_trace_dump(self, tmp_path):

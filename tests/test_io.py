@@ -19,7 +19,7 @@ class TestPgm16:
         rng = np.random.default_rng(0)
         d = DepthMap(values=rng.uniform(0.5, 8.0, (7, 5)))
         path = tmp_path / "d.pgm"
-        write_pgm16(path, d, counts_per_meter=256.0)
+        write_pgm16(path, d)
         raster = _pgm_raster(path, 7, 5)
         assert np.array_equal(raster, np.round(d.values * 256.0))
         # quantization at 256 counts/m: error bounded by half a count
@@ -29,7 +29,7 @@ class TestPgm16:
         # valid pixels keep a count in [1, 65535]: 0 is reserved for invalid
         d = DepthMap(values=np.array([[1e-6, 0.5, 1e3]]))
         path = tmp_path / "c.pgm"
-        write_pgm16(path, d, counts_per_meter=256.0)
+        write_pgm16(path, d)
         assert _pgm_raster(path, 1, 3).tolist() == [[1, 128, 65535]]
 
     def test_invalid_pixels_zero(self, tmp_path):
@@ -52,10 +52,10 @@ class TestPgm16:
 
     def test_raster_bytes_resembling_whitespace(self, tmp_path):
         # counts of 0x0A0A etc. are written as they are, big-endian, right
-        # after the single newline that ends the header
+        # after the single newline that ends the header (count / 256 m is exact)
         counts = np.array([[0x0A0A, 0x2020], [0x0D0A, 0x0909]], dtype=">u2")
         path = tmp_path / "ws.pgm"
-        write_pgm16(path, DepthMap(values=counts.astype(np.float64)), counts_per_meter=1.0)
+        write_pgm16(path, DepthMap(values=counts / 256.0))
         assert path.read_bytes() == b"P5\n2 2\n65535\n" + counts.tobytes()
 
 

@@ -276,7 +276,7 @@ class TestAdamW:
         p = {"w": np.zeros(3)}
         grad = np.array([1.0, -2.0, 0.5])
         st = AdamWState()
-        adamw_step(p, {"w": grad.copy()}, st, lr=0.01, weight_decay=0.0, eps=1e-8)
+        adamw_step(p, {"w": grad.copy()}, st, lr=0.01, weight_decay=0.0)
         expect = -0.01 * grad / (np.abs(grad) + 1e-8)
         assert np.allclose(p["w"], expect)
 
@@ -290,14 +290,14 @@ class TestAdamW:
         p = {"w": np.ones(2)}
         st = AdamWState()
         with pytest.raises(NumericsError):
-            adamw_step(p, {"w": np.array([1.0, np.nan])}, st, lr=0.1)
+            adamw_step(p, {"w": np.array([1.0, np.nan])}, st, lr=0.1, weight_decay=0.05)
         assert st.step == 0 and np.allclose(p["w"], 1.0)
 
     def test_shape_mismatch_rejected_state_unchanged(self):
         p = {"a": np.ones(2), "b": np.ones(3)}
         st = AdamWState()
         with pytest.raises(ShapeError):
-            adamw_step(p, {"a": np.ones(2), "b": np.ones(4)}, st, lr=0.1)
+            adamw_step(p, {"a": np.ones(2), "b": np.ones(4)}, st, lr=0.1, weight_decay=0.05)
         assert st.step == 0 and not st.m and np.all(p["a"] == 1.0)
 
     @staticmethod
@@ -343,11 +343,11 @@ class TestAdamW:
         rng = np.random.default_rng(0)
         grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
         st = AdamWState()
-        adamw_step(params, grads, st, lr=1e-3)        # makes the moments
+        adamw_step(params, grads, st, lr=1e-3, weight_decay=0.05)    # makes the moments
         largest = max(p.nbytes for p in params.values())
         tracemalloc.start()
         try:
-            adamw_step(params, grads, st, lr=1e-3)
+            adamw_step(params, grads, st, lr=1e-3, weight_decay=0.05)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -404,7 +404,7 @@ class TestCheckpoint:
 
     def test_magic_bytes(self, tmp_path):
         path = tmp_path / "m.fadn"
-        save_checkpoint(path, {"x": np.zeros(2)})
+        save_checkpoint(path, {"x": np.zeros(2)}, {})
         assert path.read_bytes()[:5] == b"FADN1"
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -477,8 +477,8 @@ class TestFuse:
 class TestUncertaintyStats:
     def test_histogram_counts(self):
         u = np.array([0.0, 0.5, 1.0, 2.0])
-        hist, edges, _ = uncertainty_stats(u, bins=4)
-        assert hist.sum() == 4
+        hist, edges, _ = uncertainty_stats(u, 1.0)
+        assert hist.sum() == 4 and len(edges) == 65
         assert edges[0] == 0.0 and edges[-1] == 2.0
 
     def test_exceedance(self):
@@ -487,12 +487,12 @@ class TestUncertaintyStats:
         assert exc == pytest.approx(0.5)
 
     def test_all_zero(self):
-        hist, edges, exc = uncertainty_stats(np.zeros((4, 4)))
+        hist, edges, exc = uncertainty_stats(np.zeros((4, 4)), 1.0)
         assert hist.sum() == 16 and exc == 0.0
 
     def test_nonfinite_rejected(self):
         with pytest.raises(InputError):
-            uncertainty_stats(np.array([0.1, np.inf]))
+            uncertainty_stats(np.array([0.1, np.inf]), 1.0)
 
     @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
     def test_nonfinite_threshold_rejected(self, threshold):
