@@ -17,7 +17,7 @@ from .fractal import (FractalModel, decode_level_depth, generate, init_model,  #
                       load_model, save_model, train_step)
 from .nnet import LrSchedule, lr_at
 from .rng import RngStream
-from .urca import URCAConfig, fuse, reliability, uncertainty_stats
+from .urca import URCAConfig, fuse, uncertainty_stats
 
 
 # --- Scene generation ------------------------------------------------------
@@ -253,11 +253,16 @@ def _mean_report(reports) -> MetricsReport:
                            for f in fields(MetricsReport)])
 
 
+def model_scene(model: FractalModel, seed: int):
+    """The scene of ``seed`` at the model's final resolution."""
+    return gen_scene(SceneSpec(seed=seed, resolution=model.cfg.final_resolution))
+
+
 def eval_scenes(model: FractalModel, cfg: RunConfig, scene_seeds, rng: RngStream):
     """Single-sample evaluation; returns (mean MetricsReport, per-scene list)."""
     reports = []
     for s in scene_seeds:
-        image, gt = gen_scene(cfg.scene_spec(s))
+        image, gt = model_scene(model, s)
         trace = generate(model, image, rng.child("eval", s), tau=cfg.tau)
         reports.append(metrics(trace.final, gt))
     return _mean_report(reports), reports
@@ -320,14 +325,13 @@ def multisample_scene(model: FractalModel, cfg: RunConfig, scene_seed: int, n: i
     and a row of a float32 product of one row count (at level 0, one row per
     sample) may round differently from the same row at another.
     """
-    image, gt = gen_scene(cfg.scene_spec(scene_seed))
+    image, gt = model_scene(model, scene_seed)
     srng = rng.child("scene", scene_seed)
     traces = generate(model, image, [srng.child("sample", k) for k in range(n)],
                       tau=cfg.multisample_tau)
-    ucfg = URCAConfig()
     levels = [decode_level_depth(latent, model) for latent in traces[0].latents]
-    out = fuse([t.final for t in traces], levels, ucfg)
-    return out, reliability(out.uncertainty, n, ucfg), gt
+    out = fuse([t.final for t in traces], levels, URCAConfig())
+    return out, out.reliability, gt
 
 
 def run_multisample(cfg: RunConfig, model: FractalModel, n_list, out_csv, n_scenes: int):

@@ -85,10 +85,10 @@ def cmd_eval(args) -> int:
 def cmd_sample(args) -> int:
     cfg = _load_cfg(args)
     model = load_model(args.checkpoint)
-    image, _ = bench.gen_scene(cfg.scene_spec(args.seed if args.seed is not None else 0))
+    image, _ = bench.model_scene(model, args.seed if args.seed is not None else 0)
     trace = generate(model, image, RngStream(cfg.seed, ("sample",)), tau=cfg.tau)
     save_trace(trace, args.out, {"seed": cfg.seed, "tau": cfg.tau,
-                                 "config": cfg.scale_config, "steps": sample_steps(model)})
+                                 "levels": model.cfg.levels, "steps": sample_steps(model)})
     print(f"trace written to {args.out}")
     return 0
 
@@ -107,8 +107,7 @@ def cmd_fuse(args) -> int:
             raise InputError(f"{args.trace_dir}: expected {names}, found {sorted(found)}")
         trace_depths = [decode_level_depth(imgio.read_pfm(os.path.join(args.trace_dir, n)), model)
                         for n in names]
-    ucfg = urca.URCAConfig()
-    out = urca.fuse(samples, trace_depths, ucfg)
+    out = urca.fuse(samples, trace_depths, urca.URCAConfig())
     os.makedirs(args.out, exist_ok=True)
     align = out.alignment
     with open(os.path.join(args.out, "alignment.txt"), "w") as f:
@@ -121,9 +120,8 @@ def cmd_fuse(args) -> int:
         print(f"warning: alignment did not converge in {align.iterations} iterations")
     imgio.write_pfm(os.path.join(args.out, "consensus.pfm"), out.consensus.values)
     imgio.write_pgm16(os.path.join(args.out, "consensus.pgm"), out.consensus)
-    u_norm = urca.reliability(out.uncertainty, len(samples), ucfg)
-    imgio.write_pfm(os.path.join(args.out, "uncertainty.pfm"), u_norm)
-    hist, edges, frac = urca.uncertainty_stats(u_norm, cfg.uncertainty_threshold)
+    imgio.write_pfm(os.path.join(args.out, "uncertainty.pfm"), out.reliability)
+    hist, edges, frac = urca.uncertainty_stats(out.reliability, cfg.uncertainty_threshold)
     bench._write_csv(os.path.join(args.out, "uncertainty_stats.csv"), ["bin_left", "count"],
                      [[f"{left:.6f}", int(count)] for left, count in zip(edges[:-1], hist)])
     print(f"fraction of pixels with U > {cfg.uncertainty_threshold}: {frac:.6f}")
@@ -136,10 +134,10 @@ def main(argv=None) -> int:
                                      description="Fractal next-scale depth generation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *overrides):
         p.add_argument("--config", help="key=value run config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tau", type=float, default=None)
+        for name in overrides:      # the run settings the command reads
+            p.add_argument(f"--{name}", type={"seed": int, "tau": float}[name], default=None)
         p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("plan", help="print per-level token accounting")
@@ -147,22 +145,22 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("scene", help="generate a synthetic RGB/depth scene")
-    common(p)
+    common(p, "seed")
     p.set_defaults(func=cmd_scene)
 
     p = sub.add_parser("train", help="train a model on synthetic scenes")
-    common(p)
+    common(p, "seed", "tau")
     p.add_argument("--scale-config", default=None, choices=sorted(NAMED_CONFIGS))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="single-sample evaluation of a checkpoint")
-    common(p)
+    common(p, "seed", "tau")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--scenes", type=int, default=16)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sample", help="one generation pass, dump the trace")
-    common(p)
+    common(p, "seed", "tau")
     p.add_argument("--checkpoint", required=True)
     p.set_defaults(func=cmd_sample)
 

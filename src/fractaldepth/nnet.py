@@ -5,7 +5,8 @@ output) on (batch, dim) inputs.  One forward loop serves every caller: it
 optionally takes the layer-0 pre-activation of hoisted input columns and
 optionally keeps the activations its backward needs.  Backward passes are
 written out explicitly and validated against central finite differences; no
-autodiff framework is involved.
+autodiff framework is involved.  The in-place SiLU and its derivative also
+serve the conv pyramid of :mod:`vcfr`.
 """
 
 from __future__ import annotations
@@ -27,15 +28,27 @@ from .rng import RngStream
 # The sigmoid 1 / (1 + inf) is then 0 and silu(x) = x / inf is -0, their
 # limits, so the overflow is not reported.
 
-def silu(x: np.ndarray) -> np.ndarray:
+def silu_inplace(a: np.ndarray, keep_sigmoid: bool):
+    """silu(a) = a / (1 + exp(-a)) into ``a``, through one scratch array, bit
+    for bit the out-of-place result; returns the sigmoid 1 / (1 + exp(-a))
+    in that array when ``keep_sigmoid``, else ``None``."""
+    e = np.negative(a)
     with np.errstate(over="ignore"):
-        return x / (1.0 + np.exp(-x))
+        np.exp(e, out=e)
+    e += 1.0
+    a /= e
+    return np.reciprocal(e, out=e) if keep_sigmoid else None
 
 
-def silu_grad(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        s = 1.0 / (1.0 + np.exp(-x))
-    return s * (1.0 + x * (1.0 - s))
+def silu_grad_inplace(h: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """silu'(a) = s + h (1 - s) from h = silu(a) and s = sigmoid(a), with no
+    exp: written as h q + 1 - q with q = 1 - s, into ``h`` (returned) and
+    ``s``, so a cache that held them serves one backward."""
+    q = np.subtract(1.0, s, out=s)
+    h *= q
+    h += 1.0
+    h -= q
+    return h
 
 
 def time_embed(t, dim: int) -> np.ndarray:
@@ -143,14 +156,7 @@ def mlp_forward(params: MlpParams, x: np.ndarray, pre0: np.ndarray = None,
         a = h @ w[:h.shape[1]]
         a += pre0 if i == 0 else b
         if i != n_layers - 1:
-            # silu(a) = a / (1 + exp(-a)) with e = 1 + exp(-a) as scratch
-            e = np.negative(a)
-            with np.errstate(over="ignore"):
-                np.exp(e, out=e)
-            e += 1.0
-            a /= e
-            if want_cache:
-                sigmoids.append(np.reciprocal(e, out=e))
+            sigmoids.append(silu_inplace(a, want_cache))
         h = a
     return h, ((inputs, sigmoids) if want_cache else None)
 
@@ -187,15 +193,9 @@ def mlp_backward(params: MlpParams, cache, grad_out: np.ndarray) -> MlpGrads:
     dbs = [None] * n_layers
     for i in range(n_layers - 1, -1, -1):
         if i != n_layers - 1:
-            # silu'(a) = s + h (1 - s) from the kept sigmoid s and h = silu(a),
-            # written as h q + 1 - q with q = 1 - s into the two cached arrays
-            # (no later step reads them); g is this call's own array here
-            h = inputs[i + 1]
-            q = np.subtract(1.0, sigmoids[i], out=sigmoids[i])
-            h *= q
-            h += 1.0
-            h -= q
-            g *= h
+            # no later step reads inputs[i + 1] or sigmoids[i]; g is this
+            # call's own array here
+            g *= silu_grad_inplace(inputs[i + 1], sigmoids[i])
         dws[i] = inputs[i].T @ g
         dbs[i] = g.sum(axis=0)
         if i:

@@ -266,7 +266,8 @@ def _consensus_minimize(s: np.ndarray, r, cfg: URCAConfig):
 class ConsensusOutput:
     consensus: DepthMap
     uncertainty: np.ndarray     # per-pixel minimum energy, >= 0
-    alignment: AlignmentParams = None
+    reliability: np.ndarray     # the reliability proxy U, see fuse
+    alignment: AlignmentParams
 
 
 def fuse(samples, trace_depths=None, cfg: URCAConfig = URCAConfig()) -> ConsensusOutput:
@@ -276,6 +277,9 @@ def fuse(samples, trace_depths=None, cfg: URCAConfig = URCAConfig()) -> Consensu
     ``trace_depths`` are the per-level decoded maps (coarse -> fine) of one
     generation run, each affine-fitted to the aligned sample mean before
     entering the recursive term.
+    The reliability proxy U is the energy over N times its weight, N + gamma
+    with the recursive term and N without: the mean disagreement, times 1/N
+    for the uncertainty of the consensus.
     """
     align = align_samples(samples, cfg)
     aligned = np.stack([align.alpha[i] * samples[i].values + align.beta[i]
@@ -295,16 +299,11 @@ def fuse(samples, trace_depths=None, cfg: URCAConfig = URCAConfig()) -> Consensu
             fitted.append(coef[0] * d.values + coef[1])
         r = np.stack(fitted)
     m, u = _consensus_minimize(aligned, r, cfg)
+    n = len(samples)
     mask = np.logical_and.reduce([s.valid_mask for s in samples])
-    return ConsensusOutput(consensus=DepthMap(values=m, valid_mask=mask),
-                           uncertainty=u, alignment=align)
-
-
-def reliability(u: np.ndarray, n: int, cfg: URCAConfig) -> np.ndarray:
-    """The reliability proxy U = u / (n (n + gamma)) of ``n`` fused samples:
-    the consensus energy ``u`` per unit weight is their mean disagreement, and
-    the extra 1/n makes it the uncertainty of the consensus, shrinking with n."""
-    return u / (n * (n + cfg.gamma))
+    return ConsensusOutput(consensus=DepthMap(values=m, valid_mask=mask), uncertainty=u,
+                           reliability=u / (n * (n + cfg.gamma)) if r is not None else u / (n * n),
+                           alignment=align)
 
 
 def uncertainty_stats(u_map: np.ndarray, threshold: float):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import ScaleConfig, downsample_mean, downsample_mean_adjoint, latent_to_log_depth
 from .errors import ShapeError
-from .nnet import silu, silu_grad
+from .nnet import silu_grad_inplace, silu_inplace
 from .rng import RngStream
 
 
@@ -58,17 +58,12 @@ def conv3x3_input_grad(grad_a: np.ndarray, w: np.ndarray) -> np.ndarray:
         for dj in range(3):
             # grad wrt padded x at offset (di, dj) of each window
             dxp[di:di + h, dj:dj + wd] += grad_a @ w[di, dj].T
-    # fold edge-replicated borders back onto the interior
-    dx = dxp[1:-1, 1:-1].copy()
-    dx[0, :] += dxp[0, 1:-1]
-    dx[-1, :] += dxp[-1, 1:-1]
-    dx[:, 0] += dxp[1:-1, 0]
-    dx[:, -1] += dxp[1:-1, -1]
-    dx[0, 0] += dxp[0, 0]
-    dx[0, -1] += dxp[0, -1]
-    dx[-1, 0] += dxp[-1, 0]
-    dx[-1, -1] += dxp[-1, -1]
-    return dx
+    # fold the edge-padding border onto the interior: rows, then columns
+    dxp[1] += dxp[0]
+    dxp[-2] += dxp[-1]
+    dxp[:, 1] += dxp[:, 0]
+    dxp[:, -2] += dxp[:, -1]
+    return dxp[1:-1, 1:-1]
 
 
 @dataclass
@@ -106,32 +101,32 @@ def extract_features(image: np.ndarray, cfg: ScaleConfig, params: ConvPyramidPar
     """Per-level feature grids from an (H, W, 3) image in [0, 1], and the
     cache :func:`extract_features_backward` reads.
 
-    The cache holds both layers' pre-activations and padded inputs; a
-    caller with no backward to run drops it at once.
+    SiLU runs in place, as in :func:`nnet.mlp_forward`.  The cache holds each
+    layer's padded input and sigmoid and the output features (layer 2's
+    padded input holds layer 1's output); a caller with no backward drops it.
     """
     image = np.asarray(image, dtype=np.float64)
     res_final = cfg.final_resolution
     if image.shape != (res_final, res_final, 3):
         raise ShapeError(f"image shape {image.shape} != ({res_final}, {res_final}, 3)")
-    a1, xp1 = conv3x3_forward(image, params.w1, params.b1)
-    h1 = silu(a1)
-    a2, xp2 = conv3x3_forward(h1, params.w2, params.b2)
-    f = silu(a2)
-    return [downsample_mean(f, res) for res, _ in cfg.levels], (a1, xp1, a2, xp2)
+    h1, xp1 = conv3x3_forward(image, params.w1, params.b1)
+    s1 = silu_inplace(h1, True)
+    f, xp2 = conv3x3_forward(h1, params.w2, params.b2)
+    s2 = silu_inplace(f, True)
+    return [downsample_mean(f, res) for res, _ in cfg.levels], (xp1, s1, xp2, s2, f)
 
 
 def extract_features_backward(grad_feats, cfg: ScaleConfig, params: ConvPyramidParams, cache) -> dict:
-    """Accumulate per-level feature-grid gradients into conv parameter grads."""
-    a1, xp1, a2, xp2 = cache
+    """Accumulate per-level feature-grid gradients into conv parameter grads;
+    the SiLU derivatives are formed in the cache, so it serves one backward."""
+    xp1, s1, xp2, s2, f = cache
     res_final = cfg.final_resolution
-    df = np.zeros(a2.shape)
+    da2 = np.zeros(f.shape)
     for (res, _), g in zip(cfg.levels, grad_feats):
-        if g is None:
-            continue
-        df += downsample_mean_adjoint(g, res_final // res)
-    da2 = df * silu_grad(a2)
+        da2 += downsample_mean_adjoint(g, res_final // res)
+    da2 *= silu_grad_inplace(f, s2)
     dw2, db2 = conv3x3_backward(da2, xp2, params.w2)
-    da1 = conv3x3_input_grad(da2, params.w2) * silu_grad(a1)
+    da1 = conv3x3_input_grad(da2, params.w2) * silu_grad_inplace(xp2[1:-1, 1:-1], s1)
     dw1, db1 = conv3x3_backward(da1, xp1, params.w1)
     return ConvPyramidParams(w1=dw1, b1=db1, w2=dw2, b2=db2).named()
 

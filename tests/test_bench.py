@@ -279,6 +279,16 @@ class TestRunners:
                 assert np.max(np.abs(x - y)) <= eps32
             assert np.max(np.abs(a.final.values - b.final.values) / b.final.values) <= 2.3 * eps32
 
+    def test_scenes_at_model_scale(self):
+        # a paper-scale model under the desk run config: the scenes follow
+        # the model's resolution, not cfg.scale_config
+        cfg = _tiny_cfg()
+        model = build_model(_tiny_cfg(scale_config="paper"))
+        out, u_norm, gt = multisample_scene(model, cfg, 42, 2, RngStream(0, ("m",)))
+        assert out.consensus.values.shape == u_norm.shape == gt.values.shape == (256, 256)
+        mean, reports = run_eval(cfg, model, None, 1)
+        assert len(reports) == 1 and np.isfinite(mean.rmse)
+
     def test_multisample_normalises_by_fusion_gamma(self, monkeypatch):
         # u_norm divides by N (N + gamma) with the gamma the fusion used
         import fractaldepth.bench as bench_mod

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fractaldepth import fractal, urca
+from fractaldepth.bench import RunConfig, build_model
 from fractaldepth.cli import main
 from fractaldepth.imgio import read_depth_pfm, read_pfm
 from fractaldepth.urca import URCAConfig
@@ -112,7 +113,8 @@ class TestPipelines:
 
     def test_fuse_writes_normalised_uncertainty(self, tiny_run, capsys):
         # uncertainty.pfm and the printed fraction are the reliability proxy
-        # of run_multisample, U / (N (N + gamma)), not the raw energy
+        # U, not the raw energy; without --trace-dir no recursive term
+        # enters the energy, so U is the energy over N * N
         cfg, ckpt, root = tiny_run
         for seed in (10, 11):
             main(["sample", "--config", str(cfg), "--checkpoint", str(ckpt),
@@ -121,9 +123,8 @@ class TestPipelines:
         code, out = run(capsys, "fuse", "--config", str(cfg), *map(str, paths),
                         "--out", str(root / "norm"))
         assert code == 0
-        ucfg = URCAConfig()
-        raw = urca.fuse([read_depth_pfm(p) for p in paths], None, ucfg).uncertainty
-        u_norm = raw / (2 * (2 + ucfg.gamma))
+        raw = urca.fuse([read_depth_pfm(p) for p in paths], None, URCAConfig()).uncertainty
+        u_norm = raw / 2 ** 2
         assert np.array_equal(read_pfm(root / "norm" / "uncertainty.pfm"),
                               u_norm.astype(np.float32).astype(np.float64))
         assert f"fraction of pixels with U > 1.0: {np.mean(u_norm > 1.0):.6f}" in out
@@ -172,6 +173,40 @@ class TestPipelines:
                      str(root / change / "depth.pfm"), "--trace-dir", str(root / change),
                      "--checkpoint", str(ckpt), "--out", str(root / f"{change}_fused")])
         assert code == 2 and capsys.readouterr().err.startswith("InputError: ")
+
+
+class TestModelScale:
+    """sample and eval build their scenes at the checkpoint's resolution,
+    whatever the run config's scale."""
+
+    def test_paper_checkpoint_without_config(self, tmp_path, capsys):
+        model = build_model(RunConfig(scale_config="paper"))
+        ckpt = tmp_path / "paper.fadn"
+        fractal.save_model(ckpt, model)
+        code, _ = run(capsys, "sample", "--checkpoint", str(ckpt), "--out", str(tmp_path / "s"))
+        assert code == 0
+        assert read_depth_pfm(tmp_path / "s" / "depth.pfm").values.shape == (256, 256)
+        fields = dict(line.split("=", 1)
+                      for line in (tmp_path / "s" / "manifest.txt").read_text().splitlines())
+        assert fields["levels"] == str(model.cfg.levels) and "config" not in fields
+        code, out = run(capsys, "eval", "--checkpoint", str(ckpt), "--scenes", "1",
+                        "--out", str(tmp_path / "e"))
+        assert code == 0 and "mean: abs_rel=" in out
+
+
+class TestRemovedOptions:
+    """Options a command never reads are not accepted."""
+
+    @pytest.mark.parametrize("argv", [
+        ["scene", "--tau", "1.0"],
+        ["fuse", "a.pfm", "--seed", "1"],
+        ["fuse", "a.pfm", "--tau", "1.0"]], ids=["scene_tau", "fuse_seed", "fuse_tau"])
+    def test_unrecognized(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestTypedErrors:

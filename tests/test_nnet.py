@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from fractaldepth.errors import ConfigError, NumericsError, ShapeError
 from fractaldepth.nnet import (AdamWState, LrSchedule, MlpParams, adamw_step, grad_check,
                                init_mlp, load_checkpoint, lr_at, mlp_backward, mlp_forward,
-                               save_checkpoint, silu, silu_grad, time_embed)
+                               save_checkpoint, time_embed)
+from fractaldepth.core import ScaleConfig
 from fractaldepth.rng import RngStream
+from fractaldepth.vcfr import ConvPyramidParams, extract_features, extract_features_backward
 
 
 class TestTimeEmbed:
@@ -133,7 +135,7 @@ class TestMlpForwardNoCache:
             if i == len(params.weights) - 1:
                 return a, inputs, sigmoids
             sigmoids.append(1.0 / (1.0 + np.exp(-a)))
-            h = silu(a)
+            h = a / (1.0 + np.exp(-a))
 
     @pytest.mark.parametrize("rows", [1, 16, 256, 257, 300])
     def test_bit_identical(self, rows):
@@ -193,7 +195,8 @@ class TestMlpForwardFloat32:
 
 class TestSiluOverflow:
     """exp(-x) overflows below x = -88.7 in float32 and -709 in float64;
-    silu and its derivative then take their limits, with no warning."""
+    silu and its derivative then take their limits, with no warning, in the
+    MLP and in the conv pyramid."""
 
     @pytest.mark.parametrize("dtype, x", [(np.float32, -100.0), (np.float64, -800.0)])
     def test_limits_without_warning(self, dtype, x):
@@ -201,14 +204,31 @@ class TestSiluOverflow:
         p = MlpParams(weights=[np.eye(2, dtype=dtype)] * 2, biases=[np.zeros(2, dtype=dtype)] * 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            s, ds = silu(a), silu_grad(a)
             y, cache = mlp_forward(p, a[None])
             g = mlp_backward(p, cache, np.ones((1, 2)))
-        assert s.dtype == ds.dtype == dtype
-        assert s[0] == 0 and s[1] == -x          # silu(-big) = -0, silu(big) = big
-        assert ds[0] == 0 and ds[1] == 1
-        assert np.array_equal(y[0], s)
-        assert np.array_equal(g.pre0[0], ds)     # W1 = I: the pre-activation grad is silu
+        assert y.dtype == dtype
+        assert y[0, 0] == 0 and y[0, 1] == -x    # silu(-big) = -0, silu(big) = big
+        # W1 = I: the pre-activation grad is silu'(-big) = 0, silu'(big) = 1
+        assert np.array_equal(g.pre0[0], [0.0, 1.0])
+
+    def test_conv_pyramid_limits_without_warning(self):
+        # layer 1 is its bias (-800, 800); layer 2's centre tap sends channel
+        # 1 to (800, -800): each layer meets both limits at every pixel
+        w2 = np.zeros((3, 3, 2, 2))
+        w2[1, 1] = [[0.0, 0.0], [1.0, -1.0]]
+        params = ConvPyramidParams(w1=np.zeros((3, 3, 3, 2)), b1=np.array([-800.0, 800.0]),
+                                   w2=w2, b2=np.zeros(2))
+        cfg = ScaleConfig(levels=((1, 1), (2, 1), (4, 1), (8, 1)), d_min=0.1, d_max=10.0)
+        image = np.random.default_rng(0).uniform(0, 1, (8, 8, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            feats, cache = extract_features(image, cfg, params)
+            grad_feats = [np.zeros_like(f) for f in feats[:-1]] + [np.ones_like(feats[-1])]
+            grads = extract_features_backward(grad_feats, cfg, params, cache)
+        assert np.all(feats[-1] == [800.0, 0.0])
+        # silu' is 1 on the live channel and 0 on the other, at both layers
+        assert np.array_equal(grads["conv.b2"], [64.0, 0.0])
+        assert np.array_equal(grads["conv.b1"], [0.0, 64.0])
 
 
 class TestMlpBackward:

@@ -450,6 +450,16 @@ class TestFuse:
         out_with = fuse(samples, trace_depths=[distorted])
         assert np.max(np.abs(out_with.consensus.values - base)) <= 1e-4
 
+    def test_reliability_over_the_weight_that_entered(self):
+        # U is the energy over N times the weight of the energy: N (N + gamma)
+        # with the recursive term, N * N without it (no trace, or gamma = 0)
+        samples = _distorted_stack(16, 3, 5, 5)
+        level = DepthMap(values=samples[1].values + 0.05)
+        for trace, gamma, weight in (([level], 0.5, 3.5), (None, 0.5, 3.0), ([level], 0.0, 3.0)):
+            out = fuse(samples, trace_depths=trace, cfg=URCAConfig(gamma=gamma))
+            assert np.all(out.uncertainty > 0)
+            assert np.array_equal(out.reliability, out.uncertainty / (3 * weight))
+
     def test_trace_shape_mismatch(self):
         s = [DepthMap(values=np.ones((4, 4)))] * 2
         with pytest.raises(ShapeError):

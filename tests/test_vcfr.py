@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from fractaldepth.core import ScaleConfig
+from fractaldepth.core import ScaleConfig, downsample_mean
 from fractaldepth.errors import ShapeError
 from fractaldepth.rng import RngStream
 from fractaldepth.vcfr import (append_guidance_token, conv3x3_forward, conv3x3_input_grad,
@@ -79,6 +79,26 @@ class TestExtractFeatures:
     def test_resolution_mismatch(self):
         with pytest.raises(ShapeError):
             extract_features(np.zeros((16, 16, 3)), CFG, _params())
+
+    @pytest.mark.parametrize("F", [4, 16])
+    def test_bit_identical_to_out_of_place(self, F):
+        # SiLU runs in place; the grids, which generation reads, must equal
+        # the out-of-place arithmetic bit for bit, and the cache holds each
+        # layer's padded input and sigmoid and the output, no pre-activation
+        params = _params(seed=F, F=F)
+        image = np.random.default_rng(F).uniform(0, 1, (32, 32, 3))
+        a1, xp1 = conv3x3_forward(image, params.w1, params.b1)
+        h1 = a1 / (1.0 + np.exp(-a1))
+        a2, xp2 = conv3x3_forward(h1, params.w2, params.b2)
+        f = a2 / (1.0 + np.exp(-a2))
+        feats, cache = extract_features(image, CFG, params)
+        assert len(feats) == len(CFG.levels)
+        for grid, (res, _) in zip(feats, CFG.levels):
+            assert grid.tobytes() == downsample_mean(f, res).tobytes()
+        expect = (xp1, 1.0 / (1.0 + np.exp(-a1)), xp2, 1.0 / (1.0 + np.exp(-a2)), f)
+        assert len(cache) == len(expect)
+        for kept, ref in zip(cache, expect):
+            assert kept.tobytes() == ref.tobytes()
 
     def test_backward_finite_difference(self):
         params = _params(seed=2, F=4)
