@@ -210,9 +210,9 @@ def load_run_config(path) -> RunConfig:
     if not (math.isfinite(cfg.tau) and math.isfinite(cfg.multisample_tau)):
         raise ConfigError(f"{path}: tau and multisample_tau must be finite, "
                           f"got {cfg.tau} and {cfg.multisample_tau}")
-    if not 0.0 <= cfg.uncertainty_threshold < math.inf:
-        raise ConfigError(f"{path}: uncertainty_threshold must be finite and >= 0, "
-                          f"got {cfg.uncertainty_threshold}")
+    for key in ("base_lr", "final_lr", "weight_decay", "uncertainty_threshold"):
+        if not 0.0 <= getattr(cfg, key) < math.inf:
+            raise ConfigError(f"{path}: {key} must be finite and >= 0, got {getattr(cfg, key)}")
     if cfg.val_every > 0 and cfg.val_scenes < 1:
         raise ConfigError(f"{path}: val_scenes must be >= 1 when val_every > 0, "
                           f"got {cfg.val_scenes}")

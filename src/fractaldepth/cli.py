@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import fnmatch
 import os
 import sys
 from dataclasses import replace
@@ -11,7 +10,7 @@ from dataclasses import replace
 from . import bench, imgio, urca
 from .core import NAMED_CONFIGS, build_schedule_plan, named_scale_config
 from .errors import FractalDepthError, InputError
-from .fractal import decode_level_depth, generate, load_model, sample_steps, save_trace
+from .fractal import generate, load_model, load_trace_depths, sample_steps, save_trace
 from .rng import RngStream
 
 
@@ -96,17 +95,10 @@ def cmd_sample(args) -> int:
 def cmd_fuse(args) -> int:
     cfg = _load_cfg(args)
     samples = [imgio.read_depth_pfm(p) for p in args.samples]
-    trace_depths = None
-    if args.trace_dir:
-        if not args.checkpoint:
-            raise InputError("--trace-dir requires --checkpoint to decode level latents")
-        model = load_model(args.checkpoint)
-        names = [f"latent_level{i}.pfm" for i in range(model.n_levels)]
-        found = fnmatch.filter(os.listdir(args.trace_dir), "latent_level*.pfm")
-        if sorted(found) != sorted(names):
-            raise InputError(f"{args.trace_dir}: expected {names}, found {sorted(found)}")
-        trace_depths = [decode_level_depth(imgio.read_pfm(os.path.join(args.trace_dir, n)), model)
-                        for n in names]
+    if args.trace_dir and not args.checkpoint:
+        raise InputError("--trace-dir requires --checkpoint to decode level latents")
+    trace_depths = (load_trace_depths(args.trace_dir, load_model(args.checkpoint))
+                    if args.trace_dir else None)
     out = urca.fuse(samples, trace_depths, urca.URCAConfig())
     os.makedirs(args.out, exist_ok=True)
     align = out.alignment

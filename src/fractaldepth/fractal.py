@@ -10,12 +10,13 @@ context of the upsampled previous latent.
 
 from __future__ import annotations
 
+import fnmatch
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import vcfr
+from . import imgio, vcfr
 from .core import (DepthMap, ScaleConfig, SchedulePlan, build_schedule_plan, denormalize,
                    downsample_mean, log_normalize, reassemble_patches, split_patches,
                    split_patches_with_context, upsample_bilinear)
@@ -24,8 +25,7 @@ from .diffusion import NoiseSchedule, forward_noise, make_linear_schedule, respa
 from .diffusion import reverse_step  # noqa: F401
 from .errors import ConfigError, FractalDepthError, InputError, NumericsError, ShapeError
 from .nnet import (AdamWState, MlpParams, adamw_step, init_mlp, mlp_backward, mlp_forward,
-                   read_checkpoint_manifest, read_checkpoint_tensors, save_checkpoint,
-                   time_embed)
+                   load_checkpoint, save_checkpoint, time_embed)
 from .rng import RngStream
 
 
@@ -366,12 +366,14 @@ def load_model(path) -> FractalModel:
     """Rebuild a model from a checkpoint; ``ConfigError`` naming the path if
     its meta or tensors do not describe one.
 
-    The model is built from the manifest first, on uninitialised storage
-    (no random initialisation is drawn), and each tensor's bytes are then
-    read straight into its parameter array.
+    The model is built from the manifest's meta on uninitialised storage (no
+    random initialisation is drawn), and :func:`nnet.load_checkpoint` reads
+    each tensor's bytes straight into its parameter array.
     """
-    with open(path, "rb") as f:
-        meta, entries = read_checkpoint_manifest(f, path)
+    model = None
+
+    def targets(meta):
+        nonlocal model
         try:
             cfg = ScaleConfig(levels=tuple(tuple(l) for l in meta["levels"]),
                               d_min=meta["d_min"], d_max=meta["d_max"])
@@ -382,28 +384,28 @@ def load_model(path) -> FractalModel:
                                     lambda i, sizes: MlpParams.empty(sizes))
         except (KeyError, TypeError, ValueError, FractalDepthError) as e:
             raise ConfigError(f"{path}: checkpoint meta does not describe a model: {e!r}") from e
-        named = model.named_params()
-        shapes = dict(entries)
-        if set(named) != set(shapes):
-            raise ConfigError(f"{path}: checkpoint tensors {sorted(set(shapes) ^ set(named))} "
-                              "do not match the model")
-        for name, p in named.items():
-            if shapes[name] != p.shape:
-                raise ConfigError(f"{path}: tensor {name!r} has shape {shapes[name]}, "
-                                  f"the model needs {p.shape}")
-        read_checkpoint_tensors(f, path, entries, lambda name, shape: named[name])
+        return model.named_params()
+
+    load_checkpoint(path, targets)
     return model
 
 
 def save_trace(trace: GenerationTrace, out_dir, manifest: dict) -> None:
     """Per-level PFM latents, final PGM/PFM depth and a key=value manifest."""
-    # imported at call time, so that perfbench/tracer.py's patched writers are seen
-    from .imgio import write_pfm, write_pgm16
     os.makedirs(out_dir, exist_ok=True)
     for i, latent in enumerate(trace.latents):
-        write_pfm(os.path.join(out_dir, f"latent_level{i}.pfm"), latent)
-    write_pfm(os.path.join(out_dir, "depth.pfm"), trace.final.values)
-    write_pgm16(os.path.join(out_dir, "depth.pgm"), trace.final)
+        imgio.write_pfm(os.path.join(out_dir, f"latent_level{i}.pfm"), latent)
+    imgio.write_pfm(os.path.join(out_dir, "depth.pfm"), trace.final.values)
+    imgio.write_pgm16(os.path.join(out_dir, "depth.pgm"), trace.final)
     with open(os.path.join(out_dir, "manifest.txt"), "w") as f:
         for k, v in manifest.items():
             f.write(f"{k}={v}\n")
+
+
+def load_trace_depths(trace_dir, model: FractalModel) -> list:
+    """The decoded depth of each level latent :func:`save_trace` wrote to ``trace_dir``."""
+    names = [f"latent_level{i}.pfm" for i in range(model.n_levels)]
+    found = sorted(fnmatch.filter(os.listdir(trace_dir), "latent_level*.pfm"))
+    if found != sorted(names):
+        raise InputError(f"{trace_dir}: expected {names}, found {found}")
+    return [decode_level_depth(imgio.read_pfm(os.path.join(trace_dir, n)), model) for n in names]

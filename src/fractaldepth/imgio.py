@@ -53,6 +53,8 @@ def read_pfm(path) -> np.ndarray:
             raise InputError(f"{path}: malformed PFM header") from None
         if w < 0 or h < 0:
             raise InputError(f"{path}: negative PFM size {w} x {h}")
+        if not 0.0 < abs(scale) < np.inf:   # its sign is the byte order
+            raise InputError(f"{path}: PFM scale {scale} gives no byte order")
         # a header may claim more raster than the file holds; check before
         # asking f.read for that many bytes (pipes have no size to check)
         size = w * h * 4

@@ -337,73 +337,53 @@ def save_checkpoint(path, named_params: dict, meta: dict) -> None:
             f.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
 
 
-def read_checkpoint_manifest(f, path):
-    """Reads the magic, header and manifest of the checkpoint open as ``f``.
+def load_checkpoint(path, targets=None):
+    """Returns ``(named_params, meta)``; round-trips bit-exactly.
 
-    Returns ``(meta, entries)``, ``entries`` being the ``(name, shape)`` of
-    each tensor in file order, and leaves ``f`` at the first tensor's bytes.
-    A file whose header is cut short or whose manifest does not parse raises
-    ``ConfigError`` naming ``path``.
+    The magic, header and manifest are parsed, and the tensors' byte total is
+    checked against the bytes left in the file, before any array is made.
+    The arrays are then ``targets(meta)``, a dict of C-contiguous float64
+    arrays, one per tensor of the file, or new ones without ``targets``; each
+    tensor's bytes are read straight into its array.  A file that is cut
+    short, carries trailing bytes or whose manifest does not parse, and
+    targets whose names or shapes differ from its tensors, raise
+    ``ConfigError`` naming the path.
     """
-    size = os.fstat(f.fileno()).st_size
-    if f.read(len(_MAGIC)) != _MAGIC:
-        raise ConfigError(f"{path}: bad checkpoint magic")
-    head = f.read(4)
-    if len(head) < 4:
-        raise ConfigError(f"{path}: checkpoint cut short in its header")
-    (mlen,) = struct.unpack("<I", head)
-    if mlen > size - f.tell():
-        raise ConfigError(f"{path}: checkpoint cut short in its manifest")
-    try:
-        manifest = json.loads(f.read(mlen).decode("utf-8"))
-        meta = manifest["meta"]
-        entries = [(e["name"], tuple(e["shape"])) for e in manifest["tensors"]]
-        if not (isinstance(meta, dict)
-                and all(isinstance(n, str) and all(type(d) is int and d >= 0 for d in shape)
-                        for n, shape in entries)
-                and len({n for n, _ in entries}) == len(entries)):
-            raise ValueError("unexpected manifest layout")
-    except (ValueError, KeyError, TypeError) as e:
-        raise ConfigError(f"{path}: checkpoint manifest does not parse: {e}") from e
-    return meta, entries
-
-
-def read_checkpoint_tensors(f, path, entries, target) -> None:
-    """Reads each tensor's bytes straight into ``target(name, shape)``.
-
-    ``target`` returns a C-contiguous float64 array of that shape; ``f`` is
-    at the first tensor, as ``read_checkpoint_manifest`` leaves it.  A file
-    that ends before its last tensor, or carries bytes after it, raises
-    ``ConfigError`` naming ``path``.
-    """
-    size = os.fstat(f.fileno()).st_size
-    for name, shape in entries:
-        nbytes = 8 * math.prod(shape)
-        # checked before the target is made, so a corrupt shape allocates nothing
-        if nbytes > size - f.tell():
-            raise ConfigError(f"{path}: checkpoint cut short in tensor {name!r}")
-        out = target(name, shape)
-        if f.readinto(out) != nbytes:
-            raise ConfigError(f"{path}: checkpoint cut short in tensor {name!r}")
-        if sys.byteorder != "little":   # the file holds little-endian float64
-            out.byteswap(inplace=True)
-    if f.tell() != size:
-        raise ConfigError(f"{path}: {size - f.tell()} trailing bytes after the last tensor")
-
-
-def load_checkpoint(path):
-    """Returns (named_params, meta); round-trips bit-exactly.
-
-    A file that is cut short, carries trailing bytes or whose manifest does
-    not parse raises ``ConfigError`` naming the path.
-    """
-    params = {}
-
-    def new_tensor(name, shape):
-        params[name] = np.empty(shape)
-        return params[name]
-
     with open(path, "rb") as f:
-        meta, entries = read_checkpoint_manifest(f, path)
-        read_checkpoint_tensors(f, path, entries, new_tensor)
+        size = os.fstat(f.fileno()).st_size
+        if f.read(len(_MAGIC)) != _MAGIC:
+            raise ConfigError(f"{path}: bad checkpoint magic")
+        head = f.read(4)
+        if len(head) < 4:
+            raise ConfigError(f"{path}: checkpoint cut short in its header")
+        (mlen,) = struct.unpack("<I", head)
+        if mlen > size - f.tell():
+            raise ConfigError(f"{path}: checkpoint cut short in its manifest")
+        try:
+            manifest = json.loads(f.read(mlen).decode("utf-8"))
+            meta = manifest["meta"]
+            shapes = {e["name"]: tuple(e["shape"]) for e in manifest["tensors"]}
+            if not (isinstance(meta, dict) and len(shapes) == len(manifest["tensors"])
+                    and all(isinstance(n, str) and all(type(d) is int and d >= 0 for d in shape)
+                            for n, shape in shapes.items())):
+                raise ValueError("unexpected manifest layout")
+        except (ValueError, KeyError, TypeError) as e:
+            raise ConfigError(f"{path}: checkpoint manifest does not parse: {e}") from e
+        left = size - f.tell()
+        nbytes = 8 * sum(math.prod(shape) for shape in shapes.values())
+        if nbytes != left:
+            raise ConfigError(f"{path}: checkpoint cut short in its tensors" if nbytes > left
+                              else f"{path}: {left - nbytes} trailing bytes after the last tensor")
+        params = targets(meta) if targets else {n: np.empty(s) for n, s in shapes.items()}
+        if set(params) != set(shapes):
+            raise ConfigError(f"{path}: checkpoint tensors {sorted(set(shapes) ^ set(params))} "
+                              "do not match the model")
+        for name, shape in shapes.items():
+            out = params[name]
+            if out.shape != shape:
+                raise ConfigError(f"{path}: tensor {name!r} has shape {shape}, "
+                                  f"the model needs {out.shape}")
+            f.readinto(out)
+            if sys.byteorder != "little":   # the file holds little-endian float64
+                out.byteswap(inplace=True)
     return params, meta

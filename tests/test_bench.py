@@ -182,9 +182,18 @@ class TestRunConfig:
         ("seed = x", "bad.cfg:2: "),
         ("val_scenes = 0", "bad.cfg: val_scenes"),  # validation runs by default
         ("hidden_depth = -2", "bad.cfg: hidden_depth"),
+        # a non-finite rate or decay writes NaN into every weight at the first step
+        ("base_lr = nan", "bad.cfg: base_lr"),
+        ("base_lr = -1", "bad.cfg: base_lr"),
+        ("final_lr = inf", "bad.cfg: final_lr"),
+        ("final_lr = -1e-5", "bad.cfg: final_lr"),
+        ("weight_decay = nan", "bad.cfg: weight_decay"),
+        ("weight_decay = -0.05", "bad.cfg: weight_decay"),
     ], ids=["scale_config", "urca_lambda", "urca_lambda_nan", "tau_inf",
             "multisample_tau_nan", "threshold_nan", "threshold_inf",
-            "threshold_negative", "epochs", "seed", "val_scenes", "hidden_depth"])
+            "threshold_negative", "epochs", "seed", "val_scenes", "hidden_depth",
+            "base_lr_nan", "base_lr_negative", "final_lr_inf", "final_lr_negative",
+            "weight_decay_nan", "weight_decay_negative"])
     def test_invalid_values_caught_eagerly(self, tmp_path, line, where):
         p = tmp_path / "bad.cfg"
         p.write_text(f"# comment\n{line}\n")

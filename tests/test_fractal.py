@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -573,6 +574,18 @@ class TestPersistence:
     def test_reference_checkpoint_loads(self):
         model = load_model(REFERENCE)
         assert model.cfg == named_scale_config("desk")
+
+    def test_load_holds_one_copy(self):
+        # the tensors stream into the model's own arrays: the peak is those
+        # arrays plus bookkeeping, well below the largest tensor again
+        nbytes = [p.nbytes for p in _reference_model().named_params().values()]
+        tracemalloc.start()
+        try:
+            load_model(REFERENCE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(nbytes) <= peak <= sum(nbytes) + max(nbytes) // 2, (peak, sum(nbytes))
 
     def test_meta_without_level_index(self, tmp_path):
         # the key is no longer written; checkpoints that carry it still load

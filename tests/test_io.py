@@ -118,7 +118,10 @@ class TestTruncatedAndMalformed:
                                         b"Pf\n3 2\nscale\n", b"Pf\n-3 2\n-1.0\n",
                                         # rasters that f.read cannot even allocate
                                         b"Pf\n100000 100000\n-1.0\n",
-                                        b"Pf\n4000000000 4000000000\n-1.0\n"])
+                                        b"Pf\n4000000000 4000000000\n-1.0\n",
+                                        # the scale's sign is the byte order
+                                        b"Pf\n2 2\n0\n", b"Pf\n2 2\nnan\n",
+                                        b"Pf\n2 2\ninf\n"])
     def test_malformed_pfm_header(self, tmp_path, header):
         path = tmp_path / "bad.pfm"
         path.write_bytes(header + b"\0" * 24)

@@ -464,6 +464,18 @@ class TestCheckpoint:
         path, data = self._small(tmp_path)
         self._rejected(tmp_path / "long.fadn", data + b"\0")
 
+    @pytest.mark.parametrize("change, match", [
+        (lambda d: d[:-1], "cut short"), (lambda d: d + b"\0" * 8, "8 trailing bytes")],
+        ids=["cut", "trailing"])
+    def test_size_checked_before_targets(self, tmp_path, change, match):
+        def never_called(meta):
+            raise AssertionError("targets called for a checkpoint of the wrong size")
+
+        path, data = self._small(tmp_path)
+        path.write_bytes(change(data))
+        with pytest.raises(ConfigError, match=f"small.fadn: .*{match}"):
+            load_checkpoint(path, never_called)
+
     @pytest.mark.parametrize("manifest", [
         b"[]", b'{"meta": {}}', b'{"meta": [], "tensors": []}',
         b'{"meta": {}, "tensors": [{"name": "x", "shape": [-1]}]}',
