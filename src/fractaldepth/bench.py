@@ -1,4 +1,4 @@
-"""Synthetic scenes, depth metrics, cost accounting and experiment runners."""
+"""Synthetic scenes, depth metrics, the run config and experiment runners."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import DepthMap, ScaleConfig, SchedulePlan, named_scale_config
+from .core import DepthMap, ScaleConfig, named_scale_config
 from .diffusion import make_linear_schedule
 from .errors import ConfigError, FractalDepthError, InputError, ShapeError
 # load_model is not called here, but perfbench/tracer.py patches this binding
@@ -118,22 +118,6 @@ def metrics(pred: DepthMap, gt: DepthMap) -> MetricsReport:
     )
 
 
-# --- Cost accounting -------------------------------------------------------
-
-def cost_report(plan: SchedulePlan) -> dict:
-    """Per-level sequence lengths vs a token-wise AR at the finest scale."""
-    final_res = plan.levels[-1].resolution
-    rows = [{"level": f"g{len(plan.levels) - i}", "resolution": lv.resolution,
-             "patch": lv.patch_size, "sequence": lv.token_count,
-             "token_dim": lv.token_dim}
-            for i, lv in enumerate(plan.levels)]
-    return {
-        "rows": rows,
-        "sequential_stages": len(plan.levels),
-        "tokenwise_ar_steps": final_res * final_res,
-    }
-
-
 # --- Run configuration -----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -213,6 +197,9 @@ def load_run_config(path) -> RunConfig:
     for key in ("base_lr", "final_lr", "weight_decay", "uncertainty_threshold"):
         if not 0.0 <= getattr(cfg, key) < math.inf:
             raise ConfigError(f"{path}: {key} must be finite and >= 0, got {getattr(cfg, key)}")
+    for key, low in (("epochs", 1), ("train_scenes", 1), ("warmup_epochs", 0)):
+        if getattr(cfg, key) < low:
+            raise ConfigError(f"{path}: {key} must be >= {low}, got {getattr(cfg, key)}")
     if cfg.val_every > 0 and cfg.val_scenes < 1:
         raise ConfigError(f"{path}: val_scenes must be >= 1 when val_every > 0, "
                           f"got {cfg.val_scenes}")
@@ -270,8 +257,8 @@ def eval_scenes(model: FractalModel, cfg: RunConfig, scene_seeds, rng: RngStream
 
 def run_train(cfg: RunConfig, out_dir) -> str:
     """Train on generated scenes; writes checkpoint + loss/validation CSVs."""
+    model = build_model(cfg)        # a config that builds no model leaves no out_dir
     os.makedirs(out_dir, exist_ok=True)
-    model = build_model(cfg)
     rng = RngStream(cfg.seed, ("train",))
     steps_per_epoch = cfg.train_scenes
     total = cfg.epochs * steps_per_epoch

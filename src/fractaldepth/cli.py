@@ -27,18 +27,16 @@ def _load_cfg(args) -> bench.RunConfig:
 
 
 def cmd_plan(args) -> int:
-    cfg = named_scale_config(args.scale_config)
-    plan = build_schedule_plan(cfg)
-    report = bench.cost_report(plan)
+    levels = build_schedule_plan(named_scale_config(args.scale_config)).levels
     print(f"config: {args.scale_config}")
     print(f"{'level':<6}{'scale':>10}{'input':>8}{'sequence':>10}{'token_dim':>11}")
-    for row in report["rows"]:
-        print(f"{row['level']:<6}{row['resolution']:>10}{row['patch']:>8}"
-              f"{row['sequence']:>10}{row['token_dim']:>11}")
-    seq = tuple(r["sequence"] for r in report["rows"])
+    for i, lv in enumerate(levels):
+        print(f"{f'g{len(levels) - i}':<6}{lv.resolution:>10}{lv.patch_size:>8}"
+              f"{lv.token_count:>10}{lv.token_dim:>11}")
+    seq = tuple(lv.token_count for lv in levels)
     print(f"sequence lengths (coarse->fine): {seq}")
-    print(f"sequential stages: {report['sequential_stages']} "
-          f"(token-wise AR at finest scale: {report['tokenwise_ar_steps']} steps)")
+    print(f"sequential stages: {len(levels)} "
+          f"(token-wise AR at finest scale: {levels[-1].resolution ** 2} steps)")
     if args.scale_config == "paper":
         alt = build_schedule_plan(named_scale_config("paper-table"))
         print("note: the published table lists sequence length 16 at the 16x16 level; "
@@ -95,8 +93,9 @@ def cmd_sample(args) -> int:
 def cmd_fuse(args) -> int:
     cfg = _load_cfg(args)
     samples = [imgio.read_depth_pfm(p) for p in args.samples]
-    if args.trace_dir and not args.checkpoint:
-        raise InputError("--trace-dir requires --checkpoint to decode level latents")
+    if bool(args.trace_dir) != bool(args.checkpoint):
+        raise InputError("--trace-dir and --checkpoint go together: the checkpoint decodes "
+                         "the trace's level latents")
     trace_depths = (load_trace_depths(args.trace_dir, load_model(args.checkpoint))
                     if args.trace_dir else None)
     out = urca.fuse(samples, trace_depths, urca.URCAConfig())
@@ -166,8 +165,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FractalDepthError as e:
-        # bad input or configuration: one line naming the error, no traceback
+    except (FractalDepthError, OSError) as e:
+        # bad input or configuration, or a path that cannot be read or
+        # written: one line naming the error, no traceback
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 2
 

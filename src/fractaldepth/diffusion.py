@@ -18,9 +18,8 @@ arXiv:2006.11239, section 3.2)
 sigma^2 = (1 - abar_t') / (1 - abar_t) * (1 - alpha), which is 0 at t' = 0,
 so the last step of any schedule is noiseless.
 
-``sample`` is the package's one reverse loop.  It runs a single chain, or N
-chains stacked along axis 0 with per-chain noise streams, on whatever
-schedule it is given; ``fractal`` generates every level through it on a
+``sample`` is the package's one reverse loop.  It runs N >= 1 chains stacked
+along axis 0 with per-chain noise streams, on whatever schedule it is given; ``fractal`` generates every level through it on a
 respaced schedule, with a predictor that reuses the level's hoisted
 first-layer projections.
 """
@@ -32,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError, ShapeError, TimestepError
-from .rng import RngStream
 
 
 @dataclass(frozen=True)
@@ -141,26 +139,24 @@ def reverse_step(z_t: np.ndarray, t: int, eps_pred: np.ndarray, sched: NoiseSche
     return mean
 
 
-def sample(predictor, condition, shape, sched: NoiseSchedule, tau: float,
-           rng) -> np.ndarray:
+def sample(predictor, shape, sched: NoiseSchedule, tau: float, rngs) -> np.ndarray:
     """Full reverse chain over the steps of ``sched``, last to first.
 
-    ``predictor(z_t, t, condition)`` returns the predicted noise; ``t`` is the
-    step's diffusion timestep, which also keys its noise draw.  ``rng`` is
-    one :class:`RngStream`, or a sequence of N streams: then N chains of
-    ``shape`` run stacked along axis 0, the result has shape
-    ``(N * shape[0], ...)``, and chain k draws its initial state and step
-    noise from stream k on the same paths as a single run on that stream.
+    ``predictor(z_t, t)`` returns the predicted noise; ``t`` is the step's
+    diffusion timestep, which also keys its noise draw.  ``rngs`` is a
+    sequence of N >= 1 noise streams: N chains of ``shape`` run stacked
+    along axis 0, the result has shape ``(N * shape[0], ...)``, and
+    chain k draws its initial state and step noise from stream k on the same
+    paths whatever N is.
     """
     if not np.isfinite(tau):
         raise InputError(f"sample needs a finite tau, got {tau}")
-    rngs = [rng] if isinstance(rng, RngStream) else list(rng)
     if not rngs:
         raise InputError("sample needs at least one RNG stream")
     z = np.concatenate([r.normal(shape, "init") for r in rngs])
     for k in range(sched.T, 0, -1):
         t = int(sched.t[k - 1])
-        eps = np.asarray(predictor(z, t, condition), dtype=np.float64)
+        eps = np.asarray(predictor(z, t), dtype=np.float64)
         if eps.shape != z.shape:
             raise ShapeError(f"predictor output shape {eps.shape} != {z.shape}")
         noise = None

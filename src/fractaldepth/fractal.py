@@ -250,20 +250,6 @@ def sample_steps(model: FractalModel) -> int:
 _BLOCK = 512
 
 
-def _predict_blocks(mlp: MlpParams, z: np.ndarray, cond_pre: list,
-                    time_row: np.ndarray) -> np.ndarray:
-    """The hoisted MLP forward, one call per ``_BLOCK`` rows of ``z``.
-
-    ``cond_pre`` holds the projected conditions block by block; the step's
-    time row is added to one block at a time.  The output has the dtype of
-    ``mlp``.
-    """
-    out = [mlp_forward(mlp, z[i * _BLOCK:(i + 1) * _BLOCK], block + time_row,
-                       want_cache=False)[0]
-           for i, block in enumerate(cond_pre)]
-    return out[0] if len(out) == 1 else np.concatenate(out)
-
-
 def _reverse_chain(model: FractalModel, level: int, cond: np.ndarray, lrngs: list,
                    tau: float, predictor) -> np.ndarray:
     """One level's reverse chain over the N stacked samples; returns z_0.
@@ -295,13 +281,19 @@ def _reverse_chain(model: FractalModel, level: int, cond: np.ndarray, lrngs: lis
         mlp32 = MlpParams(weights=[w.astype(np.float32) for w in mlp.weights],
                           biases=[b.astype(np.float32) for b in mlp.biases])
 
-        def pred(z, t, _cond):
-            eps = _predict_blocks(mlp32, z.astype(np.float32), cond_pre, time_rows[t])
-            return eps.astype(np.float64)
+        def pred(z, t):
+            # one float32 MLP call per _BLOCK rows, each adding the step's
+            # time row to its block of projected conditions; the float64
+            # join is exact
+            z32 = z.astype(np.float32)
+            blocks = [mlp_forward(mlp32, z32[i * _BLOCK:(i + 1) * _BLOCK],
+                                  block + time_rows[t], want_cache=False)[0]
+                      for i, block in enumerate(cond_pre)]
+            return np.concatenate(blocks, dtype=np.float64)
     else:
-        def pred(z, t, c):
-            return predictor(level, z, t, c)
-    return sample(pred, cond, (lv.token_count, lv.token_dim), sched, tau,
+        def pred(z, t):
+            return predictor(level, z, t, cond)
+    return sample(pred, (lv.token_count, lv.token_dim), sched, tau,
                   [r.child("tokens") for r in lrngs])
 
 

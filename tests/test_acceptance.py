@@ -81,11 +81,11 @@ def test_c03_exact_noise_collapse():
         sched = make_linear_schedule(T, 1e-4, 0.02)
         z_star = np.random.default_rng(303).normal(size=(4, 4))
 
-        def oracle(z_t, t, cond):
+        def oracle(z_t, t):
             ab = sched.abar(t)
             return (z_t - np.sqrt(ab) * z_star) / np.sqrt(1 - ab)
 
-        out = sample(oracle, None, (4, 4), sched, 0.0, RngStream(303, ("c", T)))
+        out = sample(oracle, (4, 4), sched, 0.0, [RngStream(303, ("c", T))])
         worst = max(worst, float(np.max(np.abs(out - z_star))))
     elapsed = time.monotonic() - t0
     _report(3, "exact-noise collapse", worst <= 1e-9 and elapsed <= 5.0,
@@ -131,15 +131,14 @@ def _toy_diffusion(seed, out_csv, train_steps=8000, n_draw=2000):
     rows = []
     results = {}
     for cval in (-1.0, 1.0):
-        def predictor(z, t, cond, _c=cval):
+        def predictor(z, t, _c=cval):
             tt = np.full(len(z), t)
             x = np.concatenate([z, time_embed(tt, time_dim),
                                 np.full((len(z), 1), _c)], axis=1)
             y, _ = mlp_forward(params, x)
             return y
 
-        draws = sample(predictor, cval, (n_draw, 2), sched, 1.0,
-                       rng.child("sample", int(cval)))
+        draws = sample(predictor, (n_draw, 2), sched, 1.0, [rng.child("sample", int(cval))])
         mean, std = draws.mean(axis=0), draws.std(axis=0)
         results[cval] = (mean, std)
         rows.append([f"{cval:.1f}", f"{mean[0]:.12f}", f"{mean[1]:.12f}",

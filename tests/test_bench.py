@@ -4,10 +4,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from fractaldepth.bench import (RunConfig, SceneSpec, build_model,
-                                cost_report, gen_scene, load_run_config, metrics,
-                                multisample_scene, run_eval, run_multisample, run_train)
-from fractaldepth.core import DepthMap, build_schedule_plan, named_scale_config
+from fractaldepth.bench import (RunConfig, SceneSpec, build_model, gen_scene,
+                                load_run_config, metrics, multisample_scene, run_eval,
+                                run_multisample, run_train)
+from fractaldepth.core import DepthMap
 from fractaldepth.errors import ConfigError, InputError, ShapeError
 from fractaldepth.fractal import load_model
 from fractaldepth.rng import RngStream
@@ -111,26 +111,6 @@ class TestMetrics:
             metrics(DepthMap(values=np.zeros((2, 2))), DepthMap(values=np.ones((2, 2))))
 
 
-class TestCostReport:
-    def test_paper_plan(self):
-        plan = build_schedule_plan(named_scale_config("paper"))
-        rep = cost_report(plan)
-        assert tuple(r["sequence"] for r in rep["rows"]) == (1, 16, 256, 256)
-        assert rep["sequential_stages"] == 4
-        assert rep["tokenwise_ar_steps"] == 256 * 256
-
-    def test_desk_plan(self):
-        plan = build_schedule_plan(named_scale_config("desk"))
-        rep = cost_report(plan)
-        assert tuple(r["sequence"] for r in rep["rows"]) == (1, 16, 256, 64)
-        assert rep["tokenwise_ar_steps"] == 64 * 64
-
-    def test_level_labels_coarse_first(self):
-        plan = build_schedule_plan(named_scale_config("desk"))
-        rep = cost_report(plan)
-        assert [r["level"] for r in rep["rows"]] == ["g4", "g3", "g2", "g1"]
-
-
 class TestRunConfig:
     def test_defaults_valid(self):
         cfg = RunConfig()
@@ -189,11 +169,17 @@ class TestRunConfig:
         ("final_lr = -1e-5", "bad.cfg: final_lr"),
         ("weight_decay = nan", "bad.cfg: weight_decay"),
         ("weight_decay = -0.05", "bad.cfg: weight_decay"),
+        # a run that trains nothing, or skips warm-up, fails before it writes
+        ("epochs = 0", "bad.cfg: epochs"),
+        ("epochs = -1", "bad.cfg: epochs"),
+        ("train_scenes = 0", "bad.cfg: train_scenes"),
+        ("warmup_epochs = -1", "bad.cfg: warmup_epochs"),
     ], ids=["scale_config", "urca_lambda", "urca_lambda_nan", "tau_inf",
             "multisample_tau_nan", "threshold_nan", "threshold_inf",
             "threshold_negative", "epochs", "seed", "val_scenes", "hidden_depth",
             "base_lr_nan", "base_lr_negative", "final_lr_inf", "final_lr_negative",
-            "weight_decay_nan", "weight_decay_negative"])
+            "weight_decay_nan", "weight_decay_negative", "epochs_zero", "epochs_negative",
+            "train_scenes_zero", "warmup_epochs_negative"])
     def test_invalid_values_caught_eagerly(self, tmp_path, line, where):
         p = tmp_path / "bad.cfg"
         p.write_text(f"# comment\n{line}\n")

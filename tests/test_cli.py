@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from fractaldepth import fractal, urca
+from fractaldepth import fractal, imgio, urca
 from fractaldepth.bench import RunConfig, build_model
 from fractaldepth.cli import main
 from fractaldepth.imgio import read_depth_pfm, read_pfm
@@ -24,6 +24,8 @@ class TestPlan:
         assert "(1, 16, 256, 64)" in out
         assert "sequential stages: 4" in out
         assert "4096" in out
+        # one row per level, coarse first
+        assert [line.split()[0] for line in out.splitlines()[2:6]] == ["g4", "g3", "g2", "g1"]
 
     def test_paper_flags_table_discrepancy(self, capsys):
         code, out = run(capsys, "plan", "--scale-config", "paper")
@@ -244,12 +246,41 @@ class TestTypedErrors:
                                    "--out", str(root / "nockpt_fused")], "InputError")
         assert "--checkpoint" in err
 
+    def test_checkpoint_without_trace_dir(self, tmp_path, capsys):
+        # the checkpoint would never be read, so a missing one is not an excuse
+        depth = str(tmp_path / "d.pfm")
+        imgio.write_pfm(depth, np.ones((4, 4)))
+        err = self._fails(capsys, ["fuse", depth, depth, "--checkpoint",
+                                   str(tmp_path / "missing.fadn"), "--out", str(tmp_path / "o")],
+                          "InputError")
+        assert "--trace-dir" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["checkpoint", "pfm", "config"])
+    def test_missing_path(self, tmp_path, capsys, kind):
+        missing = str(tmp_path / f"missing.{kind}")
+        out = ["--out", str(tmp_path / "o")]
+        argv = {"checkpoint": ["sample", "--checkpoint", missing],
+                "pfm": ["fuse", missing, missing],
+                "config": ["eval", "--config", missing, "--checkpoint", missing]}[kind]
+        err = self._fails(capsys, argv + out, "FileNotFoundError")
+        assert missing in err
+        assert not (tmp_path / "o").exists()
+
     def test_zero_layer_size(self, tmp_path, capsys):
         cfg = tmp_path / "zero.cfg"
         cfg.write_text("feature_dim = 0\n")
         err = self._fails(capsys, ["train", "--config", str(cfg), "--out", str(tmp_path / "t")],
                           "ConfigError")
         assert "layer sizes" in err
+
+    def test_unbuildable_model_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "odd.cfg"
+        cfg.write_text("time_dim = 3\n")
+        err = self._fails(capsys, ["train", "--config", str(cfg), "--out", str(tmp_path / "t")],
+                          "ConfigError")
+        assert "time_dim" in err
+        assert not (tmp_path / "t").exists()
 
     def test_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "nan.cfg"

@@ -78,12 +78,12 @@ class TestRespace:
         z_star = np.random.default_rng(T).normal(size=(4, 4))
         seen = []
 
-        def oracle(z_t, t, cond):
+        def oracle(z_t, t):
             seen.append(t)
             ab = sched.abar(t)
             return (z_t - np.sqrt(ab) * z_star) / np.sqrt(1 - ab)
 
-        out = sample(oracle, None, (4, 4), respace(sched, S), tau, RngStream(S, ("r", T)))
+        out = sample(oracle, (4, 4), respace(sched, S), tau, [RngStream(S, ("r", T))])
         assert np.max(np.abs(out - z_star)) <= 1e-9
         # S distinct timesteps from T down, ending at 1 unless the one step is T -> 0
         assert seen == sorted(set(seen), reverse=True) and len(seen) == S
@@ -168,21 +168,21 @@ class TestSample:
             sched = make_linear_schedule(T, 1e-4, 0.02)
             z_star = np.random.default_rng(7).normal(size=(4, 4))
 
-            def oracle(z_t, t, cond):
+            def oracle(z_t, t):
                 ab = sched.abar(t)
                 return (z_t - np.sqrt(ab) * z_star) / np.sqrt(1 - ab)
 
-            out = sample(oracle, None, (4, 4), sched, 0.0, RngStream(0, ("c", T)))
+            out = sample(oracle, (4, 4), sched, 0.0, [RngStream(0, ("c", T))])
             assert np.max(np.abs(out - z_star)) <= 1e-9
 
     @pytest.mark.parametrize("tau", [0.0, 1.0])
     def test_stacked_streams_equal_single_runs(self, tau):
         # a row-wise predictor: chain k of the stack sees only its own rows
         sched = make_linear_schedule(20, 1e-4, 0.02)
-        pred = lambda z, t, c: np.tanh(z) * (0.01 * t) + c
+        pred = lambda z, t: np.tanh(z) * (0.01 * t) + 0.5
         streams = [RngStream(4, ("n",)).child("sample", k) for k in range(3)]
-        stacked = sample(pred, 0.5, (5, 2), sched, tau, streams)
-        alone = [sample(pred, 0.5, (5, 2), sched, tau, r) for r in streams]
+        stacked = sample(pred, (5, 2), sched, tau, streams)
+        alone = [sample(pred, (5, 2), sched, tau, [r]) for r in streams]
         assert stacked.shape == (15, 2)
         assert np.array_equal(stacked, np.concatenate(alone))
 
@@ -191,35 +191,35 @@ class TestSample:
         z_star = np.random.default_rng(8).normal(size=(4, 4))
         target = np.tile(z_star, (3, 1))
 
-        def oracle(z_t, t, cond):
+        def oracle(z_t, t):
             ab = sched.abar(t)
             return (z_t - np.sqrt(ab) * target) / np.sqrt(1 - ab)
 
-        out = sample(oracle, None, (4, 4), sched, 1.0, [RngStream(k, ("c",)) for k in range(3)])
+        out = sample(oracle, (4, 4), sched, 1.0, [RngStream(k, ("c",)) for k in range(3)])
         assert np.max(np.abs(out - target)) <= 1e-9
 
     def test_bad_predictor_and_no_streams(self):
         sched = make_linear_schedule(10, 1e-4, 0.02)
         with pytest.raises(ShapeError):
-            sample(lambda z, t, c: z[:1], None, (2, 2), sched, 0.0, RngStream(0))
+            sample(lambda z, t: z[:1], (2, 2), sched, 0.0, [RngStream(0)])
         with pytest.raises(InputError):
-            sample(lambda z, t, c: z, None, (2, 2), sched, 0.0, [])
+            sample(lambda z, t: z, (2, 2), sched, 0.0, [])
 
     def test_stochastic_determinism(self):
         sched = make_linear_schedule(20, 1e-4, 0.02)
-        pred = lambda z, t, c: 0.1 * z
-        a = sample(pred, None, (4, 4), sched, 1.0, RngStream(9, ("s",)))
-        b = sample(pred, None, (4, 4), sched, 1.0, RngStream(9, ("s",)))
+        pred = lambda z, t: 0.1 * z
+        a = sample(pred, (4, 4), sched, 1.0, [RngStream(9, ("s",))])
+        b = sample(pred, (4, 4), sched, 1.0, [RngStream(9, ("s",))])
         assert np.array_equal(a, b)
 
     def test_temperature_changes_only_stochastic_runs(self):
         sched = make_linear_schedule(20, 1e-4, 0.02)
-        pred = lambda z, t, c: 0.1 * z
-        a = sample(pred, None, (4, 4), sched, 0.0, RngStream(9, ("s",)))
-        b = sample(pred, None, (4, 4), sched, 0.5, RngStream(9, ("s",)))
-        c = sample(pred, None, (4, 4), sched, 0.0, RngStream(10, ("s2",)))
+        pred = lambda z, t: 0.1 * z
+        a = sample(pred, (4, 4), sched, 0.0, [RngStream(9, ("s",))])
+        b = sample(pred, (4, 4), sched, 0.5, [RngStream(9, ("s",))])
+        c = sample(pred, (4, 4), sched, 0.0, [RngStream(10, ("s2",))])
         assert not np.array_equal(a, b)
         # tau=0 chains are a pure function of the initial draw and predictor
-        a2 = sample(pred, None, (4, 4), sched, 0.0, RngStream(9, ("s",)))
+        a2 = sample(pred, (4, 4), sched, 0.0, [RngStream(9, ("s",))])
         assert np.array_equal(a, a2)
         assert not np.array_equal(a, c)
