@@ -117,8 +117,11 @@ def downsample_mean(grid: np.ndarray, target: int) -> np.ndarray:
     """Block-mean downsample of a square grid to ``target`` x ``target``.
 
     Axes past the first two (e.g. feature channels) are kept as they are.
+    A floating grid keeps its dtype; any other is cast to float64.
     """
-    grid = np.asarray(grid, dtype=np.float64)
+    grid = np.asarray(grid)
+    if grid.dtype.kind != "f":
+        grid = grid.astype(np.float64)
     h, w = grid.shape[:2]
     if h != w:
         raise ResampleError(f"expected square grid, got {grid.shape}")

@@ -312,17 +312,25 @@ def generate(model: FractalModel, image: np.ndarray, rng, tau: float, predictor=
     ``predictor(level, z_tokens, t, cond)`` overrides the trained MLPs when
     given (used by the analytic-noise oracle tests); it receives the stacked
     tokens and conditions as float64 arrays.
+
+    The conv features are computed in float32; the conditions built from
+    them are float64.
     """
     single = isinstance(rng, RngStream)
     rngs = [rng] if single else list(rng)
     if not rngs:
         raise InputError("generate needs at least one RNG stream")
     image = np.asarray(image, dtype=np.float64)
-    if not np.all(np.isfinite(image)):
-        raise InputError("image has non-finite pixels")
-    # [0] drops the conv cache here: held, it would stay alive through every
-    # chain (27 MB at 256 x 256)
-    feats = vcfr.extract_features(image, model.cfg, model.conv)[0]
+    # the pyramid casts the image to float32, where a finite pixel beyond
+    # float32's range would become inf
+    if not np.all(np.abs(image) <= np.finfo(np.float32).max):
+        raise InputError("image has pixels that are nan, inf or beyond float32's range")
+    # the conv pyramid runs in float32, on copies of its parameters made here
+    # as _reverse_chain makes the MLP's.  [0] drops its cache: held, the rest
+    # of it (13 MB at 256 x 256) would stay alive through every chain
+    c = model.conv
+    conv32 = vcfr.ConvPyramidParams(*(p.astype(np.float32) for p in (c.w1, c.b1, c.w2, c.b2)))
+    feats = vcfr.extract_features(image, model.cfg, conv32)[0]
     latents = [[] for _ in rngs]
     for level, lv in enumerate(model.plan.levels):
         prevs = [l[-1] if l else None for l in latents]

@@ -1,10 +1,13 @@
 """Scale-specific visual-depth conditioning.
 
 A fixed two-layer 3x3 convolutional pyramid (edge-padded, SiLU) produces a
-feature map at the finest resolution which is average-pooled down to every
-level.  Per level, the features are fused with the current depth state by
-a scalar sigmoid gate with a residual path, pooled per token, and extended
-with a guidance scalar equal to the mean log-depth of the current state.
+feature map at the finest resolution, which is the finest level's grid; each
+coarser level's grid is the block mean of a finer one.  The pyramid computes
+in the dtype of its parameters: generation passes float32 copies, training
+the float64 parameters it trains.  Per level, the features are fused with
+the current depth state by a scalar sigmoid gate with a residual path,
+pooled per token, and extended with a guidance scalar equal to the mean
+log-depth of the current state.
 All gradients are hand-derived so the extractor and fusion parameters can
 be trained jointly with the noise predictors.  Each forward returns its
 output and the cache its backward reads; generation drops the cache at once.
@@ -101,11 +104,15 @@ def extract_features(image: np.ndarray, cfg: ScaleConfig, params: ConvPyramidPar
     """Per-level feature grids from an (H, W, 3) image in [0, 1], and the
     cache :func:`extract_features_backward` reads.
 
-    SiLU runs in place, as in :func:`nnet.mlp_forward`.  The cache holds each
-    layer's padded input and sigmoid and the output features (layer 2's
-    padded input holds layer 1's output); a caller with no backward drops it.
+    The image is cast to the dtype of ``params``, and every array made here
+    has that dtype, as in :func:`nnet.mlp_forward`.  SiLU runs in place.  The
+    finest grid is layer 2's output itself; each coarser one is pooled from
+    the coarsest finer grid its resolution divides (the next finer one on
+    every named layout).  The cache holds each layer's padded input and
+    sigmoid and the output features (layer 2's padded input holds layer 1's
+    output); a caller with no backward drops it.
     """
-    image = np.asarray(image, dtype=np.float64)
+    image = np.asarray(image, dtype=params.w1.dtype)
     res_final = cfg.final_resolution
     if image.shape != (res_final, res_final, 3):
         raise ShapeError(f"image shape {image.shape} != ({res_final}, {res_final}, 3)")
@@ -113,18 +120,27 @@ def extract_features(image: np.ndarray, cfg: ScaleConfig, params: ConvPyramidPar
     s1 = silu_inplace(h1, True)
     f, xp2 = conv3x3_forward(h1, params.w2, params.b2)
     s2 = silu_inplace(f, True)
-    return [downsample_mean(f, res) for res, _ in cfg.levels], (xp1, s1, xp2, s2, f)
+    grids = [f]
+    for res, _ in reversed(cfg.levels[:-1]):
+        src = next((g for g in reversed(grids) if g.shape[0] % res == 0), f)
+        grids.append(downsample_mean(src, res))
+    return grids[::-1], (xp1, s1, xp2, s2, f)
 
 
 def extract_features_backward(grad_feats, cfg: ScaleConfig, params: ConvPyramidParams, cache) -> dict:
-    """Accumulate per-level feature-grid gradients into conv parameter grads;
-    the SiLU derivatives are formed in the cache, so it serves one backward."""
+    """Accumulate per-level feature-grid gradients into conv parameter grads.
+
+    The SiLU derivatives are formed in the cache, so it serves one backward.
+    The output features ``f`` are also the finest grid the caller holds, so
+    layer 2's derivative is formed in a copy of them, and the grids
+    :func:`extract_features` returned are never written.
+    """
     xp1, s1, xp2, s2, f = cache
     res_final = cfg.final_resolution
     da2 = np.zeros(f.shape)
     for (res, _), g in zip(cfg.levels, grad_feats):
         da2 += downsample_mean_adjoint(g, res_final // res)
-    da2 *= silu_grad_inplace(f, s2)
+    da2 *= silu_grad_inplace(f.copy(), s2)
     dw2, db2 = conv3x3_backward(da2, xp2, params.w2)
     da1 = conv3x3_input_grad(da2, params.w2) * silu_grad_inplace(xp2[1:-1, 1:-1], s1)
     dw1, db1 = conv3x3_backward(da1, xp1, params.w1)
@@ -139,9 +155,10 @@ def refine_condition(f: np.ndarray, z: np.ndarray, gate_w: float, gate_b: float,
 
     ``f`` is (res, res, F), ``z`` is (res, res); tokens follow the level's
     row-major patch partition.  Returns the (n_tokens, F) pooled tokens and
-    the cache :func:`refine_condition_backward` reads.
+    the cache :func:`refine_condition_backward` reads.  ``f`` may be float32:
+    the float64 gate widens the product, so the tokens are float64.
     """
-    f = np.asarray(f, dtype=np.float64)
+    f = np.asarray(f)
     z = np.asarray(z, dtype=np.float64)
     if f.shape[:2] != z.shape:
         raise ShapeError(f"feature grid {f.shape[:2]} != depth state {z.shape}")

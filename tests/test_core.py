@@ -51,6 +51,12 @@ class TestResampling:
         g = np.arange(16.0).reshape(4, 4)
         assert np.array_equal(downsample_mean(g, 4), g)
 
+    def test_downsample_keeps_floating_dtype(self):
+        g = np.arange(64.0).reshape(8, 8)
+        assert downsample_mean(g.astype(np.float32), 2).dtype == np.float32
+        assert downsample_mean(g.astype(int), 2).dtype == np.float64
+        assert downsample_mean(g.astype(int), 2).tobytes() == downsample_mean(g, 2).tobytes()
+
     def test_downsample_non_divisible(self):
         with pytest.raises(ResampleError):
             downsample_mean(np.zeros((4, 4)), 3)

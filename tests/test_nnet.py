@@ -211,13 +211,15 @@ class TestSiluOverflow:
         # W1 = I: the pre-activation grad is silu'(-big) = 0, silu'(big) = 1
         assert np.array_equal(g.pre0[0], [0.0, 1.0])
 
-    def test_conv_pyramid_limits_without_warning(self):
-        # layer 1 is its bias (-800, 800); layer 2's centre tap sends channel
-        # 1 to (800, -800): each layer meets both limits at every pixel
-        w2 = np.zeros((3, 3, 2, 2))
+    @pytest.mark.parametrize("dtype, x", [(np.float32, 100.0), (np.float64, 800.0)])
+    def test_conv_pyramid_limits_without_warning(self, dtype, x):
+        # layer 1 is its bias (-x, x); layer 2's centre tap sends channel 1
+        # to (x, -x): each layer meets both limits at every pixel
+        w2 = np.zeros((3, 3, 2, 2), dtype=dtype)
         w2[1, 1] = [[0.0, 0.0], [1.0, -1.0]]
-        params = ConvPyramidParams(w1=np.zeros((3, 3, 3, 2)), b1=np.array([-800.0, 800.0]),
-                                   w2=w2, b2=np.zeros(2))
+        params = ConvPyramidParams(w1=np.zeros((3, 3, 3, 2), dtype=dtype),
+                                   b1=np.array([-x, x], dtype=dtype), w2=w2,
+                                   b2=np.zeros(2, dtype=dtype))
         cfg = ScaleConfig(levels=((1, 1), (2, 1), (4, 1), (8, 1)), d_min=0.1, d_max=10.0)
         image = np.random.default_rng(0).uniform(0, 1, (8, 8, 3))
         with warnings.catch_warnings():
@@ -225,7 +227,8 @@ class TestSiluOverflow:
             feats, cache = extract_features(image, cfg, params)
             grad_feats = [np.zeros_like(f) for f in feats[:-1]] + [np.ones_like(feats[-1])]
             grads = extract_features_backward(grad_feats, cfg, params, cache)
-        assert np.all(feats[-1] == [800.0, 0.0])
+        # read after the backward: it leaves the returned grids as they were
+        assert feats[-1].dtype == dtype and np.all(feats[-1] == [x, 0.0])
         # silu' is 1 on the live channel and 0 on the other, at both layers
         assert np.array_equal(grads["conv.b2"], [64.0, 0.0])
         assert np.array_equal(grads["conv.b1"], [0.0, 64.0])

@@ -5,9 +5,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from fractaldepth.core import ScaleConfig, downsample_mean
 from fractaldepth.errors import ShapeError
 from fractaldepth.rng import RngStream
-from fractaldepth.vcfr import (append_guidance_token, conv3x3_forward, conv3x3_input_grad,
-                               extract_features, extract_features_backward, init_conv_pyramid,
-                               refine_condition, refine_condition_backward)
+from fractaldepth.vcfr import (ConvPyramidParams, append_guidance_token, conv3x3_forward,
+                               conv3x3_input_grad, extract_features, extract_features_backward,
+                               init_conv_pyramid, refine_condition, refine_condition_backward)
 
 CFG = ScaleConfig(levels=((1, 1), (4, 1), (16, 1), (32, 4)), d_min=0.1, d_max=10.0)
 
@@ -83,22 +83,70 @@ class TestExtractFeatures:
     @pytest.mark.parametrize("F", [4, 16])
     def test_bit_identical_to_out_of_place(self, F):
         # SiLU runs in place; the grids, which generation reads, must equal
-        # the out-of-place arithmetic bit for bit, and the cache holds each
-        # layer's padded input and sigmoid and the output, no pre-activation
+        # the out-of-place arithmetic bit for bit, each coarser grid pooled
+        # from the next finer one, and the cache holds each layer's padded
+        # input and sigmoid and the output, no pre-activation
         params = _params(seed=F, F=F)
         image = np.random.default_rng(F).uniform(0, 1, (32, 32, 3))
         a1, xp1 = conv3x3_forward(image, params.w1, params.b1)
         h1 = a1 / (1.0 + np.exp(-a1))
         a2, xp2 = conv3x3_forward(h1, params.w2, params.b2)
         f = a2 / (1.0 + np.exp(-a2))
+        grids = [f]
+        for res, _ in reversed(CFG.levels[:-1]):
+            grids.insert(0, downsample_mean(grids[0], res))
         feats, cache = extract_features(image, CFG, params)
         assert len(feats) == len(CFG.levels)
-        for grid, (res, _) in zip(feats, CFG.levels):
-            assert grid.tobytes() == downsample_mean(f, res).tobytes()
+        for grid, ref in zip(feats, grids):
+            assert grid.dtype == np.float64 and grid.tobytes() == ref.tobytes()
+        # the finest grid is the output itself, not a pooled copy
+        assert feats[-1] is cache[-1]
         expect = (xp1, 1.0 / (1.0 + np.exp(-a1)), xp2, 1.0 / (1.0 + np.exp(-a2)), f)
         assert len(cache) == len(expect)
         for kept, ref in zip(cache, expect):
             assert kept.tobytes() == ref.tobytes()
+
+    def test_backward_leaves_grids_intact(self):
+        # the finest grid is the cache's output features; the backward forms
+        # silu' without writing into any grid the caller holds
+        params = _params(seed=5, F=4)
+        image = np.random.default_rng(5).uniform(0, 1, (32, 32, 3))
+        feats, cache = extract_features(image, CFG, params)
+        before = [f.copy() for f in feats]
+        extract_features_backward([np.ones_like(f) for f in feats], CFG, params, cache)
+        for f, ref in zip(feats, before):
+            assert np.array_equal(f, ref)
+
+    def test_nested_pooling_needs_only_divisibility(self):
+        # 2 does not divide 3: the coarsest level pools from the finest grid
+        cfg = ScaleConfig(levels=((2, 1), (3, 1), (12, 1)), d_min=0.1, d_max=10.0)
+        params = _params(seed=6, F=4)
+        image = np.random.default_rng(6).uniform(0, 1, (12, 12, 3))
+        feats, cache = extract_features(image, cfg, params)
+        assert [f.shape[0] for f in feats] == [2, 3, 12]
+        for f in feats:
+            assert np.allclose(f, downsample_mean(cache[-1], f.shape[0]), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("F", [4, 16])
+    def test_float32_params_give_float32_pyramid(self, F):
+        # the pyramid computes in its parameters' dtype, as generation runs
+        # it.  A K-term float32 sum rounds within K u of the sum of its terms'
+        # magnitudes (u = EPS32 / 2; Higham, Accuracy and Stability, 3.1).
+        # Each layer-2 feature sums 9 F + 1 terms over layer-1 outputs that
+        # sum 28; the magnitudes sum to about 3 times the largest feature
+        # (measured 2.9), so the grids stay within 1.5 (9 F + 29) EPS32 of it
+        # (measured 1.5 EPS32); the pools' sums of 2x2 and 4x4 blocks add at
+        # most 16 u, inside that margin
+        params = _params(seed=F, F=F)
+        p32 = ConvPyramidParams(*(p.astype(np.float32) for p in
+                                  (params.w1, params.b1, params.w2, params.b2)))
+        image = np.random.default_rng(F).uniform(0, 1, (32, 32, 3))
+        feats32, cache = extract_features(image, CFG, p32)
+        feats64, _ = extract_features(image, CFG, params)
+        assert all(a.dtype == np.float32 for a in feats32 + list(cache))
+        tol = 1.5 * (9 * F + 29) * np.finfo(np.float32).eps * np.max(np.abs(feats64[-1]))
+        for a, b in zip(feats32, feats64):
+            assert np.max(np.abs(a - b)) <= tol
 
     def test_backward_finite_difference(self):
         params = _params(seed=2, F=4)
