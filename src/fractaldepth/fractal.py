@@ -24,8 +24,8 @@ from .diffusion import NoiseSchedule, forward_noise, make_linear_schedule, respa
 # not called here: perfbench/tracer.py times reverse steps by patching this binding
 from .diffusion import reverse_step  # noqa: F401
 from .errors import ConfigError, FractalDepthError, InputError, NumericsError, ShapeError
-from .nnet import (AdamWState, MlpParams, adamw_step, init_mlp, mlp_backward, mlp_forward,
-                   load_checkpoint, save_checkpoint, time_embed)
+from .nnet import (AdamWState, MlpGrads, MlpParams, adamw_step, init_mlp, mlp_backward,
+                   mlp_forward, load_checkpoint, save_checkpoint, time_embed)
 from .rng import RngStream
 
 
@@ -123,10 +123,12 @@ def _build_condition(model: FractalModel, feats: list, state: np.ndarray, level:
 
 
 # Rows of one stacked forward/backward in training: whole draws of a level,
-# at least one.  On a 2-vCPU OpenBLAS host, 1024-row blocks (level 2's four
-# draws at once) made desk_train slower (p50 61.4-62.2 against 58.0-58.9 ms)
-# and raised its peak RSS from 76 to 89.5 MB (README "Performance").
-_TRAIN_BLOCK = 256
+# at least one.  Sized by bytes: a (512, 256) float32 hidden activation is
+# 0.5 MB, as the former 256-row float64 block was.  On a 2-vCPU OpenBLAS
+# host (10 s desk_train runs, 3 seeds), float32 blocks of 256, 512 and 1024
+# rows read p50 21.4-22.2, 20.2-20.5 and 20.9-21.5 ms, at peak RSS 74.1,
+# 74.6-75.3 and 78.3-80.0 MB (README "Performance").
+_TRAIN_BLOCK = 512
 
 
 def _level_loss_and_grads(model: FractalModel, level: int, z_star: np.ndarray,
@@ -138,12 +140,26 @@ def _level_loss_and_grads(model: FractalModel, level: int, z_star: np.ndarray,
     rows are stacked and run through the MLP in blocks of whole draws, one
     forward and one backward per block; the condition, which every draw
     shares, is projected through its rows of W0 once.
+
+    Mixed precision over float64 master weights, without loss scaling: the
+    MLP forward and backward run in float32, on copies of the level's weights
+    made here, as at generation.  The condition projection is float64 and
+    cast to float32 once.  The squared-error sum, the blocks' weight, bias and
+    ``pre0`` gradient sums, W0's condition rows and the feature gradient are
+    float64, and so is everything returned.  ``NumericsError`` if a block's
+    loss is not finite (a float32 overflow among them), before its backward.
     """
     lv = model.plan.levels[level]
     mlp = model.mlps[level]
+    # a weight beyond float32's range casts to inf, and a float32 overflow
+    # in the forward gives inf or nan: both surface as the non-finite loss
+    # rejected below, before any backward
+    with np.errstate(over="ignore"):
+        mlp32 = MlpParams(weights=[w.astype(np.float32) for w in mlp.weights],
+                          biases=[b.astype(np.float32) for b in mlp.biases])
     n, d, td = lv.token_count, lv.token_dim, model.time_dim
     R = model.timestep_reuse
-    x = np.empty((R * n, d + td))          # each draw's [z_t, time] rows
+    x = np.empty((R * n, d + td), dtype=np.float32)    # each draw's [z_t, time] rows
     eps = np.empty((R * n, d))
     for r in range(R):
         t = int(rng.integers(1, model.sched.T + 1, "t", level, r))
@@ -152,37 +168,41 @@ def _level_loss_and_grads(model: FractalModel, level: int, z_star: np.ndarray,
         x[rows, :d] = forward_noise(z_star, t, eps[rows], model.sched)
         x[rows, d:] = time_embed(float(t), td)
     w0 = mlp.weights[0]
-    cond_pre = cond @ w0[d + td:] + mlp.biases[0]
+    cond_pre = (cond @ w0[d + td:] + mlp.biases[0]).astype(np.float32)
     per_block = min(R, max(1, _TRAIN_BLOCK // n))
     pre0 = np.tile(cond_pre, (per_block, 1)) if per_block > 1 else cond_pre
-    total = None                           # the blocks' MlpGrads, summed
+    total = None                           # the blocks' MlpGrads, summed in float64
     sq_sum = 0.0
     for lo in range(0, R, per_block):
         k = min(per_block, R - lo)
         rows = slice(lo * n, (lo + k) * n)
-        y, cache = mlp_forward(mlp, x[rows], pre0[:k * n])
-        y -= eps[rows]
-        sq_sum += float(np.vdot(y, y))
-        y *= 2.0 / (n * d * R)
-        g = mlp_backward(mlp, cache, y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y, cache = mlp_forward(mlp32, x[rows], pre0[:k * n])
+            diff = y - eps[rows]            # float64, as the sum of its squares
+            sq_sum += float(np.vdot(diff, diff))
+        if not np.isfinite(sq_sum):
+            raise NumericsError(f"non-finite loss at level {level}; step rejected")
+        diff *= 2.0 / (n * d * R)
+        g = mlp_backward(mlp32, cache, diff)
         # one block's activations at a time: holding them into the next
         # block's forward raised desk_train's peak RSS by 2-3 MB
-        del y, cache
-        g0 = g.pre0.reshape(k, n, -1).sum(axis=0)    # summed over the draws
+        del y, diff, cache
+        g0 = g.pre0.reshape(k, n, -1).sum(axis=0, dtype=np.float64)
         if total is None:
-            total, g0_sum = g, g0
+            total = MlpGrads(weights=[w.astype(np.float64) for w in g.weights],
+                             biases=[b.astype(np.float64) for b in g.biases], pre0=g0)
         else:
             for acc, part in zip(total.weights + total.biases, g.weights + g.biases):
                 acc += part
-            g0_sum += g0
+            total.pre0 += g0
         del g
     # the backward gave W0's [z_t, time] rows; the condition rows follow
     w0_grad = np.empty_like(w0)
     w0_grad[:d + td] = total.weights[0]
-    np.matmul(cond.T, g0_sum, out=w0_grad[d + td:])
+    np.matmul(cond.T, total.pre0, out=w0_grad[d + td:])
     total.weights[0] = w0_grad
     return (sq_sum / (n * d * R), total.named(f"mlp{level}"),
-            g0_sum @ w0[d + td:d + td + model.feature_dim].T)
+            total.pre0 @ w0[d + td:d + td + model.feature_dim].T)
 
 
 def loss_and_grads(model: FractalModel, image: np.ndarray, gt: DepthMap, rng: RngStream):
@@ -199,8 +219,6 @@ def loss_and_grads(model: FractalModel, image: np.ndarray, gt: DepthMap, rng: Rn
         z_star = split_patches(targets[level], lv.patch_size).reshape(lv.token_count, lv.token_dim)
         level_loss, mlp_grads, dfeat = _level_loss_and_grads(model, level, z_star, cond, rng)
         losses.append(level_loss)
-        if not np.isfinite(level_loss):
-            raise NumericsError(f"non-finite loss at level {level}; step rejected")
         grads.update(mlp_grads)
         # condition gradient: only the pooled feature block trains upstream
         # parameters (guidance and patch context come from fixed targets)

@@ -181,10 +181,13 @@ def mlp_backward(params: MlpParams, cache, grad_out: np.ndarray) -> MlpGrads:
     other columns into ``pre0`` applies their chain rule from it.
 
     The backward works in the cache's hidden activations, so one cache
-    serves one backward.
+    serves one backward.  It computes in the dtype of the weights, as the
+    forward does: ``grad_out`` is cast to it, and every gradient returned has
+    it.  Float32 weights give a float32 backward; float64 weights the float64
+    one.
     """
     inputs, sigmoids = cache
-    g = np.asarray(grad_out, dtype=np.float64)
+    g = np.asarray(grad_out, dtype=params.weights[0].dtype)
     out_shape = (inputs[0].shape[0], params.weights[-1].shape[1])
     if g.shape != out_shape:
         raise ShapeError(f"output grad shape {g.shape} != {out_shape}")

@@ -163,7 +163,10 @@ def refine_condition(f: np.ndarray, z: np.ndarray, gate_w: float, gate_b: float,
     if f.shape[:2] != z.shape:
         raise ShapeError(f"feature grid {f.shape[:2]} != depth state {z.shape}")
     res = z.shape[0]
-    s = 1.0 / (1.0 + np.exp(-(gate_w * z + gate_b)))
+    # exp(-a) overflows below a = -709, where the gate 1 / (1 + inf) is 0,
+    # its limit, as in nnet.silu_inplace; the overflow is not reported
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-(gate_w * z + gate_b)))
     g = f * (1.0 + s)[:, :, None]
     n = res // patch
     return downsample_mean(g, n).reshape(n * n, -1), (f, z, s, patch)
