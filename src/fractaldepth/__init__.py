@@ -8,8 +8,8 @@ from .diffusion import (NoiseSchedule, forward_noise, make_linear_schedule, resp
                         reverse_step, sample)
 from .errors import (ConfigError, FractalDepthError, InputError, NumericsError,
                      ResampleError, ShapeError, TimestepError)
-from .fractal import (FractalModel, GenerationTrace, decode_level_depth, encode_targets,
-                      generate, init_model, load_model, save_model, train_step)
+from .fractal import (FractalModel, GenerationTrace, ModelSpec, decode_level_depth,
+                      encode_targets, generate, init_model, load_model, save_model, train_step)
 from .rng import RngStream
 from .urca import (AlignmentParams, ConsensusOutput, URCAConfig, align_samples,
                    fuse, uncertainty_stats)

@@ -10,11 +10,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import DepthMap, ScaleConfig, named_scale_config
-from .diffusion import make_linear_schedule
 from .errors import ConfigError, FractalDepthError, InputError, ShapeError
 # load_model is not called here, but perfbench/tracer.py patches this binding
-from .fractal import (FractalModel, decode_level_depth, generate, init_model,  # noqa: F401
-                      load_model, save_model, train_step)
+from .fractal import (FractalModel, ModelSpec, decode_level_depth, generate,  # noqa: F401
+                      init_model, load_model, save_model, train_step)
 from .nnet import LrSchedule, lr_at
 from .rng import RngStream
 from .urca import URCAConfig, fuse, uncertainty_stats
@@ -152,16 +151,18 @@ class RunConfig:
     def scale(self) -> ScaleConfig:
         return named_scale_config(self.scale_config)
 
-    def schedule(self):
-        return make_linear_schedule(self.timesteps, self.beta_start, self.beta_end)
-
     def scene_spec(self, seed: int) -> SceneSpec:
         return SceneSpec(seed=seed, resolution=self.scale().final_resolution)
 
-    def hidden(self) -> tuple:
+    def model_spec(self) -> ModelSpec:
         if self.hidden_depth < 0:
             raise ConfigError(f"hidden_depth must be >= 0, got {self.hidden_depth}")
-        return (self.hidden_width,) * self.hidden_depth
+        scale = self.scale()
+        return ModelSpec(levels=scale.levels, d_min=scale.d_min, d_max=scale.d_max,
+                         T=self.timesteps, beta_start=self.beta_start, beta_end=self.beta_end,
+                         hidden=(self.hidden_width,) * self.hidden_depth,
+                         feature_dim=self.feature_dim, time_dim=self.time_dim,
+                         timestep_reuse=self.timestep_reuse)
 
 
 def load_run_config(path) -> RunConfig:
@@ -185,10 +186,8 @@ def load_run_config(path) -> RunConfig:
                 raise ConfigError(f"{path}:{lineno}: {key} = {val!r} is not "
                                   f"{convert.__name__}") from None
     cfg = RunConfig(**values)
-    try:             # validate eagerly
-        cfg.scale()
-        cfg.schedule()
-        cfg.hidden()
+    try:             # validate eagerly: the file must describe a model
+        cfg.model_spec()
     except FractalDepthError as e:
         raise ConfigError(f"{path}: {e}") from e
     if not (math.isfinite(cfg.tau) and math.isfinite(cfg.multisample_tau)):
@@ -207,9 +206,7 @@ def load_run_config(path) -> RunConfig:
 
 
 def build_model(cfg: RunConfig) -> FractalModel:
-    return init_model(cfg.scale(), cfg.seed, sched=cfg.schedule(), hidden=cfg.hidden(),
-                      feature_dim=cfg.feature_dim, time_dim=cfg.time_dim,
-                      timestep_reuse=cfg.timestep_reuse)
+    return init_model(cfg.model_spec(), cfg.seed)
 
 
 # --- Runners ---------------------------------------------------------------
@@ -260,10 +257,9 @@ def run_train(cfg: RunConfig, out_dir) -> str:
     model = build_model(cfg)        # a config that builds no model leaves no out_dir
     os.makedirs(out_dir, exist_ok=True)
     rng = RngStream(cfg.seed, ("train",))
-    steps_per_epoch = cfg.train_scenes
-    total = cfg.epochs * steps_per_epoch
+    total = cfg.epochs * cfg.train_scenes
     lr_sched = LrSchedule(base_lr=cfg.base_lr,
-                          warmup_steps=min(cfg.warmup_epochs * steps_per_epoch, total // 10),
+                          warmup_steps=min(cfg.warmup_epochs * cfg.train_scenes, total // 10),
                           total_steps=total, final_lr=cfg.final_lr)
     loss_rows = []
     val_rows = []
@@ -283,9 +279,8 @@ def run_train(cfg: RunConfig, out_dir) -> str:
                 val_rows.append([step] + _metrics_row(mean))
     ckpt = os.path.join(out_dir, "checkpoint.fadn")
     save_model(ckpt, model)
-    n_levels = len(model.plan.levels)
     _write_csv(os.path.join(out_dir, "loss_curve.csv"),
-               ["step", "lr"] + [f"loss_level{i}" for i in range(n_levels)], loss_rows)
+               ["step", "lr"] + [f"loss_level{i}" for i in range(model.n_levels)], loss_rows)
     _write_csv(os.path.join(out_dir, "validation.csv"), ["step"] + _METRIC_HEADER, val_rows)
     return ckpt
 

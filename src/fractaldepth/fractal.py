@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import fnmatch
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -29,8 +29,49 @@ from .nnet import (AdamWState, MlpGrads, MlpParams, adamw_step, init_mlp, mlp_ba
 from .rng import RngStream
 
 
+@dataclass(frozen=True)
+class ModelSpec:
+    """Everything that shapes a model: its level layout and depth range, its
+    noise schedule, and the sizes of the unit every level repeats (the MLP's
+    hidden widths, the conv features, the time embedding) with the timestep
+    draws of a training step.  A checkpoint's meta is ``asdict(spec)``.
+
+    Construction normalises ``levels`` and ``hidden`` to tuples and raises
+    ``ConfigError`` unless the spec builds a model.
+    """
+
+    levels: tuple            # ((res, patch), ...) coarse -> fine
+    d_min: float
+    d_max: float
+    T: int
+    beta_start: float
+    beta_end: float
+    hidden: tuple            # MLP hidden widths
+    feature_dim: int
+    time_dim: int
+    timestep_reuse: int      # timestep draws per condition per example
+
+    def __post_init__(self):
+        object.__setattr__(self, "levels", tuple(tuple(l) for l in self.levels))
+        object.__setattr__(self, "hidden", tuple(self.hidden))
+        self.scale(), self.schedule()      # each raises ConfigError unless valid
+        if self.timestep_reuse < 1:
+            raise ConfigError(f"timestep_reuse must be >= 1, got {self.timestep_reuse}")
+        if min((self.feature_dim, self.time_dim, *self.hidden)) < 1 or self.time_dim % 2:
+            raise ConfigError(f"layer sizes must be >= 1 and time_dim even (sin/cos pairs), got "
+                              f"hidden={self.hidden}, feature_dim={self.feature_dim}, "
+                              f"time_dim={self.time_dim}")
+
+    def scale(self) -> ScaleConfig:
+        return ScaleConfig(levels=self.levels, d_min=self.d_min, d_max=self.d_max)
+
+    def schedule(self) -> NoiseSchedule:
+        return make_linear_schedule(self.T, self.beta_start, self.beta_end)
+
+
 @dataclass
 class FractalModel:
+    spec: ModelSpec
     cfg: ScaleConfig
     plan: SchedulePlan
     sched: NoiseSchedule
@@ -38,20 +79,11 @@ class FractalModel:
     gate_w: np.ndarray          # (L,) fusion gate scales
     gate_b: np.ndarray          # (L,) fusion gate shifts
     mlps: list                  # per-level MlpParams
-    feature_dim: int
-    time_dim: int
-    timestep_reuse: int         # timestep draws per condition per example
     opt_state: AdamWState = field(default_factory=AdamWState)
 
     @property
     def n_levels(self) -> int:
         return len(self.plan.levels)
-
-    def cond_dim(self, level: int) -> int:
-        base = self.feature_dim + 1
-        if level == self.n_levels - 1:
-            base += 5 * self.plan.levels[level].token_dim
-        return base
 
     def named_params(self) -> dict:
         out = dict(self.conv.named())
@@ -62,34 +94,32 @@ class FractalModel:
         return out
 
 
-def init_model(cfg: ScaleConfig, seed: int, *, sched: NoiseSchedule, hidden,
-               feature_dim: int, time_dim: int, timestep_reuse: int) -> FractalModel:
-    rng = RngStream(seed, ("init",))
-    # small final layer keeps the initial loss near the unit noise variance
-    return _assemble_model(cfg, sched, hidden, feature_dim, time_dim, timestep_reuse,
-                           lambda f: vcfr.init_conv_pyramid(f, rng.child("conv")),
-                           lambda i, sizes: init_mlp(sizes, rng.child("mlp", i),
-                                                     final_scale=0.01))
-
-
-def _assemble_model(cfg: ScaleConfig, sched: NoiseSchedule, hidden, feature_dim: int,
-                    time_dim: int, timestep_reuse: int, make_conv, make_mlp) -> FractalModel:
-    """The model around the conv pyramid ``make_conv(feature_dim)``; level
-    i's MLP is ``make_mlp(i, layer sizes)``."""
-    if timestep_reuse < 1:
-        raise ConfigError(f"timestep_reuse must be >= 1, got {timestep_reuse}")
-    if min((feature_dim, time_dim, *hidden)) < 1 or time_dim % 2:
-        raise ConfigError(f"layer sizes must be >= 1 and time_dim even (sin/cos pairs), got "
-                          f"hidden={tuple(hidden)}, feature_dim={feature_dim}, time_dim={time_dim}")
+def _empty_model(spec: ModelSpec) -> FractalModel:
+    """The model of ``spec`` on uninitialised storage, for an initialisation
+    or a checkpoint to fill."""
+    cfg = spec.scale()
     plan = build_schedule_plan(cfg)
-    model = FractalModel(cfg=cfg, plan=plan, sched=sched, conv=make_conv(feature_dim),
-                         gate_w=np.ones(len(plan.levels)),
-                         gate_b=np.zeros(len(plan.levels)),
-                         mlps=[], feature_dim=feature_dim, time_dim=time_dim,
-                         timestep_reuse=timestep_reuse)
+    n = len(plan.levels)
+    mlps = []
     for i, lv in enumerate(plan.levels):
-        in_dim = lv.token_dim + time_dim + model.cond_dim(i)
-        model.mlps.append(make_mlp(i, [in_dim, *hidden, lv.token_dim]))
+        # [z_t, time] and the condition: pooled features and the guidance
+        # token, and at the finest level the center patch and its
+        # 4-neighborhood context
+        cond_dim = spec.feature_dim + 1 + (5 * lv.token_dim if i == n - 1 else 0)
+        mlps.append(MlpParams.empty([lv.token_dim + spec.time_dim + cond_dim, *spec.hidden,
+                                     lv.token_dim]))
+    return FractalModel(spec=spec, cfg=cfg, plan=plan, sched=spec.schedule(),
+                        conv=vcfr.ConvPyramidParams.empty(spec.feature_dim),
+                        gate_w=np.ones(n), gate_b=np.zeros(n), mlps=mlps)
+
+
+def init_model(spec: ModelSpec, seed: int) -> FractalModel:
+    model = _empty_model(spec)
+    rng = RngStream(seed, ("init",))
+    model.conv = vcfr.init_conv_pyramid(spec.feature_dim, rng.child("conv"))
+    # small final layer keeps the initial loss near the unit noise variance
+    model.mlps = [init_mlp(m.sizes, rng.child("mlp", i), final_scale=0.01)
+                  for i, m in enumerate(model.mlps)]
     return model
 
 
@@ -122,13 +152,19 @@ def _build_condition(model: FractalModel, feats: list, state: np.ndarray, level:
     return cond, fuse_cache
 
 
-# Rows of one stacked forward/backward in training: whole draws of a level,
-# at least one.  Sized by bytes: a (512, 256) float32 hidden activation is
-# 0.5 MB, as the former 256-row float64 block was.  On a 2-vCPU OpenBLAS
-# host (10 s desk_train runs, 3 seeds), float32 blocks of 256, 512 and 1024
-# rows read p50 21.4-22.2, 20.2-20.5 and 20.9-21.5 ms, at peak RSS 74.1,
-# 74.6-75.3 and 78.3-80.0 MB (README "Performance").
-_TRAIN_BLOCK = 512
+# Rows of one float32 MLP call, in training (whole draws of a level, at
+# least one) and at generation.  Sized by bytes: a (512, 256) float32 hidden
+# activation is 0.5 MB, as the former 256-row float64 block was.  On a
+# 2-vCPU OpenBLAS host (README "Performance"):
+# - training (10 s desk_train runs, 3 seeds): blocks of 256, 512 and 1024
+#   rows read p50 21.4-22.2, 20.2-20.5 and 20.9-21.5 ms, at peak RSS 74.1,
+#   74.6-75.3 and 78.3-80.0 MB;
+# - generation: 512-row blocks made an 8-sample scene faster than 256-row
+#   ones at the same peak RSS; with float64, 512 rows had raised the peak
+#   RSS by 5 MB.  One call per step over all rows (no blocks) read desk_fuse8
+#   p50 121.0-121.7 ms against 118.7-119.6 ms, at peak RSS 63.4 MB against
+#   59.0-59.6 MB.
+_BLOCK = 512
 
 
 def _level_loss_and_grads(model: FractalModel, level: int, z_star: np.ndarray,
@@ -157,8 +193,8 @@ def _level_loss_and_grads(model: FractalModel, level: int, z_star: np.ndarray,
     with np.errstate(over="ignore"):
         mlp32 = MlpParams(weights=[w.astype(np.float32) for w in mlp.weights],
                           biases=[b.astype(np.float32) for b in mlp.biases])
-    n, d, td = lv.token_count, lv.token_dim, model.time_dim
-    R = model.timestep_reuse
+    n, d, td = lv.token_count, lv.token_dim, model.spec.time_dim
+    R = model.spec.timestep_reuse
     x = np.empty((R * n, d + td), dtype=np.float32)    # each draw's [z_t, time] rows
     eps = np.empty((R * n, d))
     for r in range(R):
@@ -169,7 +205,7 @@ def _level_loss_and_grads(model: FractalModel, level: int, z_star: np.ndarray,
         x[rows, d:] = time_embed(float(t), td)
     w0 = mlp.weights[0]
     cond_pre = (cond @ w0[d + td:] + mlp.biases[0]).astype(np.float32)
-    per_block = min(R, max(1, _TRAIN_BLOCK // n))
+    per_block = min(R, max(1, _BLOCK // n))
     pre0 = np.tile(cond_pre, (per_block, 1)) if per_block > 1 else cond_pre
     total = None                           # the blocks' MlpGrads, summed in float64
     sq_sum = 0.0
@@ -202,7 +238,7 @@ def _level_loss_and_grads(model: FractalModel, level: int, z_star: np.ndarray,
     np.matmul(cond.T, total.pre0, out=w0_grad[d + td:])
     total.weights[0] = w0_grad
     return (sq_sum / (n * d * R), total.named(f"mlp{level}"),
-            total.pre0 @ w0[d + td:d + td + model.feature_dim].T)
+            total.pre0 @ w0[d + td:d + td + model.spec.feature_dim].T)
 
 
 def loss_and_grads(model: FractalModel, image: np.ndarray, gt: DepthMap, rng: RngStream):
@@ -260,14 +296,6 @@ def sample_steps(model: FractalModel) -> int:
     return min(SAMPLE_STEPS, model.sched.T)
 
 
-# Row block of the sampler's MLP forward, sized by bytes: a (512, 256)
-# float32 hidden activation is 0.5 MB, as the 256-row float64 block was.  On
-# a 2-vCPU OpenBLAS host, 512-row float32 blocks made an 8-sample scene
-# faster than 256-row ones at the same peak RSS; with float64, 512 rows had
-# raised the peak RSS by 5 MB (README "Performance").
-_BLOCK = 512
-
-
 def _reverse_chain(model: FractalModel, level: int, cond: np.ndarray, lrngs: list,
                    tau: float, predictor) -> np.ndarray:
     """One level's reverse chain over the N stacked samples; returns z_0.
@@ -291,10 +319,10 @@ def _reverse_chain(model: FractalModel, level: int, cond: np.ndarray, lrngs: lis
         # heap thresholds and the peak RSS of an 8-sample scene by 2-5 MB
         mlp = model.mlps[level]
         w0 = mlp.weights[0]
-        d = lv.token_dim
-        cond_pre = [(cond[r:r + _BLOCK] @ w0[d + model.time_dim:] + mlp.biases[0])
+        d, td = lv.token_dim, model.spec.time_dim
+        cond_pre = [(cond[r:r + _BLOCK] @ w0[d + td:] + mlp.biases[0])
                     .astype(np.float32) for r in range(0, cond.shape[0], _BLOCK)]
-        time_pre = time_embed(sched.t, model.time_dim) @ w0[d:d + model.time_dim]
+        time_pre = time_embed(sched.t, td) @ w0[d:d + td]
         time_rows = dict(zip(sched.t.tolist(), time_pre.astype(np.float32)))
         mlp32 = MlpParams(weights=[w.astype(np.float32) for w in mlp.weights],
                           biases=[b.astype(np.float32) for b in mlp.biases])
@@ -315,6 +343,9 @@ def _reverse_chain(model: FractalModel, level: int, cond: np.ndarray, lrngs: lis
                   [r.child("tokens") for r in lrngs])
 
 
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
 def generate(model: FractalModel, image: np.ndarray, rng, tau: float, predictor=None):
     """Full coarse-to-fine generation pass.
 
@@ -332,7 +363,9 @@ def generate(model: FractalModel, image: np.ndarray, rng, tau: float, predictor=
     tokens and conditions as float64 arrays.
 
     The conv features are computed in float32; the conditions built from
-    them are float64.
+    them are float64.  ``NumericsError`` names the level whose chain ends
+    with non-finite latents (a huge finite ``tau`` overflows it), before
+    any depth is decoded.
     """
     single = isinstance(rng, RngStream)
     rngs = [rng] if single else list(rng)
@@ -341,7 +374,7 @@ def generate(model: FractalModel, image: np.ndarray, rng, tau: float, predictor=
     image = np.asarray(image, dtype=np.float64)
     # the pyramid casts the image to float32, where a finite pixel beyond
     # float32's range would become inf
-    if not np.all(np.abs(image) <= np.finfo(np.float32).max):
+    if not np.all(np.abs(image) <= _F32_MAX):
         raise InputError("image has pixels that are nan, inf or beyond float32's range")
     # the conv pyramid runs in float32, on copies of its parameters made here
     # as _reverse_chain makes the MLP's.  [0] drops its cache: held, the rest
@@ -354,8 +387,13 @@ def generate(model: FractalModel, image: np.ndarray, rng, tau: float, predictor=
         prevs = [l[-1] if l else None for l in latents]
         cond = np.concatenate([_build_condition(model, feats, _level_state(model, level, p),
                                                 level)[0] for p in prevs])
-        z = _reverse_chain(model, level, cond, [r.child("level", level) for r in rngs], tau,
-                           predictor)
+        # a huge finite tau overflows the chain (in float32 first, where the
+        # MLP casts it); its NaN would decode to a NaN depth
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = _reverse_chain(model, level, cond, [r.child("level", level) for r in rngs],
+                               tau, predictor)
+        if not np.all(np.isfinite(z)):
+            raise NumericsError(f"level {level}: non-finite latents at the chain's end, tau={tau}")
         for k, zk in enumerate(np.split(z, len(rngs))):
             latents[k].append(reassemble_patches(
                 zk.reshape(lv.token_count, lv.patch_size, lv.patch_size), lv.resolution))
@@ -366,45 +404,34 @@ def generate(model: FractalModel, image: np.ndarray, rng, tau: float, predictor=
 # --- Checkpoint + trace persistence ---------------------------------------
 
 def save_model(path, model: FractalModel) -> None:
-    save_checkpoint(path, model.named_params(), {
-        "levels": [list(l) for l in model.cfg.levels],
-        "d_min": model.cfg.d_min,
-        "d_max": model.cfg.d_max,
-        "T": model.sched.T,
-        "beta_start": float(model.sched.beta[0]),
-        "beta_end": float(model.sched.beta[-1]),
-        "feature_dim": model.feature_dim,
-        "time_dim": model.time_dim,
-        "timestep_reuse": model.timestep_reuse,
-        "hidden": [int(s) for s in model.mlps[0].sizes[1:-1]],
-    })
+    save_checkpoint(path, model.named_params(), asdict(model.spec))
 
 
 def load_model(path) -> FractalModel:
     """Rebuild a model from a checkpoint; ``ConfigError`` naming the path if
-    its meta or tensors do not describe one.
+    its meta or tensors do not describe one, or a tensor holds nan, inf or a
+    value beyond float32's range (the sampler runs in float32).
 
-    The model is built from the manifest's meta on uninitialised storage (no
-    random initialisation is drawn), and :func:`nnet.load_checkpoint` reads
-    each tensor's bytes straight into its parameter array.
+    The model is built from the :class:`ModelSpec` fields of the manifest's
+    meta (other keys are ignored) on uninitialised storage, so no random
+    initialisation is drawn, and :func:`nnet.load_checkpoint` reads each
+    tensor's bytes straight into its parameter array.
     """
     model = None
 
     def targets(meta):
         nonlocal model
         try:
-            cfg = ScaleConfig(levels=tuple(tuple(l) for l in meta["levels"]),
-                              d_min=meta["d_min"], d_max=meta["d_max"])
-            sched = make_linear_schedule(meta["T"], meta["beta_start"], meta["beta_end"])
-            model = _assemble_model(cfg, sched, tuple(meta["hidden"]), meta["feature_dim"],
-                                    meta["time_dim"], meta["timestep_reuse"],
-                                    vcfr.ConvPyramidParams.empty,
-                                    lambda i, sizes: MlpParams.empty(sizes))
+            model = _empty_model(ModelSpec(**{f.name: meta[f.name] for f in fields(ModelSpec)}))
         except (KeyError, TypeError, ValueError, FractalDepthError) as e:
             raise ConfigError(f"{path}: checkpoint meta does not describe a model: {e!r}") from e
         return model.named_params()
 
     load_checkpoint(path, targets)
+    for name, p in model.named_params().items():
+        # min and max, unlike abs, allocate nothing; either is nan if p holds one
+        if not -_F32_MAX <= p.min() <= p.max() <= _F32_MAX:
+            raise ConfigError(f"{path}: tensor {name!r} holds nan, inf or values beyond float32")
     return model
 
 

@@ -115,7 +115,7 @@ class TestRunConfig:
     def test_defaults_valid(self):
         cfg = RunConfig()
         cfg.scale()
-        cfg.schedule()
+        cfg.model_spec()
 
     def test_urca_and_scene_settings_are_their_own_defaults(self):
         # no URCA or scene setting is a run key: each is the default of
@@ -162,6 +162,10 @@ class TestRunConfig:
         ("seed = x", "bad.cfg:2: "),
         ("val_scenes = 0", "bad.cfg: val_scenes"),  # validation runs by default
         ("hidden_depth = -2", "bad.cfg: hidden_depth"),
+        # a file that builds no model fails whichever command reads it
+        ("time_dim = 3", "bad.cfg: layer sizes"),
+        ("feature_dim = 0", "bad.cfg: layer sizes"),
+        ("timestep_reuse = 0", "bad.cfg: timestep_reuse"),
         # a non-finite rate or decay writes NaN into every weight at the first step
         ("base_lr = nan", "bad.cfg: base_lr"),
         ("base_lr = -1", "bad.cfg: base_lr"),
@@ -177,6 +181,7 @@ class TestRunConfig:
     ], ids=["scale_config", "urca_lambda", "urca_lambda_nan", "tau_inf",
             "multisample_tau_nan", "threshold_nan", "threshold_inf",
             "threshold_negative", "epochs", "seed", "val_scenes", "hidden_depth",
+            "time_dim_odd", "feature_dim_zero", "timestep_reuse_zero",
             "base_lr_nan", "base_lr_negative", "final_lr_inf", "final_lr_negative",
             "weight_decay_nan", "weight_decay_negative", "epochs_zero", "epochs_negative",
             "train_scenes_zero", "warmup_epochs_negative"])

@@ -282,6 +282,24 @@ class TestTypedErrors:
         assert "time_dim" in err
         assert not (tmp_path / "t").exists()
 
+    @pytest.mark.parametrize("line", ["time_dim = 3", "feature_dim = 0", "timestep_reuse = 0"])
+    def test_unbuildable_model_config(self, tmp_path, capsys, line):
+        # every command checks the model keys of its config, not only train
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text(f"{line}\n")
+        err = self._fails(capsys, ["scene", "--config", str(cfg), "--out", str(tmp_path / "s")],
+                          "ConfigError")
+        assert "model.cfg" in err and line.split()[0] in err
+        assert not (tmp_path / "s").exists()
+
+    def test_diverged_chain(self, tiny_run, capsys):
+        # a huge finite tau overflows the reverse chain
+        cfg, ckpt, root = tiny_run
+        err = self._fails(capsys, ["sample", "--config", str(cfg), "--checkpoint", str(ckpt),
+                                   "--tau", "1e200", "--out", str(root / "huge")], "NumericsError")
+        assert "level 0" in err
+        assert not (root / "huge").exists()
+
     def test_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "nan.cfg"
         cfg.write_text("uncertainty_threshold = nan\n")

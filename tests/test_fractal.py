@@ -1,6 +1,9 @@
 import functools
+import hashlib
+import json
 import tracemalloc
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +15,10 @@ import fractaldepth.fractal as fractal_mod
 from fractaldepth import bench, vcfr
 from fractaldepth.core import (DepthMap, ScaleConfig, downsample_mean, log_normalize,
                                named_scale_config, split_patches, upsample_bilinear)
-from fractaldepth.diffusion import forward_noise, make_linear_schedule
+from fractaldepth.diffusion import forward_noise
 from fractaldepth.errors import ConfigError, InputError, NumericsError, ShapeError
-from fractaldepth.fractal import (decode_level_depth, encode_targets, generate, init_model,
-                                  load_model, save_model, save_trace, train_step)
+from fractaldepth.fractal import (ModelSpec, decode_level_depth, encode_targets, generate,
+                                  init_model, load_model, save_model, save_trace, train_step)
 from fractaldepth.nnet import (MlpParams, adamw_step, load_checkpoint, mlp_backward,
                                mlp_forward, save_checkpoint, time_embed)
 from fractaldepth.rng import RngStream
@@ -47,9 +50,15 @@ def assert_f32_close(a_trace, b_trace, latent_tol=LATENT_TOL, depth_rtol=DEPTH_R
     assert np.max(np.abs(x - y) / y) <= depth_rtol
 
 
+def make_spec(cfg, T, hidden, feature_dim, time_dim, timestep_reuse):
+    """A model on ``cfg``'s layout whose T betas run linearly from 1e-4 to 0.02."""
+    return ModelSpec(levels=cfg.levels, d_min=cfg.d_min, d_max=cfg.d_max, T=T, beta_start=1e-4,
+                     beta_end=0.02, hidden=hidden, feature_dim=feature_dim, time_dim=time_dim,
+                     timestep_reuse=timestep_reuse)
+
+
 def small_model(seed=0, T=10, hidden=(16, 16)):
-    return init_model(CFG, seed=seed, sched=make_linear_schedule(T, 1e-4, 0.02), hidden=hidden,
-                      feature_dim=4, time_dim=4, timestep_reuse=2)
+    return init_model(make_spec(CFG, T, hidden, feature_dim=4, time_dim=4, timestep_reuse=2), seed)
 
 
 def scene(seed=0):
@@ -165,7 +174,8 @@ def _per_draw_step(model, image, gt, rng, lr, weight_decay=0.05):
     grads = {name: np.zeros_like(p) for name, p in model.named_params().items()}
     feat_grads = []
     losses = []
-    R = model.timestep_reuse
+    R = model.spec.timestep_reuse
+    td = model.spec.time_dim
     for level, lv in enumerate(model.plan.levels):
         state = fractal_mod._level_state(model, level, targets[level - 1] if level else None)
         cond, fuse_cache = fractal_mod._build_condition(model, feats, state, level)
@@ -173,7 +183,7 @@ def _per_draw_step(model, image, gt, rng, lr, weight_decay=0.05):
         mlp = model.mlps[level]
         mlp32 = MlpParams(weights=[w.astype(np.float32) for w in mlp.weights],
                           biases=[b.astype(np.float32) for b in mlp.biases])
-        k = lv.token_dim + model.time_dim
+        k = lv.token_dim + td
         pre0 = (cond @ mlp.weights[0][k:] + mlp.biases[0]).astype(np.float32)
         level_loss = 0.0
         dcond = np.zeros_like(cond)
@@ -181,8 +191,7 @@ def _per_draw_step(model, image, gt, rng, lr, weight_decay=0.05):
             t = int(rng.integers(1, model.sched.T + 1, "t", level, r))
             eps = rng.normal(z_star.shape, "eps", level, r)
             z_t = forward_noise(z_star, t, eps, model.sched)
-            emb = np.broadcast_to(time_embed(float(t), model.time_dim),
-                                  (lv.token_count, model.time_dim))
+            emb = np.broadcast_to(time_embed(float(t), td), (lv.token_count, td))
             y, cache = mlp_forward(mlp32, np.concatenate([z_t, emb], axis=1), pre0)
             diff = y - eps
             level_loss += float(np.mean(diff * diff)) / R
@@ -196,7 +205,8 @@ def _per_draw_step(model, image, gt, rng, lr, weight_decay=0.05):
                     grads[name] += gv
             dcond += g0 @ mlp.weights[0][k:].T
         losses.append(level_loss)
-        df, dw, db = vcfr.refine_condition_backward(dcond[:, :model.feature_dim], fuse_cache)
+        df, dw, db = vcfr.refine_condition_backward(dcond[:, :model.spec.feature_dim],
+                                                  fuse_cache)
         grads["gate_w"][level] += dw
         grads["gate_b"][level] += db
         feat_grads.append(df)
@@ -229,12 +239,11 @@ class TestStackedTrainStep:
     @staticmethod
     def _model(name, R, seed=4):
         if name == "desk":
-            return init_model(named_scale_config("desk"), seed=seed,
-                              sched=make_linear_schedule(60, 1e-4, 0.02), hidden=(256, 256, 256),
-                              feature_dim=16, time_dim=16, timestep_reuse=R)
+            return init_model(make_spec(named_scale_config("desk"), 60, (256, 256, 256),
+                                        feature_dim=16, time_dim=16, timestep_reuse=R), seed)
         cfg = ScaleConfig(levels=((2, 1), (8, 2)), d_min=0.1, d_max=10.0)
-        return init_model(cfg, seed=seed, sched=make_linear_schedule(30, 1e-4, 0.02),
-                          hidden=(24, 24), feature_dim=4, time_dim=6, timestep_reuse=R)
+        return init_model(make_spec(cfg, 30, (24, 24), feature_dim=4, time_dim=6,
+                                    timestep_reuse=R), seed)
 
     @pytest.mark.parametrize("R", [1, 2, 4])
     @pytest.mark.parametrize("name", ["two_level", "desk"])
@@ -266,7 +275,7 @@ class TestStackedTrainStep:
         image, gt = scene(30)
         rng = RngStream(3, ("fd",))          # the same draws on every call
         _, grads = fractal_mod.loss_and_grads(model, image, gt, rng)
-        f, td = model.feature_dim, model.time_dim
+        f, td = model.spec.feature_dim, model.spec.time_dim
         entries = [("gate_w", (1,)), ("gate_b", (0,)), ("gate_b", (1,)),
                    ("conv.w1", (1, 2, 0, 3)), ("conv.w1", (0, 0, 2, 1))]
         for level, lv in enumerate(model.plan.levels):
@@ -396,7 +405,8 @@ class TestGenerateHoistedCondition:
     @staticmethod
     def _full_concat(model):
         def predict(level, z, t, cond):
-            emb = np.broadcast_to(time_embed(float(t), model.time_dim), (z.shape[0], model.time_dim))
+            td = model.spec.time_dim
+            emb = np.broadcast_to(time_embed(float(t), td), (z.shape[0], td))
             return mlp_forward(model.mlps[level], np.concatenate([z, emb, cond], axis=1))[0]
         return predict
 
@@ -405,13 +415,12 @@ class TestGenerateHoistedCondition:
     def test_matches_full_concat(self, levels, tau):
         if levels is None:
             cfg = named_scale_config("desk")
-            model = init_model(cfg, seed=3, sched=make_linear_schedule(60, 1e-4, 0.02),
-                               hidden=(256, 256, 256), feature_dim=16, time_dim=16,
-                               timestep_reuse=4)
+            model = init_model(make_spec(cfg, 60, (256, 256, 256), feature_dim=16,
+                                         time_dim=16, timestep_reuse=4), seed=3)
         else:
             cfg = ScaleConfig(levels=levels, d_min=0.1, d_max=10.0)
-            model = init_model(cfg, seed=3, sched=make_linear_schedule(30, 1e-4, 0.02),
-                               hidden=(32, 32), feature_dim=4, time_dim=6, timestep_reuse=4)
+            model = init_model(make_spec(cfg, 30, (32, 32), feature_dim=4, time_dim=6,
+                                         timestep_reuse=4), seed=3)
         res = cfg.final_resolution
         image = np.random.default_rng(4).uniform(0, 1, (res, res, 3))
         a = generate(model, image, RngStream(12, ("h",)), tau=tau)
@@ -425,12 +434,11 @@ def _batch_model(name):
     """A small model on the desk layout, or on a 2-level layout whose 144
     finest tokens put a sample boundary inside a row block."""
     if name == "desk":
-        return init_model(named_scale_config("desk"), seed=2,
-                          sched=make_linear_schedule(8, 1e-4, 0.02), hidden=(32, 32),
-                          feature_dim=4, time_dim=4, timestep_reuse=4)
+        return init_model(make_spec(named_scale_config("desk"), 8, (32, 32), feature_dim=4,
+                                    time_dim=4, timestep_reuse=4), seed=2)
     cfg = ScaleConfig(levels=((3, 1), (12, 1)), d_min=0.1, d_max=10.0)
-    return init_model(cfg, seed=2, sched=make_linear_schedule(8, 1e-4, 0.02), hidden=(24, 24),
-                      feature_dim=4, time_dim=6, timestep_reuse=4)
+    return init_model(make_spec(cfg, 8, (24, 24), feature_dim=4, time_dim=6, timestep_reuse=4),
+                      seed=2)
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "desk_seed0.fadn"
@@ -576,7 +584,10 @@ class TestBatchedGenerate:
         for level, z_shape, cond_shape in seen:
             lv = model.plan.levels[level]
             assert z_shape == (n * lv.token_count, lv.token_dim)
-            assert cond_shape == (n * lv.token_count, model.cond_dim(level))
+            # pooled features, guidance token and, at the finest level, the
+            # center patch and its 4-neighborhood context
+            cond_dim = model.spec.feature_dim + 1 + 5 * lv.token_dim * (level == model.n_levels - 1)
+            assert cond_shape == (n * lv.token_count, cond_dim)
         # one call per kept step of the respaced chain
         assert len(seen) == model.n_levels * min(fractal_mod.SAMPLE_STEPS, model.sched.T)
         for stream, trace in zip(streams, batch):
@@ -646,6 +657,36 @@ class TestLargeFinitePixel:
             assert np.all(np.isfinite(trace.final.values))
 
 
+class TestHugeTau:
+    """A huge finite tau overflows the reverse chain (in float32 first, where
+    the MLP casts the chain state): generate raises NumericsError naming the
+    level, with no warning and before any decode."""
+
+    @pytest.mark.parametrize("tau", [1e200, 1e300])
+    def test_rejected_before_decode(self, monkeypatch, tau):
+        model = small_model()
+        image, _ = scene(16)
+        decoded = []
+        monkeypatch.setattr(fractal_mod, "decode_level_depth", lambda *a: decoded.append(a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="level 0: non-finite"):
+                generate(model, image, RngStream(0, ("n",)), tau=tau)
+            with pytest.raises(NumericsError, match="level 0: non-finite"):
+                generate(model, image, [RngStream(0, ("n",)), RngStream(1, ("n",))], tau=tau)
+        assert decoded == []
+
+    def test_large_tau_stays_finite(self):
+        # tau = 1e20 scales the noise far past any depth, but no float32 cast
+        # overflows: the latents stay finite and the depths clamp
+        model = _reference_model()
+        image, _ = bench.model_scene(model, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = generate(model, image, RngStream(0, ("sample",)), tau=1e20)
+        assert np.all(np.isfinite(trace.final.values))
+
+
 class TestNonFiniteTau:
     @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
     def test_rejected_before_first_step(self, tau):
@@ -692,7 +733,10 @@ class TestPersistence:
         train_step(model, image, gt, RngStream(9, ("p",)), lr=1e-3, weight_decay=0.05)
         path = tmp_path / "m.fadn"
         save_model(path, model)
+        # the meta is the spec, and the spec survives the round trip
+        assert load_checkpoint(path)[1] == json.loads(json.dumps(asdict(model.spec)))
         loaded = load_model(path)
+        assert loaded.spec == model.spec
         for (k, a), (k2, b) in zip(sorted(model.named_params().items()),
                                    sorted(loaded.named_params().items())):
             assert k == k2 and np.array_equal(a, b)
@@ -799,6 +843,29 @@ class TestPersistence:
         path = tmp_path / "m.fadn"
         self._rewrite(path, odd_time_dim)
         with pytest.raises(ConfigError, match="m.fadn.*time_dim even"):
+            load_model(path)
+
+    # SHA-256 of the reference checkpoint re-saved by save_model, recorded
+    # with the hand-written meta dict that asdict(ModelSpec) replaced: its
+    # tensors, and its meta without the level_index key it was written with
+    RESAVED_SHA256 = "53cc4258fe3564945e9c0e576c68cc680863627950f2bc0e6fd0f79da1b3f0cc"
+
+    def test_reference_resaves_unchanged(self, tmp_path):
+        path = tmp_path / "ref.fadn"
+        save_model(path, load_model(REFERENCE))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.RESAVED_SHA256
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39, -1e39],
+                             ids=["nan", "inf", "-inf", "1e39", "-1e39"])
+    def test_unusable_tensor_rejected(self, tmp_path, value):
+        # the sampler runs every MLP and the pyramid in float32, where a
+        # finite 1e39 is inf
+        def poison(p, m):
+            p["mlp2.w1"][3, 5] = value
+
+        path = tmp_path / "m.fadn"
+        self._rewrite(path, poison)
+        with pytest.raises(ConfigError, match=r"m\.fadn: tensor 'mlp2\.w1'"):
             load_model(path)
 
     def test_trace_dump(self, tmp_path):
