@@ -148,6 +148,21 @@ class RunConfig:
     # settings those of SceneSpec
     uncertainty_threshold: float = 1.0
 
+    def __post_init__(self):
+        self.model_spec()       # the run must build a model
+        if not (math.isfinite(self.tau) and math.isfinite(self.multisample_tau)):
+            raise ConfigError(f"tau and multisample_tau must be finite, "
+                              f"got {self.tau} and {self.multisample_tau}")
+        for key in ("base_lr", "final_lr", "weight_decay", "uncertainty_threshold"):
+            if not 0.0 <= getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
+        for key, low in (("epochs", 1), ("train_scenes", 1), ("warmup_epochs", 0)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        if self.val_every > 0 and self.val_scenes < 1:
+            raise ConfigError(f"val_scenes must be >= 1 when val_every > 0, "
+                              f"got {self.val_scenes}")
+
     def scale(self) -> ScaleConfig:
         return named_scale_config(self.scale_config)
 
@@ -166,8 +181,12 @@ class RunConfig:
 
 
 def load_run_config(path) -> RunConfig:
-    """Plain-text key=value config, one entry per line, '#' comments."""
-    values = {}
+    """Plain-text key=value config, one entry per line, '#' comments.
+
+    Only parses: the ``RunConfig`` it builds checks the values, and its
+    ``ConfigError`` names the file.
+    """
+    values, lines = {}, {}
     valid = {f.name: f.type for f in fields(RunConfig)}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -179,30 +198,19 @@ def load_run_config(path) -> RunConfig:
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in valid:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in lines:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
+            lines[key] = lineno
             convert = {"int": int, "float": float}.get(valid[key], str)
             try:
                 values[key] = convert(val)
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: {key} = {val!r} is not "
                                   f"{convert.__name__}") from None
-    cfg = RunConfig(**values)
-    try:             # validate eagerly: the file must describe a model
-        cfg.model_spec()
+    try:
+        return RunConfig(**values)
     except FractalDepthError as e:
         raise ConfigError(f"{path}: {e}") from e
-    if not (math.isfinite(cfg.tau) and math.isfinite(cfg.multisample_tau)):
-        raise ConfigError(f"{path}: tau and multisample_tau must be finite, "
-                          f"got {cfg.tau} and {cfg.multisample_tau}")
-    for key in ("base_lr", "final_lr", "weight_decay", "uncertainty_threshold"):
-        if not 0.0 <= getattr(cfg, key) < math.inf:
-            raise ConfigError(f"{path}: {key} must be finite and >= 0, got {getattr(cfg, key)}")
-    for key, low in (("epochs", 1), ("train_scenes", 1), ("warmup_epochs", 0)):
-        if getattr(cfg, key) < low:
-            raise ConfigError(f"{path}: {key} must be >= {low}, got {getattr(cfg, key)}")
-    if cfg.val_every > 0 and cfg.val_scenes < 1:
-        raise ConfigError(f"{path}: val_scenes must be >= 1 when val_every > 0, "
-                          f"got {cfg.val_scenes}")
-    return cfg
 
 
 def build_model(cfg: RunConfig) -> FractalModel:
@@ -254,7 +262,7 @@ def eval_scenes(model: FractalModel, cfg: RunConfig, scene_seeds, rng: RngStream
 
 def run_train(cfg: RunConfig, out_dir) -> str:
     """Train on generated scenes; writes checkpoint + loss/validation CSVs."""
-    model = build_model(cfg)        # a config that builds no model leaves no out_dir
+    model = build_model(cfg)
     os.makedirs(out_dir, exist_ok=True)
     rng = RngStream(cfg.seed, ("train",))
     total = cfg.epochs * cfg.train_scenes

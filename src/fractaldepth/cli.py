@@ -48,7 +48,7 @@ def cmd_plan(args) -> int:
 
 def cmd_scene(args) -> int:
     cfg = _load_cfg(args)
-    spec = cfg.scene_spec(args.seed if args.seed is not None else 0)
+    spec = cfg.scene_spec(cfg.seed)
     image, depth = bench.gen_scene(spec)
     os.makedirs(args.out, exist_ok=True)
     imgio.write_pfm(os.path.join(args.out, "depth.pfm"), depth.values)
@@ -82,7 +82,7 @@ def cmd_eval(args) -> int:
 def cmd_sample(args) -> int:
     cfg = _load_cfg(args)
     model = load_model(args.checkpoint)
-    image, _ = bench.model_scene(model, args.seed if args.seed is not None else 0)
+    image, _ = bench.model_scene(model, cfg.seed)
     trace = generate(model, image, RngStream(cfg.seed, ("sample",)), tau=cfg.tau)
     save_trace(trace, args.out, {"seed": cfg.seed, "tau": cfg.tau,
                                  "levels": model.cfg.levels, "steps": sample_steps(model)})

@@ -134,7 +134,7 @@ def encode_targets(gt: DepthMap, model: FractalModel) -> list:
 
 def _level_state(model: FractalModel, level: int, prev_latent) -> np.ndarray:
     res = model.plan.levels[level].resolution
-    if level == 0 or prev_latent is None:
+    if prev_latent is None:
         return np.zeros((res, res))
     return upsample_bilinear(prev_latent, res)
 

@@ -1,5 +1,6 @@
 import functools
-from dataclasses import fields
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -111,6 +112,41 @@ class TestMetrics:
             metrics(DepthMap(values=np.zeros((2, 2))), DepthMap(values=np.ones((2, 2))))
 
 
+# values that parse but that RunConfig rejects, by test id
+_REJECTED = {
+    "scale_config": ("scale_config", "nonsense"),
+    "tau_inf": ("tau", math.inf),
+    "multisample_tau_nan": ("multisample_tau", math.nan),
+    "threshold_nan": ("uncertainty_threshold", math.nan),
+    "threshold_inf": ("uncertainty_threshold", math.inf),
+    "threshold_negative": ("uncertainty_threshold", -1.0),
+    "val_scenes": ("val_scenes", 0),                # validation runs by default
+    "hidden_depth": ("hidden_depth", -2),
+    # a config that builds no model fails whichever command reads it
+    "time_dim_odd": ("time_dim", 3),
+    "feature_dim_zero": ("feature_dim", 0),
+    "timestep_reuse_zero": ("timestep_reuse", 0),
+    # a non-finite rate or decay writes NaN into every weight at the first step
+    "base_lr_nan": ("base_lr", math.nan),
+    "base_lr_negative": ("base_lr", -1.0),
+    "final_lr_inf": ("final_lr", math.inf),
+    "final_lr_negative": ("final_lr", -1e-5),
+    "weight_decay_nan": ("weight_decay", math.nan),
+    "weight_decay_negative": ("weight_decay", -0.05),
+    # a run that trains nothing, or skips warm-up, fails before it writes
+    "epochs_zero": ("epochs", 0),
+    "epochs_negative": ("epochs", -1),
+    "train_scenes_zero": ("train_scenes", 0),
+    "warmup_epochs_negative": ("warmup_epochs", -1),
+}
+
+
+def _named(key):
+    """A pattern for the key in an error message (the scale config's spells
+    it with a space)."""
+    return key.replace("_", "[_ ]")
+
+
 class TestRunConfig:
     def test_defaults_valid(self):
         cfg = RunConfig()
@@ -149,48 +185,29 @@ class TestRunConfig:
             load_run_config(p)
 
     @pytest.mark.parametrize("line, where", [
-        ("scale_config = nonsense", "bad.cfg: "),   # rejected by an eager check
         # urca_lambda is no longer a key, so any value of it fails on its line
         ("urca_lambda = -1", "bad.cfg:2: unknown key"),
         ("urca_lambda = nan", "bad.cfg:2: unknown key"),
-        ("tau = inf", "bad.cfg: tau"),
-        ("multisample_tau = nan", "bad.cfg: tau"),
-        ("uncertainty_threshold = nan", "bad.cfg: uncertainty_threshold"),
-        ("uncertainty_threshold = inf", "bad.cfg: uncertainty_threshold"),
-        ("uncertainty_threshold = -1", "bad.cfg: uncertainty_threshold"),
         ("epochs = 2.5", "bad.cfg:2: "),            # does not convert
         ("seed = x", "bad.cfg:2: "),
-        ("val_scenes = 0", "bad.cfg: val_scenes"),  # validation runs by default
-        ("hidden_depth = -2", "bad.cfg: hidden_depth"),
-        # a file that builds no model fails whichever command reads it
-        ("time_dim = 3", "bad.cfg: layer sizes"),
-        ("feature_dim = 0", "bad.cfg: layer sizes"),
-        ("timestep_reuse = 0", "bad.cfg: timestep_reuse"),
-        # a non-finite rate or decay writes NaN into every weight at the first step
-        ("base_lr = nan", "bad.cfg: base_lr"),
-        ("base_lr = -1", "bad.cfg: base_lr"),
-        ("final_lr = inf", "bad.cfg: final_lr"),
-        ("final_lr = -1e-5", "bad.cfg: final_lr"),
-        ("weight_decay = nan", "bad.cfg: weight_decay"),
-        ("weight_decay = -0.05", "bad.cfg: weight_decay"),
-        # a run that trains nothing, or skips warm-up, fails before it writes
-        ("epochs = 0", "bad.cfg: epochs"),
-        ("epochs = -1", "bad.cfg: epochs"),
-        ("train_scenes = 0", "bad.cfg: train_scenes"),
-        ("warmup_epochs = -1", "bad.cfg: warmup_epochs"),
-    ], ids=["scale_config", "urca_lambda", "urca_lambda_nan", "tau_inf",
-            "multisample_tau_nan", "threshold_nan", "threshold_inf",
-            "threshold_negative", "epochs", "seed", "val_scenes", "hidden_depth",
-            "time_dim_odd", "feature_dim_zero", "timestep_reuse_zero",
-            "base_lr_nan", "base_lr_negative", "final_lr_inf", "final_lr_negative",
-            "weight_decay_nan", "weight_decay_negative", "epochs_zero", "epochs_negative",
-            "train_scenes_zero", "warmup_epochs_negative"])
+        # only a file can give a key twice; the last value must not win quietly
+        ("tau = 0.5\ntau = 1", "bad.cfg:3: key 'tau' repeats line 2"),
+    ] + [(f"{key} = {value}", f"bad.cfg: .*{_named(key)}") for key, value in _REJECTED.values()],
+        ids=["urca_lambda", "urca_lambda_nan", "epochs", "seed", "tau_repeated", *_REJECTED])
     def test_invalid_values_caught_eagerly(self, tmp_path, line, where):
         p = tmp_path / "bad.cfg"
         p.write_text(f"# comment\n{line}\n")
         with pytest.raises(ConfigError, match=where):
             load_run_config(p)
 
+    @pytest.mark.parametrize("key, value", _REJECTED.values(), ids=_REJECTED)
+    def test_invalid_values_rejected_by_constructor(self, key, value):
+        # a CLI override goes through replace(), a Python caller through the
+        # constructor: both meet the checks a file does
+        with pytest.raises(ConfigError, match=_named(key)):
+            RunConfig(**{key: value})
+        with pytest.raises(ConfigError, match=_named(key)):
+            replace(RunConfig(), **{key: value})
 
     def test_no_val_scenes_without_validation(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -329,14 +346,22 @@ class TestRunners:
         cfg = _tiny_cfg()
         model = build_model(cfg)
         out = tmp_path / "out.csv"
-        with pytest.raises(InputError, match="scene count"):
-            if runner == "eval":
-                run_eval(cfg, model, out, 0)
-            elif runner == "multisample":
-                run_multisample(cfg, model, [1], out, 0)
-            else:
+        if runner == "validation":      # the run config itself is rejected
+            with pytest.raises(ConfigError, match="val_scenes"):
                 run_train(_tiny_cfg(val_every=2, val_scenes=0), tmp_path)
+        else:
+            with pytest.raises(InputError, match="scene count"):
+                if runner == "eval":
+                    run_eval(cfg, model, out, 0)
+                else:
+                    run_multisample(cfg, model, [1], out, 0)
         assert not any(tmp_path.glob("*.csv"))
+
+    def test_untrained_run_rejected(self, tmp_path):
+        # epochs = 0 would save an untrained checkpoint beside empty CSVs
+        with pytest.raises(ConfigError, match="epochs"):
+            run_train(RunConfig(epochs=0), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_multisample_bad_n(self):
         with pytest.raises(InputError):

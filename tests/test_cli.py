@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fractaldepth import fractal, imgio, urca
-from fractaldepth.bench import RunConfig, build_model
+from fractaldepth.bench import RunConfig, SceneSpec, build_model, gen_scene
 from fractaldepth.cli import main
 from fractaldepth.imgio import read_depth_pfm, read_pfm
 from fractaldepth.urca import URCAConfig
@@ -49,6 +49,15 @@ class TestScene:
         assert (tmp_path / "s" / "depth.pgm").exists()
         assert (tmp_path / "s" / "image_r.pfm").exists()
 
+    def test_config_seed(self, tmp_path, capsys):
+        cfg = tmp_path / "seed5.cfg"
+        cfg.write_text("seed = 5\n")
+        code, out = run(capsys, "scene", "--config", str(cfg), "--out", str(tmp_path / "s"))
+        assert code == 0 and "scene seed=5 " in out
+        d = read_depth_pfm(tmp_path / "s" / "depth.pfm")
+        _, depth = gen_scene(SceneSpec(seed=5))
+        assert np.array_equal(d.values, depth.values.astype(np.float32))
+
 
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
@@ -88,8 +97,22 @@ class TestPipelines:
         code = main(["sample", "--config", str(cfg), "--checkpoint", str(ckpt),
                      "--tau", "nan", "--out", str(root / "nan")])
         err = capsys.readouterr().err
-        assert code == 2 and err.startswith("InputError: ") and "tau" in err
+        # the run config rejects it before the checkpoint is read
+        assert code == 2 and err.startswith("ConfigError: ") and "tau" in err
         assert not (root / "nan").exists()
+
+    def test_config_seed_picks_the_scene(self, tiny_run, capsys):
+        # a config's seed and --seed are one run setting: the same scene,
+        # noise and manifest
+        cfg, ckpt, root = tiny_run
+        seeded = root / "seed5.cfg"
+        seeded.write_text(cfg.read_text() + "seed = 5\n")
+        assert main(["sample", "--config", str(seeded), "--checkpoint", str(ckpt),
+                     "--out", str(root / "cfg5")]) == 0
+        assert main(["sample", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--seed", "5", "--out", str(root / "arg5")]) == 0
+        for name in ("depth.pfm", "manifest.txt"):
+            assert (root / "cfg5" / name).read_bytes() == (root / "arg5" / name).read_bytes()
 
     def test_fuse(self, tiny_run, capsys):
         cfg, ckpt, root = tiny_run
@@ -299,6 +322,19 @@ class TestTypedErrors:
                                    "--tau", "1e200", "--out", str(root / "huge")], "NumericsError")
         assert "level 0" in err
         assert not (root / "huge").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_nonfinite_tau(self, tiny_run, capsys, command):
+        # rejected with the run config, before a step is trained, a
+        # checkpoint is read or --out is made
+        cfg, ckpt, root = tiny_run
+        out = root / f"{command}_nan"
+        argv = [command, "--config", str(cfg), "--tau", "nan", "--out", str(out)]
+        if command == "eval":
+            argv += ["--checkpoint", str(ckpt)]
+        err = self._fails(capsys, argv, "ConfigError")
+        assert "tau" in err
+        assert not out.exists()
 
     def test_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "nan.cfg"
