@@ -149,6 +149,12 @@ class RunConfig:
     uncertainty_threshold: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # int fields take ints (not bools); float fields take ints too
+            want = {"int": (int,), "float": (int, float), "str": (str,)}[f.type]
+            if not isinstance(value, want) or isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         self.model_spec()       # the run must build a model
         if not (math.isfinite(self.tau) and math.isfinite(self.multisample_tau)):
             raise ConfigError(f"tau and multisample_tau must be finite, "

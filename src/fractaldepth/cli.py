@@ -107,8 +107,12 @@ def cmd_fuse(args) -> int:
         f.write(f"iterations={align.iterations}\n")
         f.write(f"converged={align.converged}\n")
         f.write(f"objective={align.objective_trace[-1]!r}\n")
+        f.write(f"bisection_rounds={out.bisection_rounds}\n")
     if not align.converged:
         print(f"warning: alignment did not converge in {align.iterations} iterations")
+    if out.bisection_rounds >= urca._MAX_ROUNDS:
+        print(f"warning: the consensus bisection stopped at its cap of {urca._MAX_ROUNDS} "
+              f"rounds; some brackets may be wider than {urca._Z_TOL:g} m")
     imgio.write_pfm(os.path.join(args.out, "consensus.pfm"), out.consensus.values)
     imgio.write_pgm16(os.path.join(args.out, "consensus.pgm"), out.consensus)
     imgio.write_pfm(os.path.join(args.out, "uncertainty.pfm"), out.reliability)

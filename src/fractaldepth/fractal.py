@@ -152,6 +152,22 @@ def _build_condition(model: FractalModel, feats: list, state: np.ndarray, level:
     return cond, fuse_cache
 
 
+def _float32(params):
+    """A float32 copy of an ``MlpParams`` or a ``vcfr.ConvPyramidParams``.
+
+    Training and generation run the MLPs and the conv pyramid on copies made
+    at each use, so a model changed by training never leaves a stale one,
+    and both see the same float32 weights.  A value beyond float32's range
+    casts to inf without a warning; the non-finite loss or latents it leads
+    to are rejected where they are made.
+    """
+    def cast(a):
+        return [cast(x) for x in a] if isinstance(a, list) else a.astype(np.float32)
+
+    with np.errstate(over="ignore"):
+        return type(params)(**{f.name: cast(getattr(params, f.name)) for f in fields(params)})
+
+
 # Rows of one float32 MLP call, in training (whole draws of a level, at
 # least one) and at generation.  Sized by bytes: a (512, 256) float32 hidden
 # activation is 0.5 MB, as the former 256-row float64 block was.  On a
@@ -178,21 +194,21 @@ def _level_loss_and_grads(model: FractalModel, level: int, z_star: np.ndarray,
     shares, is projected through its rows of W0 once.
 
     Mixed precision over float64 master weights, without loss scaling: the
-    MLP forward and backward run in float32, on copies of the level's weights
-    made here, as at generation.  The condition projection is float64 and
-    cast to float32 once.  The squared-error sum, the blocks' weight, bias and
-    ``pre0`` gradient sums, W0's condition rows and the feature gradient are
-    float64, and so is everything returned.  ``NumericsError`` if a block's
-    loss is not finite (a float32 overflow among them), before its backward.
+    MLP forward and backward run in float32, on :func:`_float32` copies of
+    the level's weights, as at generation; so do the conv pyramid and its
+    backward in :func:`loss_and_grads`.  The condition projection is float64
+    and cast to float32 once.  The squared-error sum, the blocks' weight,
+    bias and ``pre0`` gradient sums, W0's condition rows and the feature
+    gradient are float64, and so is everything returned.  ``NumericsError``
+    if a block's loss is not finite (a float32 overflow among them), before
+    its backward.
     """
     lv = model.plan.levels[level]
     mlp = model.mlps[level]
     # a weight beyond float32's range casts to inf, and a float32 overflow
     # in the forward gives inf or nan: both surface as the non-finite loss
     # rejected below, before any backward
-    with np.errstate(over="ignore"):
-        mlp32 = MlpParams(weights=[w.astype(np.float32) for w in mlp.weights],
-                          biases=[b.astype(np.float32) for b in mlp.biases])
+    mlp32 = _float32(mlp)
     n, d, td = lv.token_count, lv.token_dim, model.spec.time_dim
     R = model.spec.timestep_reuse
     x = np.empty((R * n, d + td), dtype=np.float32)    # each draw's [z_t, time] rows
@@ -243,9 +259,13 @@ def _level_loss_and_grads(model: FractalModel, level: int, z_star: np.ndarray,
 
 def loss_and_grads(model: FractalModel, image: np.ndarray, gt: DepthMap, rng: RngStream):
     """The per-level losses of one teacher-forced step, and the gradients of
-    their sum by parameter name.  ``NumericsError`` if a loss is not finite."""
+    their sum by parameter name, all float64.  The conv pyramid and its
+    backward run in float32 on a :func:`_float32` copy of ``model.conv``, so
+    the features equal those ``generate`` computes from the same weights bit
+    for bit.  ``NumericsError`` if a loss is not finite."""
     targets = encode_targets(gt, model)
-    feats, feat_cache = vcfr.extract_features(image, model.cfg, model.conv)
+    conv32 = _float32(model.conv)
+    feats, feat_cache = vcfr.extract_features(image, model.cfg, conv32)
     grads = {"gate_w": np.zeros(model.n_levels), "gate_b": np.zeros(model.n_levels)}
     feat_grads = []
     losses = []
@@ -262,7 +282,7 @@ def loss_and_grads(model: FractalModel, image: np.ndarray, gt: DepthMap, rng: Rn
         grads["gate_w"][level] = dw
         grads["gate_b"][level] = db
         feat_grads.append(df)
-    grads.update(vcfr.extract_features_backward(feat_grads, model.cfg, model.conv, feat_cache))
+    grads.update(vcfr.extract_features_backward(feat_grads, model.cfg, conv32, feat_cache))
     return losses, grads
 
 
@@ -304,10 +324,9 @@ def _reverse_chain(model: FractalModel, level: int, cond: np.ndarray, lrngs: lis
     draws its noise from ``lrngs[k]``.  The chain runs on the
     ``sample_steps(model)`` kept timesteps of ``model.sched``.
 
-    The level's MLP runs in float32, on copies of its weights made here, so
-    a model changed by training never leaves a stale copy.  The chain state
-    and every step around the MLP stay float64; a ``predictor`` is called
-    with float64 arrays.
+    The level's MLP runs in float32, on a :func:`_float32` copy of its
+    weights made here.  The chain state and every step around the MLP stay
+    float64; a ``predictor`` is called with float64 arrays.
     """
     lv = model.plan.levels[level]
     sched = respace(model.sched, sample_steps(model))
@@ -324,8 +343,7 @@ def _reverse_chain(model: FractalModel, level: int, cond: np.ndarray, lrngs: lis
                     .astype(np.float32) for r in range(0, cond.shape[0], _BLOCK)]
         time_pre = time_embed(sched.t, td) @ w0[d:d + td]
         time_rows = dict(zip(sched.t.tolist(), time_pre.astype(np.float32)))
-        mlp32 = MlpParams(weights=[w.astype(np.float32) for w in mlp.weights],
-                          biases=[b.astype(np.float32) for b in mlp.biases])
+        mlp32 = _float32(mlp)
 
         def pred(z, t):
             # one float32 MLP call per _BLOCK rows, each adding the step's
@@ -376,12 +394,10 @@ def generate(model: FractalModel, image: np.ndarray, rng, tau: float, predictor=
     # float32's range would become inf
     if not np.all(np.abs(image) <= _F32_MAX):
         raise InputError("image has pixels that are nan, inf or beyond float32's range")
-    # the conv pyramid runs in float32, on copies of its parameters made here
-    # as _reverse_chain makes the MLP's.  [0] drops its cache: held, the rest
-    # of it (13 MB at 256 x 256) would stay alive through every chain
-    c = model.conv
-    conv32 = vcfr.ConvPyramidParams(*(p.astype(np.float32) for p in (c.w1, c.b1, c.w2, c.b2)))
-    feats = vcfr.extract_features(image, model.cfg, conv32)[0]
+    # the conv pyramid runs in float32, as in training.  [0] drops its
+    # cache: held, the rest of it (13 MB at 256 x 256) would stay alive
+    # through every chain
+    feats = vcfr.extract_features(image, model.cfg, _float32(model.conv))[0]
     latents = [[] for _ in rngs]
     for level, lv in enumerate(model.plan.levels):
         prevs = [l[-1] if l else None for l in latents]

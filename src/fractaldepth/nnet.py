@@ -51,6 +51,14 @@ def silu_grad_inplace(h: np.ndarray, s: np.ndarray) -> np.ndarray:
     return h
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for 2-D arrays, through BLAS when ``a`` has one column too:
+    ``np.matmul`` takes numpy's own loop for such a product, several times
+    slower than the GEMM ``np.dot`` calls.  Each entry of a one-column
+    product is one rounded multiply, so both give the same bytes."""
+    return np.dot(a, b) if a.shape[1] == 1 else a @ b
+
+
 def time_embed(t, dim: int) -> np.ndarray:
     """Interleaved sin/cos features of the timestep.
 
@@ -153,7 +161,7 @@ def mlp_forward(params: MlpParams, x: np.ndarray, pre0: np.ndarray = None,
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         if want_cache:
             inputs.append(h)
-        a = h @ w[:h.shape[1]]
+        a = _matmul(h, w[:h.shape[1]])
         a += pre0 if i == 0 else b
         if i != n_layers - 1:
             sigmoids.append(silu_inplace(a, want_cache))
@@ -202,7 +210,7 @@ def mlp_backward(params: MlpParams, cache, grad_out: np.ndarray) -> MlpGrads:
         dws[i] = inputs[i].T @ g
         dbs[i] = g.sum(axis=0)
         if i:
-            g = g @ params.weights[i].T
+            g = _matmul(g, params.weights[i].T)
     return MlpGrads(weights=dws, biases=dbs, pre0=g)
 
 
@@ -216,52 +224,66 @@ class AdamWState:
 
 
 _BETAS, _EPS = (0.9, 0.95), 1e-8      # AdamW moment decays and denominator guard
+# The largest gradient norm a step accepts.  The float32 second moment is a
+# decayed mean of g**2, so below 2**61 it stays under 2**122 ~ 5.3e36, and
+# float32's largest value is 3.4e38.
+_GRAD_NORM_MAX = 2.0 ** 61
 
 
 def adamw_step(params: dict, grads: dict, state: AdamWState, lr: float,
                weight_decay: float) -> None:
     """One decoupled-weight-decay Adam step over a dict of parameter arrays.
 
-    Rejects the whole step (state untouched) if any gradient is non-finite
-    or does not have its parameter's shape.  The update runs in place, in
-    two scratch arrays the size of the largest tensor, with the operations
-    and their order of ``p -= lr * (m / c1) / (sqrt(v / c2) + _EPS)``, so it
-    equals that formula bit for bit.
+    Rejects the whole step (state untouched) if any gradient is non-finite,
+    has a norm beyond ``_GRAD_NORM_MAX`` or does not have its parameter's
+    shape.  Mixed precision over float64 master weights: the decoupled decay
+    scales the float64 parameters, the moments m and v are float32 (Dettmers
+    et al., *8-bit Optimizers*, arXiv:2110.02861, keep them narrower still),
+    and the update is formed from the gradient cast to float32, in two
+    float32 scratch arrays the size of the largest tensor.  Its operations
+    and their order are those of
+    ``p -= (lr / c1) * m / (sqrt(v) * (1 / sqrt(c2)) + _EPS)``, PyTorch's
+    AdamW arithmetic with the bias corrections c1, c2 as scalars, so it
+    equals that formula run out of place on float32 moments bit for bit.
     """
     for name, p in params.items():
         g = grads[name]
         if p.shape != g.shape:
             raise ShapeError(f"{name}: param shape {p.shape} != grad shape {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise NumericsError(f"non-finite gradient for {name!r}; step rejected")
+        flat = g.reshape(-1)
+        # one BLAS pass; nan or inf in g makes the squared norm nan or inf
+        if not float(np.vdot(flat, flat)) <= _GRAD_NORM_MAX ** 2:
+            raise NumericsError(f"non-finite gradient, or one of norm beyond "
+                                f"{_GRAD_NORM_MAX:.3g}, for {name!r}; step rejected")
     b1, b2 = _BETAS
     state.step += 1
     t = state.step
+    # Python scalars meet float32 arrays below, so each rounds to float32
+    step_size, root_c2 = lr / (1 - b1 ** t), math.sqrt(1 - b2 ** t)
     size = max((p.size for p in params.values()), default=0)
-    scratch_a, scratch_b = np.empty(size), np.empty(size)
+    scratch_a, scratch_b = np.empty(size, np.float32), np.empty(size, np.float32)
     for name, p in params.items():
-        g = grads[name]
         if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
+            state.m[name] = np.zeros(p.shape, np.float32)
+            state.v[name] = np.zeros(p.shape, np.float32)
         a = scratch_a[:p.size].reshape(p.shape)
         b = scratch_b[:p.size].reshape(p.shape)
         # decoupled decay applied before the moment update
         p *= (1.0 - lr * weight_decay)
+        a[...] = grads[name]                 # g in float32
         m = state.m[name]
         v = state.v[name]
         m *= b1
-        m += np.multiply(1 - b1, g, out=a)
+        m += np.multiply(1 - b1, a, out=b)
         v *= b2
-        np.multiply(1 - b2, g, out=a)
-        a *= g
-        v += a
-        np.divide(m, 1 - b1 ** t, out=a)     # mhat
-        a *= lr
-        np.divide(v, 1 - b2 ** t, out=b)     # vhat
-        np.sqrt(b, out=b)
+        np.multiply(a, a, out=b)
+        b *= 1 - b2
+        v += b
+        np.sqrt(v, out=b)
+        b *= 1 / root_c2
         b += _EPS
-        a /= b
+        np.divide(m, b, out=a)
+        a *= step_size
         p -= a
 
 

@@ -224,14 +224,22 @@ def align_samples(samples, cfg: URCAConfig = URCAConfig()) -> AlignmentParams:
 # --- Per-pixel robust consensus -------------------------------------------
 
 
-def _energy(z, vals, scale, weight, eps_c: float):
-    """E, E' and E'' at z of sum_k weight_k * rho((vals_k - z) / scale_k).
+def _energy(z, vals, scale, weight, eps_c: float, slope_only: bool = False):
+    """E, E' and E'' at z of sum_k weight_k * rho((vals_k - z) / scale_k);
+    E' alone with ``slope_only``, bit for bit the same, for the bisection.
 
     ``vals`` is (rows, ...) and ``z`` broadcasts against one row; ``scale``
     and ``weight`` are (rows,).  The row sums are contractions with BLAS.
     """
-    u = (vals - z) / scale.reshape((-1,) + (1,) * (vals.ndim - 1))
-    root = np.sqrt(u * u + eps_c * eps_c)
+    u = vals - z
+    u /= scale.reshape((-1,) + (1,) * (vals.ndim - 1))
+    root = u * u
+    root += eps_c * eps_c
+    np.sqrt(root, out=root)
+    if slope_only:
+        np.divide(1.0, root, out=root)
+        root *= u
+        return -np.tensordot(weight / scale, root, 1)
     inv = 1.0 / root
     e = np.tensordot(weight, root, 1) - eps_c * weight.sum()
     d1 = -np.tensordot(weight / scale, u * inv, 1)
@@ -240,7 +248,8 @@ def _energy(z, vals, scale, weight, eps_c: float):
 
 
 def _consensus_minimize(s: np.ndarray, r, cfg: URCAConfig):
-    """Per-pixel minimiser M and minimum energy U over the trailing axes.
+    """Per-pixel minimiser M and minimum energy U over the trailing axes, and
+    the bisection's halvings (``_MAX_ROUNDS`` when it stopped on the cap).
 
     Samples s (N, ...) and recursive values r (K, ...) form one stack, rows
     scaled by tau_s or tau_r (+ delta_stab) and weighted 1 or gamma / K.
@@ -250,16 +259,16 @@ def _consensus_minimize(s: np.ndarray, r, cfg: URCAConfig):
     scale = np.repeat([cfg.tau_s, cfg.tau_r], [n, k]) + cfg.delta_stab
     weight = np.repeat([1.0, cfg.gamma / max(k, 1)], [n, k])
     lo, hi = vals.min(axis=0), vals.max(axis=0)
-    for _ in range(_MAX_ROUNDS):
-        if np.max(hi - lo) <= _Z_TOL:
-            break
+    rounds = 0
+    while rounds < _MAX_ROUNDS and np.max(hi - lo) > _Z_TOL:
+        rounds += 1
         mid = 0.5 * (lo + hi)
-        rising = _energy(mid, vals, scale, weight, cfg.eps_c)[1] >= 0
+        rising = _energy(mid, vals, scale, weight, cfg.eps_c, True) >= 0     # E' alone
         lo, hi = np.where(rising, lo, mid), np.where(rising, mid, hi)
     z = 0.5 * (lo + hi)
     _, d1, d2 = _energy(z, vals, scale, weight, cfg.eps_c)
     z = np.clip(z - d1 / d2, lo, hi)
-    return z, _energy(z, vals, scale, weight, cfg.eps_c)[0]
+    return z, _energy(z, vals, scale, weight, cfg.eps_c)[0], rounds
 
 
 @dataclass
@@ -268,6 +277,7 @@ class ConsensusOutput:
     uncertainty: np.ndarray     # per-pixel minimum energy, >= 0
     reliability: np.ndarray     # the reliability proxy U, see fuse
     alignment: AlignmentParams
+    bisection_rounds: int       # consensus halvings; _MAX_ROUNDS means it hit the cap
 
 
 def fuse(samples, trace_depths=None, cfg: URCAConfig = URCAConfig()) -> ConsensusOutput:
@@ -298,12 +308,12 @@ def fuse(samples, trace_depths=None, cfg: URCAConfig = URCAConfig()) -> Consensu
             coef, *_ = np.linalg.lstsq(a_mat, ref, rcond=None)
             fitted.append(coef[0] * d.values + coef[1])
         r = np.stack(fitted)
-    m, u = _consensus_minimize(aligned, r, cfg)
+    m, u, rounds = _consensus_minimize(aligned, r, cfg)
     n = len(samples)
     mask = np.logical_and.reduce([s.valid_mask for s in samples])
     return ConsensusOutput(consensus=DepthMap(values=m, valid_mask=mask), uncertainty=u,
                            reliability=u / (n * (n + cfg.gamma)) if r is not None else u / (n * n),
-                           alignment=align)
+                           alignment=align, bisection_rounds=rounds)
 
 
 def uncertainty_stats(u_map: np.ndarray, threshold: float):

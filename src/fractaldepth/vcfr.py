@@ -2,12 +2,13 @@
 
 A fixed two-layer 3x3 convolutional pyramid (edge-padded, SiLU) produces a
 feature map at the finest resolution, which is the finest level's grid; each
-coarser level's grid is the block mean of a finer one.  The pyramid computes
-in the dtype of its parameters: generation passes float32 copies, training
-the float64 parameters it trains.  Per level, the features are fused with
-the current depth state by a scalar sigmoid gate with a residual path,
-pooled per token, and extended with a guidance scalar equal to the mean
-log-depth of the current state.
+coarser level's grid is the block mean of a finer one.  The pyramid and its
+backward compute in the dtype of their parameters: generation and training
+pass float32 copies of the float64 parameters, and float64 parameters give
+the float64 pyramid the finite-difference tests check.  Per level, the
+features are fused with the current depth state by a scalar sigmoid gate
+with a residual path, pooled per token, and extended with a guidance scalar
+equal to the mean log-depth of the current state.
 All gradients are hand-derived so the extractor and fusion parameters can
 be trained jointly with the noise predictors.  Each forward returns its
 output and the cache its backward reads; generation drops the cache at once.
@@ -42,10 +43,11 @@ def conv3x3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
 
 def conv3x3_backward(grad_a: np.ndarray, xp: np.ndarray, w: np.ndarray):
     """Gradients of the pre-activation wrt (w, b); ``xp`` is the padded
-    input returned by :func:`conv3x3_forward`."""
+    input returned by :func:`conv3x3_forward`.  ``dw`` has the dtype of
+    ``w``; ``db``, a sum over every pixel, is summed in float64."""
     h, wd, cin = xp.shape[0] - 2, xp.shape[1] - 2, xp.shape[2]
     g2 = grad_a.reshape(h * wd, -1)
-    db = g2.sum(axis=0)
+    db = g2.sum(axis=0, dtype=np.float64)
     dw = np.empty_like(w)
     for di in range(3):
         for dj in range(3):
@@ -54,13 +56,19 @@ def conv3x3_backward(grad_a: np.ndarray, xp: np.ndarray, w: np.ndarray):
 
 
 def conv3x3_input_grad(grad_a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Gradient of the pre-activation wrt the unpadded input x."""
-    h, wd = grad_a.shape[:2]
-    dxp = np.zeros((h + 2, wd + 2, w.shape[2]))
+    """Gradient of the pre-activation wrt the unpadded input x, in the dtype
+    of ``grad_a`` and ``w``."""
+    h, wd, cout = grad_a.shape
+    dtype = np.result_type(grad_a, w)
+    g2 = grad_a.reshape(h * wd, cout)
+    dxp = np.zeros((h + 2, wd + 2, w.shape[2]), dtype=dtype)
+    # one 2-D GEMM per kernel offset into one scratch array: the grad wrt
+    # padded x at offset (di, dj) of each window
+    tmp = np.empty((h * wd, w.shape[2]), dtype=dtype)
     for di in range(3):
         for dj in range(3):
-            # grad wrt padded x at offset (di, dj) of each window
-            dxp[di:di + h, dj:dj + wd] += grad_a @ w[di, dj].T
+            np.matmul(g2, w[di, dj].T, out=tmp)
+            dxp[di:di + h, dj:dj + wd] += tmp.reshape(h, wd, -1)
     # fold the edge-padding border onto the interior: rows, then columns
     dxp[1] += dxp[0]
     dxp[-2] += dxp[-1]
@@ -130,21 +138,30 @@ def extract_features(image: np.ndarray, cfg: ScaleConfig, params: ConvPyramidPar
 def extract_features_backward(grad_feats, cfg: ScaleConfig, params: ConvPyramidParams, cache) -> dict:
     """Accumulate per-level feature-grid gradients into conv parameter grads.
 
-    The SiLU derivatives are formed in the cache, so it serves one backward.
-    The output features ``f`` are also the finest grid the caller holds, so
+    Computes in the dtype of ``params`` and the cache, float32 in training;
+    the bias sums over the pixels run in float64, and every gradient is
+    returned in float64, the dtype of the master weights.  The SiLU
+    derivatives are formed in the cache, so it serves one backward.  The
+    output features ``f`` are also the finest grid the caller holds, so
     layer 2's derivative is formed in a copy of them, and the grids
     :func:`extract_features` returned are never written.
     """
     xp1, s1, xp2, s2, f = cache
     res_final = cfg.final_resolution
-    da2 = np.zeros(f.shape)
+    da2 = np.zeros(f.shape, dtype=f.dtype)
     for (res, _), g in zip(cfg.levels, grad_feats):
-        da2 += downsample_mean_adjoint(g, res_final // res)
+        # the adjoint of a block mean, downsample_mean_adjoint's values,
+        # broadcast over each block of da2 with no full-size temporary
+        b = res_final // res
+        blocks = da2.reshape(res, b, res, b, -1)
+        np.add(blocks, (g / (b * b))[:, None, :, None], out=blocks, casting="same_kind")
     da2 *= silu_grad_inplace(f.copy(), s2)
     dw2, db2 = conv3x3_backward(da2, xp2, params.w2)
-    da1 = conv3x3_input_grad(da2, params.w2) * silu_grad_inplace(xp2[1:-1, 1:-1], s1)
+    da1 = conv3x3_input_grad(da2, params.w2)
+    da1 *= silu_grad_inplace(xp2[1:-1, 1:-1], s1)
     dw1, db1 = conv3x3_backward(da1, xp1, params.w1)
-    return ConvPyramidParams(w1=dw1, b1=db1, w2=dw2, b2=db2).named()
+    return {name: g.astype(np.float64, copy=False) for name, g in
+            ConvPyramidParams(w1=dw1, b1=db1, w2=dw2, b2=db2).named().items()}
 
 
 # --- Gated fusion + token pooling -----------------------------------------
@@ -156,7 +173,8 @@ def refine_condition(f: np.ndarray, z: np.ndarray, gate_w: float, gate_b: float,
     ``f`` is (res, res, F), ``z`` is (res, res); tokens follow the level's
     row-major patch partition.  Returns the (n_tokens, F) pooled tokens and
     the cache :func:`refine_condition_backward` reads.  ``f`` may be float32:
-    the float64 gate widens the product, so the tokens are float64.
+    it is widened to float64 first, so the tokens are float64, and the
+    product is formed in place, with the bytes of the mixed product.
     """
     f = np.asarray(f)
     z = np.asarray(z, dtype=np.float64)
@@ -167,7 +185,8 @@ def refine_condition(f: np.ndarray, z: np.ndarray, gate_w: float, gate_b: float,
     # its limit, as in nnet.silu_inplace; the overflow is not reported
     with np.errstate(over="ignore"):
         s = 1.0 / (1.0 + np.exp(-(gate_w * z + gate_b)))
-    g = f * (1.0 + s)[:, :, None]
+    g = f.astype(np.float64)
+    g *= (1.0 + s)[:, :, None]
     n = res // patch
     return downsample_mean(g, n).reshape(n * n, -1), (f, z, s, patch)
 

@@ -209,6 +209,23 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=_named(key)):
             replace(RunConfig(), **{key: value})
 
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", 1.5), ("epochs", True), ("seed", 2.0), ("timestep_reuse", False),
+        ("tau", "0"), ("base_lr", True), ("scale_config", 3)],
+        ids=["int_float", "int_bool", "seed_float", "int_false", "float_str", "float_bool",
+             "str_int"])
+    def test_wrong_type_rejected(self, key, value):
+        # checked against each field's annotation before any value check,
+        # so the error names the key, not a TypeError deeper down
+        with pytest.raises(ConfigError, match=f"^{key} must be "):
+            RunConfig(**{key: value})
+        with pytest.raises(ConfigError, match=f"^{key} must be "):
+            replace(RunConfig(), **{key: value})
+
+    def test_float_fields_take_ints(self):
+        cfg = RunConfig(tau=1, base_lr=0, uncertainty_threshold=2)
+        assert (cfg.tau, cfg.base_lr, cfg.uncertainty_threshold) == (1.0, 0.0, 2.0)
+
     def test_no_val_scenes_without_validation(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("val_every = 0\nval_scenes = 0\n")

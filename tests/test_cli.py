@@ -130,11 +130,13 @@ class TestPipelines:
         assert stats[0] == "bin_left,count" and len(stats) == 65
         fields = dict(line.split("=", 1)
                       for line in (root / "fused" / "alignment.txt").read_text().splitlines())
-        assert set(fields) == {"alpha", "beta", "iterations", "converged", "objective"}
+        assert set(fields) == {"alpha", "beta", "iterations", "converged", "objective",
+                               "bisection_rounds"}
         assert len(fields["alpha"].split(",")) == len(fields["beta"].split(",")) == 2
         assert fields["converged"] == "True" and int(fields["iterations"]) >= 1
         assert float(fields["objective"]) >= 0.0
-        assert "did not converge" not in out
+        assert 1 <= int(fields["bisection_rounds"]) < urca._MAX_ROUNDS
+        assert "did not converge" not in out and "bisection stopped" not in out
 
     def test_fuse_writes_normalised_uncertainty(self, tiny_run, capsys):
         # uncertainty.pfm and the printed fraction are the reliability proxy
@@ -167,6 +169,19 @@ class TestPipelines:
         assert "alignment did not converge in 1 iterations" in out
         text = (root / "capped" / "alignment.txt").read_text()
         assert "converged=False\n" in text and "iterations=1\n" in text
+
+    def test_fuse_reports_bisection_cap(self, tiny_run, capsys, monkeypatch):
+        cfg, ckpt, root = tiny_run
+        for seed in (12, 13):
+            main(["sample", "--config", str(cfg), "--checkpoint", str(ckpt),
+                  "--seed", str(seed), "--tau", "1.0", "--out", str(root / f"t{seed}")])
+        monkeypatch.setattr(urca, "_MAX_ROUNDS", 3)
+        code, out = run(capsys, "fuse", "--config", str(cfg),
+                        str(root / "t12" / "depth.pfm"), str(root / "t13" / "depth.pfm"),
+                        "--out", str(root / "bisect"))
+        assert code == 0
+        assert "consensus bisection stopped at its cap of 3 rounds" in out
+        assert "bisection_rounds=3\n" in (root / "bisect" / "alignment.txt").read_text()
 
     def test_fuse_trace_dir(self, tiny_run, capsys):
         cfg, ckpt, root = tiny_run

@@ -19,8 +19,8 @@ from fractaldepth.diffusion import forward_noise
 from fractaldepth.errors import ConfigError, InputError, NumericsError, ShapeError
 from fractaldepth.fractal import (ModelSpec, decode_level_depth, encode_targets, generate,
                                   init_model, load_model, save_model, save_trace, train_step)
-from fractaldepth.nnet import (MlpParams, adamw_step, load_checkpoint, mlp_backward,
-                               mlp_forward, save_checkpoint, time_embed)
+from fractaldepth.nnet import (adamw_step, load_checkpoint, mlp_backward, mlp_forward,
+                               save_checkpoint, time_embed)
 from fractaldepth.rng import RngStream
 
 CFG = ScaleConfig(levels=((1, 1), (4, 1), (8, 2)), d_min=0.1, d_max=10.0)
@@ -167,10 +167,12 @@ class TestTrainStep:
 def _per_draw_step(model, image, gt, rng, lr, weight_decay=0.05):
     """The training step as a loop over levels and draws, one forward and
     backward per draw: the reference for the stacked pass of ``train_step``.
-    It runs the MLP as training does, in float32 on the float64 projection of
-    the condition, and sums each draw's gradients into float64 as it goes."""
+    It runs the conv pyramid and the MLP as training does, in float32, the
+    MLP on the float64 projection of the condition, and sums each draw's
+    gradients into float64 as it goes."""
     targets = encode_targets(gt, model)
-    feats, feat_cache = vcfr.extract_features(image, model.cfg, model.conv)
+    conv32 = fractal_mod._float32(model.conv)
+    feats, feat_cache = vcfr.extract_features(image, model.cfg, conv32)
     grads = {name: np.zeros_like(p) for name, p in model.named_params().items()}
     feat_grads = []
     losses = []
@@ -181,8 +183,7 @@ def _per_draw_step(model, image, gt, rng, lr, weight_decay=0.05):
         cond, fuse_cache = fractal_mod._build_condition(model, feats, state, level)
         z_star = split_patches(targets[level], lv.patch_size).reshape(lv.token_count, -1)
         mlp = model.mlps[level]
-        mlp32 = MlpParams(weights=[w.astype(np.float32) for w in mlp.weights],
-                          biases=[b.astype(np.float32) for b in mlp.biases])
+        mlp32 = fractal_mod._float32(mlp)
         k = lv.token_dim + td
         pre0 = (cond @ mlp.weights[0][k:] + mlp.biases[0]).astype(np.float32)
         level_loss = 0.0
@@ -210,7 +211,7 @@ def _per_draw_step(model, image, gt, rng, lr, weight_decay=0.05):
         grads["gate_w"][level] += dw
         grads["gate_b"][level] += db
         feat_grads.append(df)
-    for name, gv in vcfr.extract_features_backward(feat_grads, model.cfg, model.conv,
+    for name, gv in vcfr.extract_features_backward(feat_grads, model.cfg, conv32,
                                                    feat_cache).items():
         grads[name] += gv
     adamw_step(model.named_params(), grads, model.opt_state, lr, weight_decay=weight_decay)
@@ -229,11 +230,13 @@ class TestStackedTrainStep:
     # of its terms' magnitudes (u = 2**-24; Higham, Accuracy and Stability,
     # 3.1), and the largest block here is K = 512 rows (desk level 2 at
     # R >= 2), so each sum agrees within 2 K u = 1024 u of its magnitudes
-    # in the two orders.  AdamW divides each entry by its own gradient's
-    # size, so a parameter moves by lr times that relative change; held in
-    # each tensor's norm, with the losses, to 1024 u (measured over the 3
-    # steps: losses <= 0.6 u, parameters <= 170 u, desk at R = 4 after its
-    # first step; R = 1 is bit-identical on both layouts).
+    # in the two orders.  Both paths run the same float32 conv pyramid, so
+    # its backward's sums meet only that reordering, through the feature
+    # gradients.  AdamW divides each entry by its own gradient's size, so a
+    # parameter moves by lr times that relative change; held in each
+    # tensor's norm, with the losses, to 1024 u (measured over the 3 steps:
+    # losses <= 0.8 u, parameters <= 84 u, desk at R = 4; R = 1 is
+    # bit-identical on both layouts).
     TOL = 1024 * 2.0 ** -24
 
     @staticmethod
@@ -286,17 +289,21 @@ class TestStackedTrainStep:
                 rows.append(model.mlps[level].weights[0].shape[0] - 1)
             entries += [(f"mlp{level}.w0", (r, 3)) for r in rows]
             entries += [(f"mlp{level}.b0", (5,)), (f"mlp{level}.w1", (2, 7))]
-        # The loss runs the MLP in float32.  Its outputs y (|y| < 0.1 here)
-        # round by about sqrt(K) u |y| (K = 24 hidden units, u = 2**-24), and
-        # the loss, a float64 mean of N = 136 squared residuals r (|r| ~ 1),
-        # by about 2 |r| sqrt(K) u |y| / sqrt(N) ~ 5e-9 (measured ~3e-9) from
-        # one parameter value to the next.  A central difference divides that
-        # by 2 h: h = 1e-2 leaves about 2.5e-7, under the absolute floor of
-        # 5e-7.  Its truncation error h**2 |L'''| / 6 is smaller still: the
-        # measured error falls from h = 1e-3 to 1e-2 (to 1.2e-7 at most), so
-        # rounding dominates there.  The float32 analytic gradient's sums
-        # round within K u of their terms' magnitudes, and 1e-3 relative
-        # leaves room for terms that cancel 600-fold.
+        # The loss runs the conv pyramid and the MLP in float32.  The MLP's
+        # outputs y (|y| < 0.1 here) round by about sqrt(K) u |y| (K = 24
+        # hidden units, u = 2**-24), and the loss, a float64 mean of N = 136
+        # squared residuals r (|r| ~ 1), by about 2 |r| sqrt(K) u |y| /
+        # sqrt(N) ~ 5e-9 (measured ~3e-9) from one parameter value to the
+        # next.  The float32 features round within a few u, and the cast of
+        # the projected condition to float32 rounds the MLP's input at that
+        # level anyway, so they add noise of the same order.  A central
+        # difference divides it by 2 h: h = 1e-2 leaves about 2.5e-7, under
+        # the absolute floor of 5e-7.  Its truncation error h**2 |L'''| / 6
+        # is smaller still: the measured error falls from h = 1e-3 to 1e-2
+        # (to 1.4e-7 at most, on a conv.w1 entry), so rounding dominates
+        # there.  The float32 analytic gradient's sums round within K u of
+        # their terms' magnitudes, and 1e-3 relative leaves room for terms
+        # that cancel 600-fold.
         params = model.named_params()
         h = 1e-2
         for name, idx in entries:
@@ -505,9 +512,8 @@ class TestRespacedReference:
 
 
 class TestFloat32Pyramid:
-    """generate runs the conv pyramid in float32, on copies of the model's
-    float64 parameters; the float64 pyramid, which training runs, is the
-    reference."""
+    """generate and training run the conv pyramid in float32, on copies of
+    the model's float64 parameters; the float64 pyramid is the reference."""
 
     # The float32 pyramid rounds each feature within a few EPS32 of the
     # largest one (test_vcfr.py bounds it; measured 2.2 on the reference
@@ -540,6 +546,26 @@ class TestFloat32Pyramid:
             assert_f32_close(trace, reference, scale * LATENT_TOL, scale * DEPTH_RTOL)
         # generate handed the pyramid float32 copies and kept none on the model
         assert dtypes == [np.float32, np.float32]
+        assert all(p.dtype == np.float64 for p in model.conv.named().values())
+
+    def test_training_sees_generation_features(self, monkeypatch):
+        # one float32 copy helper serves both, so the same weights give the
+        # same feature bytes; the gradients reach AdamW as float64
+        model = _batch_model("desk")
+        extract = vcfr.extract_features
+        seen = []
+
+        def recorded(image, cfg, params):
+            feats, cache = extract(image, cfg, params)
+            seen.append((params.w1.dtype, b"".join(f.tobytes() for f in feats)))
+            return feats, cache
+
+        image, gt = bench.gen_scene(bench.RunConfig().scene_spec(3))
+        monkeypatch.setattr(vcfr, "extract_features", recorded)
+        generate(model, image, RngStream(3, ("sample",)), tau=0.0)
+        _, grads = fractal_mod.loss_and_grads(model, image, gt, RngStream(3, ("train",)))
+        assert seen[0] == seen[1] and seen[0][0] == np.float32
+        assert all(g.dtype == np.float64 for g in grads.values())
         assert all(p.dtype == np.float64 for p in model.conv.named().values())
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import struct
 import tracemalloc
 import warnings
@@ -9,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractaldepth.errors import ConfigError, NumericsError, ShapeError
-from fractaldepth.nnet import (AdamWState, LrSchedule, MlpParams, adamw_step, grad_check,
-                               init_mlp, load_checkpoint, lr_at, mlp_backward, mlp_forward,
-                               save_checkpoint, time_embed)
+from fractaldepth.nnet import (AdamWState, LrSchedule, MlpParams, _matmul, adamw_step,
+                               grad_check, init_mlp, load_checkpoint, lr_at, mlp_backward,
+                               mlp_forward, save_checkpoint, time_embed)
 from fractaldepth.core import ScaleConfig
 from fractaldepth.rng import RngStream
 from fractaldepth.vcfr import ConvPyramidParams, extract_features, extract_features_backward
@@ -194,6 +195,51 @@ class TestMlpForwardFloat32:
         assert np.all(y <= 0) and np.max(np.abs(y)) < 1e-35
 
 
+class TestOneColumnProducts:
+    """Layer 0 at token_dim 1 and the backward's ``g @ W.T`` at a one-unit
+    output layer have a one-column left operand; they go through BLAS with
+    the bytes of ``@``: each entry is one rounded multiply."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_matmul(self, dtype):
+        rng = np.random.default_rng(0)
+        for rows, cols in ((1, 256), (7, 3), (512, 256), (1024, 256)):
+            a = rng.normal(size=(rows, 1)).astype(dtype)
+            a[::3] = 0.0                          # signed zeros in the products
+            b = rng.normal(size=(1, cols)).astype(dtype)
+            out = _matmul(a, b)
+            assert out.dtype == dtype and out.tobytes() == (a @ b).tobytes()
+        w = rng.normal(size=(256, 1)).astype(dtype)      # a (256, 1) output layer
+        g = rng.normal(size=(512, 1)).astype(dtype)
+        assert _matmul(g, w.T).tobytes() == (g @ w.T).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mlp_token_dim_one(self, dtype):
+        # a [1 token column, pre0] -> 16 -> 1 net, forward and backward,
+        # against the same layers written with @
+        p = init_mlp([4, 16, 1], RngStream(2, ("k1",)))
+        p = MlpParams(weights=[w.astype(dtype) for w in p.weights],
+                      biases=[b.astype(dtype) for b in p.biases])
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(300, 1)).astype(dtype)
+        pre0 = rng.normal(size=(300, 16)).astype(dtype)
+        g_out = rng.normal(size=(300, 1)).astype(dtype)
+        y, cache = mlp_forward(p, x, pre0)
+        grads = mlp_backward(p, cache, g_out)
+        a0 = x @ p.weights[0][:1]
+        a0 += pre0
+        h = a0 / (1 + np.exp(-a0))
+        s = 1 / (1 + np.exp(-a0))
+        ref_y = h @ p.weights[1] + p.biases[1]
+        g = g_out.copy()
+        dw1 = h.T @ g
+        g = g @ p.weights[1].T
+        g *= h * (1 - s) + 1 - (1 - s)
+        assert y.tobytes() == ref_y.tobytes()
+        assert grads.weights[1].tobytes() == dw1.tobytes()
+        assert grads.pre0.tobytes() == g.tobytes()
+
+
 class TestSiluOverflow:
     """exp(-x) overflows below x = -88.7 in float32 and -709 in float64;
     silu and its derivative then take their limits, with no warning, in the
@@ -367,25 +413,44 @@ class TestAdamW:
             adamw_step(p, {"a": np.ones(2), "b": np.ones(4)}, st, lr=0.1, weight_decay=0.05)
         assert st.step == 0 and not st.m and np.all(p["a"] == 1.0)
 
+    def test_gradient_beyond_float32_moments_rejected(self):
+        # finite in float64, but its square could overflow the float32 v
+        p = {"a": np.ones(2), "b": np.ones(3)}
+        st = AdamWState()
+        adamw_step(p, {"a": np.ones(2), "b": np.ones(3)}, st, lr=0.1, weight_decay=0.05)
+        before = {k: v.copy() for k, v in p.items()}
+        m, v = {k: a.copy() for k, a in st.m.items()}, {k: a.copy() for k, a in st.v.items()}
+        with pytest.raises(NumericsError, match="'b'"):
+            adamw_step(p, {"a": np.ones(2), "b": np.array([1.0, -1e20, 0.0])}, st, lr=0.1,
+                       weight_decay=0.05)
+        assert st.step == 1
+        for k in p:
+            assert p[k].tobytes() == before[k].tobytes()
+            assert st.m[k].tobytes() == m[k].tobytes() and st.v[k].tobytes() == v[k].tobytes()
+        # a norm just under 2**61, the largest accepted, leaves everything finite
+        adamw_step(p, {"a": np.ones(2), "b": np.array([1.0, -2.0 ** 60.9, 0.0])}, st, lr=0.1,
+                   weight_decay=0.05)
+        assert all(np.all(np.isfinite(a)) for a in [*p.values(), *st.m.values(), *st.v.values()])
+
     @staticmethod
     def _out_of_place_step(params, grads, state, lr, betas=(0.9, 0.95), weight_decay=0.05,
-                           eps=1e-8):
-        """The AdamW formula with one temporary array per operation."""
+                           eps=1e-8, dtype=np.float32):
+        """The AdamW formula with one temporary array per operation, on
+        moments of ``dtype`` and the gradient cast to it."""
         b1, b2 = betas
         state.step += 1
         t = state.step
         for name, p in params.items():
-            g = grads[name]
-            m = state.m.setdefault(name, np.zeros_like(p))
-            v = state.v.setdefault(name, np.zeros_like(p))
+            g = grads[name].astype(dtype)
+            m = state.m.setdefault(name, np.zeros(p.shape, dtype))
+            v = state.v.setdefault(name, np.zeros(p.shape, dtype))
             p *= (1.0 - lr * weight_decay)
             m *= b1
             m += (1 - b1) * g
             v *= b2
-            v += (1 - b2) * g * g
-            mhat = m / (1 - b1 ** t)
-            vhat = v / (1 - b2 ** t)
-            p -= lr * mhat / (np.sqrt(vhat) + eps)
+            v += g * g * (1 - b2)
+            step_size = lr / (1 - b1 ** t)
+            p -= m / (np.sqrt(v) * (1 / math.sqrt(1 - b2 ** t)) + eps) * step_size
 
     def test_bit_identical_to_out_of_place(self):
         shapes = {"w": (300, 257), "b": (5,), "conv": (3, 3, 2, 4), "one": (1,), "m": (7, 5)}
@@ -402,7 +467,44 @@ class TestAdamW:
         for k in shapes:
             for a, b in ((ours[k], ref[k]), (st_ours.m[k], st_ref.m[k]),
                          (st_ours.v[k], st_ref.v[k])):
-                assert a.tobytes() == b.tobytes(), k
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), k
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_float32_step_within_k_u(self, seed):
+        # One step from a shared state whose moments float32 holds exactly,
+        # against the same formula in float64.  The float32 numerator
+        # (b1 m + (1 - b1) g) times lr / c1 meets eight roundings: the cast
+        # of g, the scalars b1, 1 - b1 and lr / c1, two products, the sum and
+        # the product with lr / c1.  Its error is at most 8 u (u = 2**-24) of
+        # the magnitude n = lr (b1 |m| + (1 - b1) |g|) / c1, whatever the
+        # cancellation.  v adds positive terms: g cast and squared, the
+        # scalars b2 and 1 - b2, three products and a sum put v within 7 u
+        # relative and its root within 3.5 u; the factor 1 / sqrt(c2) and
+        # its product add 2 u, the sum with _EPS 1 u and the quotient 1 u.
+        # So each update is within (8 + 7.5) u = 15.5 u of
+        # n / (sqrt(vhat) + eps); p stays float64, whose rounding adds
+        # 2**-52 |p| (measured <= 5.3 u over ten seeds).
+        rng = np.random.default_rng(seed)
+        shape = (64, 33)
+        p64 = rng.normal(size=shape)
+        st32, st64 = AdamWState(), AdamWState()
+        p32 = {"w": p64.copy()}
+        for _ in range(5):       # float32 moments of mixed signs
+            adamw_step(p32, {"w": rng.normal(size=shape) * 10.0 ** rng.integers(-3, 2)}, st32,
+                       lr=1e-3, weight_decay=0.05)
+        st64.m = {"w": st32.m["w"].astype(np.float64)}
+        st64.v = {"w": st32.v["w"].astype(np.float64)}
+        st64.step = st32.step
+        m, t = st64.m["w"].copy(), st32.step + 1
+        p = {"w": p32["w"].copy()}
+        g = rng.normal(size=shape)
+        lr = 3e-3
+        adamw_step(p32, {"w": g}, st32, lr, weight_decay=0.05)
+        self._out_of_place_step(p, {"w": g}, st64, lr, weight_decay=0.05, dtype=np.float64)
+        b1, b2 = 0.9, 0.95
+        n = lr * (b1 * np.abs(m) + (1 - b1) * np.abs(g)) / (1 - b1 ** t)
+        bound = 15.5 * 2.0 ** -24 * n / (np.sqrt(st64.v["w"] / (1 - b2 ** t)) + 1e-8)
+        assert np.all(np.abs(p32["w"] - p["w"]) <= bound + 2.0 ** -52 * np.abs(p["w"]))
 
     def test_peak_memory_two_scratch_arrays(self):
         from fractaldepth.bench import RunConfig, build_model

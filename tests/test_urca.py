@@ -12,7 +12,7 @@ from fractaldepth.urca import URCAConfig, align_samples, fuse, uncertainty_stats
 def _pixel_consensus(s, r=None, cfg=URCAConfig()):
     """M and U = E(M) of one pixel, from the solver that ``fuse`` runs per pixel."""
     r = None if r is None else np.asarray(r, float)
-    m, u = urca._consensus_minimize(np.asarray(s, float), r, cfg)
+    m, u, _ = urca._consensus_minimize(np.asarray(s, float), r, cfg)
     return float(m), float(u)
 
 
@@ -349,6 +349,23 @@ class TestConsensusPixel:
         out = fuse([DepthMap(values=np.full((3, 3), 1e12) + k) for k in range(4)])
         assert np.all(np.isfinite(out.consensus.values))
         assert len(calls) <= urca._MAX_ROUNDS + 2
+        g = np.random.default_rng(7)
+        out = fuse([DepthMap(values=1e12 + g.uniform(0.0, 3.0, (3, 3))) for _ in range(4)])
+        assert out.bisection_rounds == urca._MAX_ROUNDS
+
+    def test_bisection_rounds_reported(self):
+        # brackets narrower than 3 m reach 1e-6 m within log2(3e6) < 22 halvings
+        g = np.random.default_rng(8)
+        out = fuse([DepthMap(values=g.uniform(1.0, 4.0, (6, 6))) for _ in range(4)])
+        assert 10 < out.bisection_rounds <= 22
+
+    def test_slope_only_is_the_energy_slope(self):
+        g = np.random.default_rng(4)
+        vals = g.uniform(1.0, 4.0, (6, 5, 7))
+        scale, weight = g.uniform(0.05, 0.3, 6), g.uniform(0.1, 1.0, 6)
+        z = g.uniform(1.0, 4.0, (5, 7))
+        slope = urca._energy(z, vals, scale, weight, 1e-3, True)
+        assert slope.tobytes() == urca._energy(z, vals, scale, weight, 1e-3)[1].tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(1.0, 4.0), min_size=1, max_size=10),

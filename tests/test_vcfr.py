@@ -148,6 +148,34 @@ class TestExtractFeatures:
         for a, b in zip(feats32, feats64):
             assert np.max(np.abs(a - b)) <= tol
 
+    @pytest.mark.parametrize("F", [4, 16])
+    def test_float32_backward_within_k_u(self, F):
+        # the backward computes in the dtype of the parameters and cache, as
+        # training runs it, and returns float64.  Against the float64
+        # pyramid and backward, on the same float64 feature gradients, each
+        # gradient is reached through the forward's sums (28 terms at layer
+        # 1, 9 F + 1 at layer 2), the sum of the 4 levels' gradients, the
+        # input gradient's 9 F terms and the weight sums over the HW = 1024
+        # pixels, plus a few roundings for the casts and each silu'.  A
+        # K-term float32 sum moves by at most K u of its terms' magnitudes
+        # (u = 2**-24); taken at about each tensor's largest entry, as for
+        # the MLP backward, that is (18 F + HW + 40) u of it (measured
+        # <= 37 u over five seeds at each F)
+        params = _params(seed=F + 1, F=F)
+        p32 = ConvPyramidParams(*(p.astype(np.float32) for p in
+                                  (params.w1, params.b1, params.w2, params.b2)))
+        image = np.random.default_rng(F).uniform(0, 1, (32, 32, 3))
+        f64, c64 = extract_features(image, CFG, params)
+        _, c32 = extract_features(image, CFG, p32)
+        rng = np.random.default_rng(F + 2)
+        grad_feats = [rng.normal(size=f.shape) for f in f64]
+        ours = extract_features_backward(grad_feats, CFG, p32, c32)
+        ref = extract_features_backward(grad_feats, CFG, params, c64)
+        tol = (18 * F + 32 * 32 + 40) * 2.0 ** -24
+        for name, a in ours.items():
+            assert a.dtype == ref[name].dtype == np.float64
+            assert np.max(np.abs(a - ref[name])) <= tol * np.max(np.abs(ref[name])), name
+
     def test_backward_finite_difference(self):
         params = _params(seed=2, F=4)
         image = np.random.default_rng(2).uniform(0, 1, (32, 32, 3))
