@@ -183,7 +183,7 @@ class RunConfig:
                          T=self.timesteps, beta_start=self.beta_start, beta_end=self.beta_end,
                          hidden=(self.hidden_width,) * self.hidden_depth,
                          feature_dim=self.feature_dim, time_dim=self.time_dim,
-                         timestep_reuse=self.timestep_reuse)
+                         timestep_reuse=self.timestep_reuse, shared_unit=True)
 
 
 def load_run_config(path) -> RunConfig:
@@ -331,7 +331,12 @@ def multisample_scene(model: FractalModel, cfg: RunConfig, scene_seed: int, n: i
 
 
 def run_multisample(cfg: RunConfig, model: FractalModel, n_list, out_csv, n_scenes: int):
-    """Per-N fused metrics and uncertainty exceedance; one CSV row per N."""
+    """Per-N fused metrics and uncertainty exceedance; one CSV row per N.
+
+    Returns ``(n, mean MetricsReport, exceedance)`` per N.  The CSV also
+    records, as ``converged``, the fraction of the N's scenes whose sample
+    alignment converged before its iteration cap.
+    """
     if any(n < 1 for n in n_list):
         raise InputError("sample counts must be >= 1")
     rng = RngStream(cfg.seed, ("multisample",))
@@ -340,15 +345,17 @@ def run_multisample(cfg: RunConfig, model: FractalModel, n_list, out_csv, n_scen
     for n in n_list:
         reports = []
         exceed = []
+        converged = []
         for i in range(n_scenes):
             out, u_norm, gt = multisample_scene(model, cfg, MULTISAMPLE_SEED_BASE + i, n, rng)
             reports.append(metrics(out.consensus, gt))
             _, _, frac = uncertainty_stats(u_norm, cfg.uncertainty_threshold)
             exceed.append(frac)
+            converged.append(out.alignment.converged)
         mean = _mean_report(reports)
         frac = float(np.mean(exceed))
-        rows.append([n] + _metrics_row(mean) + [f"{frac:.6f}"])
+        rows.append([n] + _metrics_row(mean) + [f"{frac:.6f}", f"{np.mean(converged):.6f}"])
         summaries.append((n, mean, frac))
     if out_csv:
-        _write_csv(out_csv, ["n"] + _METRIC_HEADER + ["u_exceedance"], rows)
+        _write_csv(out_csv, ["n"] + _METRIC_HEADER + ["u_exceedance", "converged"], rows)
     return summaries

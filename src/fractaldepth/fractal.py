@@ -1,11 +1,13 @@
 """Coarse-to-fine recursive depth generation.
 
-Each level owns a noise-predictor MLP sized for its token layout; the
-level condition is built by the VCFR fusion from the image features and
-the depth state handed down from the previous level (teacher-forced
-targets during training, sampled latents during generation).  The finest
-level additionally receives the center patch and its 4-neighborhood
-context of the upsampled previous latent.
+Each level runs a noise-predictor MLP sized for its token layout, and
+levels whose MLP sizes are equal share one: the base unit the self-similar
+hierarchy repeats (the finest level, whose condition carries the patch
+context, keeps its own).  The level condition is built by the VCFR fusion
+from the image features and the depth state handed down from the previous
+level (teacher-forced targets during training, sampled latents during
+generation).  The finest level additionally receives the center patch and
+its 4-neighborhood context of the upsampled previous latent.
 """
 
 from __future__ import annotations
@@ -34,7 +36,10 @@ class ModelSpec:
     """Everything that shapes a model: its level layout and depth range, its
     noise schedule, and the sizes of the unit every level repeats (the MLP's
     hidden widths, the conv features, the time embedding) with the timestep
-    draws of a training step.  A checkpoint's meta is ``asdict(spec)``.
+    draws of a training step, and whether levels of equal MLP sizes share
+    one unit.  A checkpoint's meta is ``asdict(spec)``; a meta written before
+    ``shared_unit`` existed lacks the key and loads with its default, one MLP
+    per level.
 
     Construction normalises ``levels`` and ``hidden`` to tuples and raises
     ``ConfigError`` unless the spec builds a model.
@@ -50,6 +55,7 @@ class ModelSpec:
     feature_dim: int
     time_dim: int
     timestep_reuse: int      # timestep draws per condition per example
+    shared_unit: bool = False   # levels of equal MLP sizes share one MLP
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(tuple(l) for l in self.levels))
@@ -61,6 +67,8 @@ class ModelSpec:
             raise ConfigError(f"layer sizes must be >= 1 and time_dim even (sin/cos pairs), got "
                               f"hidden={self.hidden}, feature_dim={self.feature_dim}, "
                               f"time_dim={self.time_dim}")
+        if not isinstance(self.shared_unit, bool):
+            raise ConfigError(f"shared_unit must be a bool, got {self.shared_unit!r}")
 
     def scale(self) -> ScaleConfig:
         return ScaleConfig(levels=self.levels, d_min=self.d_min, d_max=self.d_max)
@@ -78,19 +86,35 @@ class FractalModel:
     conv: vcfr.ConvPyramidParams
     gate_w: np.ndarray          # (L,) fusion gate scales
     gate_b: np.ndarray          # (L,) fusion gate shifts
-    mlps: list                  # per-level MlpParams
+    mlps: list                  # each level's MlpParams; shared levels hold one object
     opt_state: AdamWState = field(default_factory=AdamWState)
 
     @property
     def n_levels(self) -> int:
         return len(self.plan.levels)
 
+    def units(self) -> list:
+        """``(name, mlp, levels)`` for each distinct MLP, in the order of its
+        first level.  One level's own MLP is ``mlp<level>``; a unit that
+        several levels share is ``unit`` (further ones, on layouts that have
+        them, ``unit1``, ``unit2``, ...)."""
+        levels = {}
+        for i, mlp in enumerate(self.mlps):
+            levels.setdefault(id(mlp), []).append(i)
+        out = []
+        for ls in levels.values():
+            shared = sum(len(u[2]) > 1 for u in out)
+            name = f"mlp{ls[0]}" if len(ls) == 1 else f"unit{shared or ''}"
+            out.append((name, self.mlps[ls[0]], tuple(ls)))
+        return out
+
     def named_params(self) -> dict:
+        """Every parameter array once, by name: a shared unit's as ``unit.*``."""
         out = dict(self.conv.named())
         out["gate_w"] = self.gate_w
         out["gate_b"] = self.gate_b
-        for i, mlp in enumerate(self.mlps):
-            out.update(mlp.named(f"mlp{i}"))
+        for name, mlp, _ in self.units():
+            out.update(mlp.named(name))
         return out
 
 
@@ -100,14 +124,18 @@ def _empty_model(spec: ModelSpec) -> FractalModel:
     cfg = spec.scale()
     plan = build_schedule_plan(cfg)
     n = len(plan.levels)
+    units = {}           # the MLPs by sizes when levels share them, else by level
     mlps = []
     for i, lv in enumerate(plan.levels):
         # [z_t, time] and the condition: pooled features and the guidance
         # token, and at the finest level the center patch and its
         # 4-neighborhood context
         cond_dim = spec.feature_dim + 1 + (5 * lv.token_dim if i == n - 1 else 0)
-        mlps.append(MlpParams.empty([lv.token_dim + spec.time_dim + cond_dim, *spec.hidden,
-                                     lv.token_dim]))
+        sizes = (lv.token_dim + spec.time_dim + cond_dim, *spec.hidden, lv.token_dim)
+        key = sizes if spec.shared_unit else i
+        if key not in units:
+            units[key] = MlpParams.empty(sizes)
+        mlps.append(units[key])
     return FractalModel(spec=spec, cfg=cfg, plan=plan, sched=spec.schedule(),
                         conv=vcfr.ConvPyramidParams.empty(spec.feature_dim),
                         gate_w=np.ones(n), gate_b=np.zeros(n), mlps=mlps)
@@ -117,9 +145,12 @@ def init_model(spec: ModelSpec, seed: int) -> FractalModel:
     model = _empty_model(spec)
     rng = RngStream(seed, ("init",))
     model.conv = vcfr.init_conv_pyramid(spec.feature_dim, rng.child("conv"))
-    # small final layer keeps the initial loss near the unit noise variance
-    model.mlps = [init_mlp(m.sizes, rng.child("mlp", i), final_scale=0.01)
-                  for i, m in enumerate(model.mlps)]
+    # each MLP is drawn on the path of its first level, a shared unit on
+    # level 0's; a small final layer keeps the initial loss near the unit
+    # noise variance
+    for _, mlp, levels in model.units():
+        drawn = init_mlp(mlp.sizes, rng.child("mlp", levels[0]), final_scale=0.01)
+        mlp.weights, mlp.biases = drawn.weights, drawn.biases
     return model
 
 
@@ -168,8 +199,21 @@ def _float32(params):
         return type(params)(**{f.name: cast(getattr(params, f.name)) for f in fields(params)})
 
 
-# Rows of one float32 MLP call, in training (whole draws of a level, at
-# least one) and at generation.  Sized by bytes: a (512, 256) float32 hidden
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _checked_image(image) -> np.ndarray:
+    """``image`` as float64; ``InputError`` for a pixel that is nan, inf or
+    beyond float32's range, which the float32 conv pyramid of training and
+    generation would turn into inf."""
+    image = np.asarray(image, dtype=np.float64)
+    if not np.all(np.abs(image) <= _F32_MAX):
+        raise InputError("image has pixels that are nan, inf or beyond float32's range")
+    return image
+
+
+# Rows of one float32 MLP call, in training (whole timestep draws, at least
+# one) and at generation.  Sized by bytes: a (512, 256) float32 hidden
 # activation is 0.5 MB, as the former 256-row float64 block was.  On a
 # 2-vCPU OpenBLAS host (README "Performance"):
 # - training (10 s desk_train runs, 3 seeds): blocks of 256, 512 and 1024
@@ -183,107 +227,132 @@ def _float32(params):
 _BLOCK = 512
 
 
-def _level_loss_and_grads(model: FractalModel, level: int, z_star: np.ndarray,
-                          cond: np.ndarray, rng: RngStream):
-    """The denoising loss of one level, averaged over its R timestep draws.
+def _unit_loss_and_grads(model: FractalModel, mlp: MlpParams, levels: tuple, z_stars: list,
+                         conds: list, rng: RngStream):
+    """The denoising losses of the levels that run ``mlp``, each averaged
+    over its R timestep draws, and the gradients of their sum.
 
-    Returns the loss, the gradients of the level's MLP by parameter name,
-    and the gradient of the condition's pooled-feature columns.  The draws'
-    rows are stacked and run through the MLP in blocks of whole draws, one
-    forward and one backward per block; the condition, which every draw
-    shares, is projected through its rows of W0 once.
+    Returns each level's loss and its condition's pooled-feature gradient,
+    by level, and the unit's :class:`MlpGrads`.  The rows of every draw of
+    every level of the unit are stacked, level after level (desk levels
+    0-2: 4 + 64 + 1024 rows), and run through the MLP in blocks of whole
+    draws of at most ``_BLOCK`` rows, one forward and one backward per
+    block.  Each level's condition, which its draws share, is projected
+    through its rows of W0 once; each level's loss and ``pre0`` gradient are
+    read from its own rows, and the unit's gradient is the sum of its
+    levels'.
 
     Mixed precision over float64 master weights, without loss scaling: the
-    MLP forward and backward run in float32, on :func:`_float32` copies of
-    the level's weights, as at generation; so do the conv pyramid and its
-    backward in :func:`loss_and_grads`.  The condition projection is float64
-    and cast to float32 once.  The squared-error sum, the blocks' weight,
-    bias and ``pre0`` gradient sums, W0's condition rows and the feature
-    gradient are float64, and so is everything returned.  ``NumericsError``
-    if a block's loss is not finite (a float32 overflow among them), before
-    its backward.
+    MLP forward and backward run in float32, on a :func:`_float32` copy of
+    the weights, as at generation; so do the conv pyramid and its backward
+    in :func:`loss_and_grads`.  The condition projections are float64 and
+    cast to float32 once.  The squared-error sums, the blocks' weight, bias
+    and ``pre0`` gradient sums, W0's condition rows and the feature
+    gradients are float64, and so is everything returned.
+    ``NumericsError`` names the first level whose loss is not finite (a
+    float32 overflow among them), before that block's backward.
     """
-    lv = model.plan.levels[level]
-    mlp = model.mlps[level]
+    d = model.plan.levels[levels[0]].token_dim      # equal sizes: one token_dim
+    td, R, k = model.spec.time_dim, model.spec.timestep_reuse, d + model.spec.time_dim
     # a weight beyond float32's range casts to inf, and a float32 overflow
     # in the forward gives inf or nan: both surface as the non-finite loss
     # rejected below, before any backward
     mlp32 = _float32(mlp)
-    n, d, td = lv.token_count, lv.token_dim, model.spec.time_dim
-    R = model.spec.timestep_reuse
-    x = np.empty((R * n, d + td), dtype=np.float32)    # each draw's [z_t, time] rows
-    eps = np.empty((R * n, d))
-    for r in range(R):
+    # each draw's (level, r, first row, rows), packed in order into blocks
+    # of at most _BLOCK rows (a longer draw alone)
+    blocks, rows = [[]], 0
+    for level in levels:
+        n = model.plan.levels[level].token_count
+        for r in range(R):
+            if blocks[-1] and rows + n - blocks[-1][0][2] > _BLOCK:
+                blocks.append([])
+            blocks[-1].append((level, r, rows, n))
+            rows += n
+    x = np.empty((rows, k), dtype=np.float32)    # each draw's [z_t, time] rows
+    eps = np.empty((rows, d))
+    for level, r, lo, n in (draw for block in blocks for draw in block):
         t = int(rng.integers(1, model.sched.T + 1, "t", level, r))
-        rows = slice(r * n, (r + 1) * n)
-        eps[rows] = rng.normal((n, d), "eps", level, r)
-        x[rows, :d] = forward_noise(z_star, t, eps[rows], model.sched)
-        x[rows, d:] = time_embed(float(t), td)
+        eps[lo:lo + n] = rng.normal((n, d), "eps", level, r)
+        x[lo:lo + n, :d] = forward_noise(z_stars[level], t, eps[lo:lo + n], model.sched)
+        x[lo:lo + n, d:] = time_embed(float(t), td)
     w0 = mlp.weights[0]
-    cond_pre = (cond @ w0[d + td:] + mlp.biases[0]).astype(np.float32)
-    per_block = min(R, max(1, _BLOCK // n))
-    pre0 = np.tile(cond_pre, (per_block, 1)) if per_block > 1 else cond_pre
+    cond_pre = {l: (conds[l] @ w0[k:] + mlp.biases[0]).astype(np.float32) for l in levels}
+    sq_sums = dict.fromkeys(levels, 0.0)
+    g0 = {l: np.zeros(cond_pre[l].shape) for l in levels}    # float64 sums over draws
     total = None                           # the blocks' MlpGrads, summed in float64
-    sq_sum = 0.0
-    for lo in range(0, R, per_block):
-        k = min(per_block, R - lo)
-        rows = slice(lo * n, (lo + k) * n)
+    for block in blocks:
+        lo, hi = block[0][2], block[-1][2] + block[-1][3]
+        pre0 = np.concatenate([cond_pre[draw[0]] for draw in block])
         with np.errstate(over="ignore", invalid="ignore"):
-            y, cache = mlp_forward(mlp32, x[rows], pre0[:k * n])
-            diff = y - eps[rows]            # float64, as the sum of its squares
-            sq_sum += float(np.vdot(diff, diff))
-        if not np.isfinite(sq_sum):
-            raise NumericsError(f"non-finite loss at level {level}; step rejected")
-        diff *= 2.0 / (n * d * R)
+            y, cache = mlp_forward(mlp32, x[lo:hi], pre0)
+            diff = y - eps[lo:hi]           # float64, as the sums of its squares
+            for level, _, a, n in block:
+                part = diff[a - lo:a - lo + n]
+                sq_sums[level] += float(np.vdot(part, part))
+                part *= 2.0 / (n * d * R)
+        bad = [l for l in levels if not np.isfinite(sq_sums[l])]
+        if bad:
+            raise NumericsError(f"non-finite loss at level {bad[0]}; step rejected")
         g = mlp_backward(mlp32, cache, diff)
         # one block's activations at a time: holding them into the next
         # block's forward raised desk_train's peak RSS by 2-3 MB
-        del y, diff, cache
-        g0 = g.pre0.reshape(k, n, -1).sum(axis=0, dtype=np.float64)
+        del y, diff, cache, pre0
+        for level, _, a, n in block:
+            g0[level] += g.pre0[a - lo:a - lo + n]
         if total is None:
             total = MlpGrads(weights=[w.astype(np.float64) for w in g.weights],
-                             biases=[b.astype(np.float64) for b in g.biases], pre0=g0)
+                             biases=[b.astype(np.float64) for b in g.biases], pre0=None)
         else:
             for acc, part in zip(total.weights + total.biases, g.weights + g.biases):
                 acc += part
-            total.pre0 += g0
         del g
-    # the backward gave W0's [z_t, time] rows; the condition rows follow
+    # the backward gave W0's [z_t, time] rows; each level's condition rows follow
     w0_grad = np.empty_like(w0)
-    w0_grad[:d + td] = total.weights[0]
-    np.matmul(cond.T, total.pre0, out=w0_grad[d + td:])
+    w0_grad[:k] = total.weights[0]
+    w0_grad[k:] = sum(conds[l].T @ g0[l] for l in levels)
     total.weights[0] = w0_grad
-    return (sq_sum / (n * d * R), total.named(f"mlp{level}"),
-            total.pre0 @ w0[d + td:d + td + model.spec.feature_dim].T)
+    f = model.spec.feature_dim
+    losses = {l: sq_sums[l] / (model.plan.levels[l].token_count * d * R) for l in levels}
+    return losses, {l: g0[l] @ w0[k:k + f].T for l in levels}, total
 
 
 def loss_and_grads(model: FractalModel, image: np.ndarray, gt: DepthMap, rng: RngStream):
     """The per-level losses of one teacher-forced step, and the gradients of
-    their sum by parameter name, all float64.  The conv pyramid and its
-    backward run in float32 on a :func:`_float32` copy of ``model.conv``, so
-    the features equal those ``generate`` computes from the same weights bit
-    for bit.  ``NumericsError`` if a loss is not finite."""
+    their sum by parameter name, all float64; a shared unit's gradient sums
+    those of its levels.  The conv pyramid and its backward run in float32
+    on a :func:`_float32` copy of ``model.conv``, so the features equal those
+    ``generate`` computes from the same weights bit for bit.  ``InputError``
+    for a pixel ``generate`` rejects, and ``NumericsError`` if a loss is not
+    finite, both before any gradient is formed."""
+    image = _checked_image(image)
     targets = encode_targets(gt, model)
     conv32 = _float32(model.conv)
     feats, feat_cache = vcfr.extract_features(image, model.cfg, conv32)
-    grads = {"gate_w": np.zeros(model.n_levels), "gate_b": np.zeros(model.n_levels)}
-    feat_grads = []
-    losses = []
+    conds, fuse_caches, z_stars = [], [], []
     for level, lv in enumerate(model.plan.levels):
         state = _level_state(model, level, targets[level - 1] if level > 0 else None)
         cond, fuse_cache = _build_condition(model, feats, state, level)
-        z_star = split_patches(targets[level], lv.patch_size).reshape(lv.token_count, lv.token_dim)
-        level_loss, mlp_grads, dfeat = _level_loss_and_grads(model, level, z_star, cond, rng)
-        losses.append(level_loss)
-        grads.update(mlp_grads)
+        conds.append(cond)
+        fuse_caches.append(fuse_cache)
+        z_stars.append(split_patches(targets[level], lv.patch_size)
+                       .reshape(lv.token_count, lv.token_dim))
+    grads = {"gate_w": np.zeros(model.n_levels), "gate_b": np.zeros(model.n_levels)}
+    losses, dfeats = {}, {}
+    for name, mlp, levels in model.units():
+        unit_losses, unit_dfeats, unit_grads = _unit_loss_and_grads(model, mlp, levels, z_stars,
+                                                                    conds, rng)
+        losses.update(unit_losses)
+        dfeats.update(unit_dfeats)
+        grads.update(unit_grads.named(name))
+    feat_grads = []
+    for level in range(model.n_levels):
         # condition gradient: only the pooled feature block trains upstream
         # parameters (guidance and patch context come from fixed targets)
-        df, dw, db = vcfr.refine_condition_backward(dfeat, fuse_cache)
-        grads["gate_w"][level] = dw
-        grads["gate_b"][level] = db
+        df, grads["gate_w"][level], grads["gate_b"][level] = vcfr.refine_condition_backward(
+            dfeats[level], fuse_caches[level])
         feat_grads.append(df)
     grads.update(vcfr.extract_features_backward(feat_grads, model.cfg, conv32, feat_cache))
-    return losses, grads
+    return [losses[level] for level in range(model.n_levels)], grads
 
 
 def train_step(model: FractalModel, image: np.ndarray, gt: DepthMap, rng: RngStream,
@@ -361,9 +430,6 @@ def _reverse_chain(model: FractalModel, level: int, cond: np.ndarray, lrngs: lis
                   [r.child("tokens") for r in lrngs])
 
 
-_F32_MAX = float(np.finfo(np.float32).max)
-
-
 def generate(model: FractalModel, image: np.ndarray, rng, tau: float, predictor=None):
     """Full coarse-to-fine generation pass.
 
@@ -389,11 +455,7 @@ def generate(model: FractalModel, image: np.ndarray, rng, tau: float, predictor=
     rngs = [rng] if single else list(rng)
     if not rngs:
         raise InputError("generate needs at least one RNG stream")
-    image = np.asarray(image, dtype=np.float64)
-    # the pyramid casts the image to float32, where a finite pixel beyond
-    # float32's range would become inf
-    if not np.all(np.abs(image) <= _F32_MAX):
-        raise InputError("image has pixels that are nan, inf or beyond float32's range")
+    image = _checked_image(image)
     # the conv pyramid runs in float32, as in training.  [0] drops its
     # cache: held, the rest of it (13 MB at 256 x 256) would stay alive
     # through every chain
@@ -429,17 +491,19 @@ def load_model(path) -> FractalModel:
     value beyond float32's range (the sampler runs in float32).
 
     The model is built from the :class:`ModelSpec` fields of the manifest's
-    meta (other keys are ignored) on uninitialised storage, so no random
-    initialisation is drawn, and :func:`nnet.load_checkpoint` reads each
-    tensor's bytes straight into its parameter array.
+    meta (other keys are ignored, and a field with a default may be absent)
+    on uninitialised storage, so no random initialisation is drawn, and
+    :func:`nnet.load_checkpoint` reads each tensor's bytes straight into its
+    parameter array, a shared unit's once.
     """
     model = None
 
     def targets(meta):
         nonlocal model
         try:
-            model = _empty_model(ModelSpec(**{f.name: meta[f.name] for f in fields(ModelSpec)}))
-        except (KeyError, TypeError, ValueError, FractalDepthError) as e:
+            model = _empty_model(ModelSpec(**{f.name: meta[f.name] for f in fields(ModelSpec)
+                                              if f.name in meta}))
+        except (TypeError, ValueError, FractalDepthError) as e:
             raise ConfigError(f"{path}: checkpoint meta does not describe a model: {e!r}") from e
         return model.named_params()
 

@@ -306,42 +306,6 @@ def lr_at(step: int, sched: LrSchedule) -> float:
     return sched.final_lr + (sched.base_lr - sched.final_lr) * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
-# --- Gradient verification ------------------------------------------------
-
-@dataclass
-class GradCheckReport:
-    max_rel_error: float
-    passed: bool
-
-
-def grad_check(params: MlpParams, x: np.ndarray, tolerance: float = 1e-4,
-               h: float = 1e-5) -> GradCheckReport:
-    """Analytic vs central-finite-difference gradients of L = 0.5*||y||^2;
-    a vector ``x`` is one input row."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y, cache = mlp_forward(params, x)
-    grads = mlp_backward(params, cache, y)
-    analytic = grads.named("p")
-    tensors = params.named("p")
-    max_rel = 0.0
-    for name, p in tensors.items():
-        a = analytic[name]
-        flat = p.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + h
-            yp, _ = mlp_forward(params, x)
-            flat[idx] = orig - h
-            ym, _ = mlp_forward(params, x)
-            flat[idx] = orig
-            num = (0.5 * np.sum(yp * yp) - 0.5 * np.sum(ym * ym)) / (2 * h)
-            ana = a.reshape(-1)[idx]
-            denom = max(abs(num), abs(ana), 1e-8)
-            rel = abs(num - ana) / denom if (num != 0.0 or ana != 0.0) else 0.0
-            max_rel = max(max_rel, rel)
-    return GradCheckReport(max_rel_error=max_rel, passed=max_rel <= tolerance)
-
-
 # --- Checkpoint container -------------------------------------------------
 
 _MAGIC = b"FADN1"

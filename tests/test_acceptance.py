@@ -17,10 +17,11 @@ from fractaldepth.cli import main as cli_main
 from fractaldepth.core import DepthMap
 from fractaldepth.diffusion import make_linear_schedule, sample
 from fractaldepth.fractal import load_model
-from fractaldepth.nnet import (AdamWState, LrSchedule, adamw_step, grad_check, init_mlp,
-                               lr_at, mlp_backward, mlp_forward, time_embed)
+from fractaldepth.nnet import (AdamWState, LrSchedule, adamw_step, init_mlp, lr_at,
+                               mlp_backward, mlp_forward, time_embed)
 from fractaldepth.rng import RngStream
 from fractaldepth.urca import URCAConfig, _consensus_minimize, align_samples
+from gradcheck import grad_check
 
 
 CRITERION_LINES = []

@@ -354,8 +354,13 @@ class TestRunners:
         summaries = run_multisample(cfg, load_model(ckpt), [1, 2], out, 1)
         assert [n for n, _, _ in summaries] == [1, 2]
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "n,abs_rel,sq_rel,rmse,rmse_log,delta1,delta2,delta3,u_exceedance"
+        assert lines[0] == ("n,abs_rel,sq_rel,rmse,rmse_log,delta1,delta2,delta3,u_exceedance,"
+                            "converged")
         assert len(lines) == 3
+        # one scene per N: its alignment converged or it did not; a single
+        # sample needs no iteration
+        converged = [float(line.split(",")[-1]) for line in lines[1:]]
+        assert converged[0] == 1.0 and converged[1] in (0.0, 1.0)
 
     @pytest.mark.parametrize("runner", ["eval", "multisample", "validation"])
     def test_no_scenes_rejected(self, tmp_path, runner):

@@ -50,15 +50,19 @@ def assert_f32_close(a_trace, b_trace, latent_tol=LATENT_TOL, depth_rtol=DEPTH_R
     assert np.max(np.abs(x - y) / y) <= depth_rtol
 
 
-def make_spec(cfg, T, hidden, feature_dim, time_dim, timestep_reuse):
-    """A model on ``cfg``'s layout whose T betas run linearly from 1e-4 to 0.02."""
+def make_spec(cfg, T, hidden, feature_dim, time_dim, timestep_reuse, shared_unit=True):
+    """A model on ``cfg``'s layout whose T betas run linearly from 1e-4 to 0.02;
+    its levels of equal MLP sizes share one unit unless ``shared_unit`` is false."""
     return ModelSpec(levels=cfg.levels, d_min=cfg.d_min, d_max=cfg.d_max, T=T, beta_start=1e-4,
                      beta_end=0.02, hidden=hidden, feature_dim=feature_dim, time_dim=time_dim,
-                     timestep_reuse=timestep_reuse)
+                     timestep_reuse=timestep_reuse, shared_unit=shared_unit)
 
 
-def small_model(seed=0, T=10, hidden=(16, 16)):
-    return init_model(make_spec(CFG, T, hidden, feature_dim=4, time_dim=4, timestep_reuse=2), seed)
+def small_model(seed=0, T=10, hidden=(16, 16), shared_unit=True):
+    """Levels 0 and 1 of ``CFG`` share one unit (unless ``shared_unit`` is
+    false), and level 2 has its own MLP."""
+    return init_model(make_spec(CFG, T, hidden, feature_dim=4, time_dim=4, timestep_reuse=2,
+                                shared_unit=shared_unit), seed)
 
 
 def scene(seed=0):
@@ -136,26 +140,17 @@ class TestTrainStep:
                                       weight_decay=0.05))
         assert last < first
 
-    # level 1's last two layers scaled so its float32 forward overflows
-    # (outputs ~1e42), or its last layer beyond float32's range (~1e43); the
-    # float64 master weights and their forward stay finite
-    @pytest.mark.parametrize("scales", [(1e22, 1e22), (1.0, 1e45)], ids=["forward", "cast"])
-    def test_float32_overflow_rejected(self, scales):
-        model = small_model(seed=8)
-        image, gt = scene(5)
-        train_step(model, image, gt, RngStream(4, ("ok",)), lr=1e-3, weight_decay=0.05)
-        mlp = model.mlps[1]
-        mlp.weights[1] *= scales[0]
-        mlp.weights[2] *= scales[1]
-        x = RngStream(5, ("x",)).normal((16, mlp.sizes[0]), "x")
-        assert np.all(np.isfinite(mlp_forward(mlp, x)[0]))
+    @staticmethod
+    def _assert_step_rejected(model, image, gt, error, match):
+        """train_step raises ``error`` with no warning, and moves no
+        parameter and no AdamW state."""
         before = {k: p.copy() for k, p in model.named_params().items()}
         state = model.opt_state
         m, v, step = ({k: a.copy() for k, a in state.m.items()},
                       {k: a.copy() for k, a in state.v.items()}, state.step)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericsError, match="level 1"):
+            with pytest.raises(error, match=match):
                 train_step(model, image, gt, RngStream(4, ("bad",)), lr=1e-3, weight_decay=0.05)
         for k, p in model.named_params().items():
             assert p.tobytes() == before[k].tobytes(), k
@@ -163,17 +158,57 @@ class TestTrainStep:
         for k in m:
             assert state.m[k].tobytes() == m[k].tobytes() and state.v[k].tobytes() == v[k].tobytes()
 
+    # level 1's last two layers scaled so its float32 forward overflows
+    # (outputs ~1e42), or its last layer beyond float32's range (~1e43); the
+    # float64 master weights and their forward stay finite
+    @staticmethod
+    def _overflow(model, scales):
+        mlp = model.mlps[1]
+        mlp.weights[1] *= scales[0]
+        mlp.weights[2] *= scales[1]
+        x = RngStream(5, ("x",)).normal((16, mlp.sizes[0]), "x")
+        assert np.all(np.isfinite(mlp_forward(mlp, x)[0]))
 
-def _per_draw_step(model, image, gt, rng, lr, weight_decay=0.05):
-    """The training step as a loop over levels and draws, one forward and
-    backward per draw: the reference for the stacked pass of ``train_step``.
-    It runs the conv pyramid and the MLP as training does, in float32, the
-    MLP on the float64 projection of the condition, and sums each draw's
-    gradients into float64 as it goes."""
+    @pytest.mark.parametrize("scales", [(1e22, 1e22), (1.0, 1e45)], ids=["forward", "cast"])
+    def test_float32_overflow_rejected(self, scales):
+        model = small_model(seed=8, shared_unit=False)
+        image, gt = scene(5)
+        train_step(model, image, gt, RngStream(4, ("ok",)), lr=1e-3, weight_decay=0.05)
+        self._overflow(model, scales)
+        self._assert_step_rejected(model, image, gt, NumericsError, "level 1")
+
+    @pytest.mark.parametrize("scales", [(1e22, 1e22), (1.0, 1e45)], ids=["forward", "cast"])
+    def test_float32_overflow_in_unit_rejected(self, scales):
+        # levels 0 and 1 run the scaled unit, in one block; level 0's loss
+        # is named
+        model = small_model(seed=8)
+        image, gt = scene(5)
+        train_step(model, image, gt, RngStream(4, ("ok",)), lr=1e-3, weight_decay=0.05)
+        self._overflow(model, scales)
+        self._assert_step_rejected(model, image, gt, NumericsError, "level 0")
+
+    # generate's pixel check runs first: a NaN pixel would surface as a
+    # non-finite loss, and 1e39 as an overflow warning in the float32 cast
+    @pytest.mark.parametrize("bad", [np.nan, 1e39], ids=["nan", "1e39"])
+    def test_unusable_pixel_rejected(self, bad):
+        model = small_model(seed=8)
+        image, gt = scene(5)
+        train_step(model, image, gt, RngStream(4, ("ok",)), lr=1e-3, weight_decay=0.05)
+        image[3, 3, 0] = bad
+        self._assert_step_rejected(model, image, gt, InputError, "float32")
+
+
+def _per_draw_grads(model, image, gt, rng):
+    """The losses and gradients of a training step as a loop over levels and
+    draws, one forward and backward per draw: the reference for the stacked
+    pass of ``loss_and_grads``.  It runs the conv pyramid and the MLP as
+    training does, in float32, the MLP on the float64 projection of the
+    condition, and sums each draw's gradients into float64 as it goes."""
     targets = encode_targets(gt, model)
     conv32 = fractal_mod._float32(model.conv)
     feats, feat_cache = vcfr.extract_features(image, model.cfg, conv32)
     grads = {name: np.zeros_like(p) for name, p in model.named_params().items()}
+    unit_name = {level: name for name, _, levels in model.units() for level in levels}
     feat_grads = []
     losses = []
     R = model.spec.timestep_reuse
@@ -198,8 +233,9 @@ def _per_draw_step(model, image, gt, rng, lr, weight_decay=0.05):
             level_loss += float(np.mean(diff * diff)) / R
             g = mlp_backward(mlp32, cache, 2.0 * diff / (diff.size * R))
             g0 = g.pre0.astype(np.float64)
-            for name, gv in g.named(f"mlp{level}").items():
-                if name == f"mlp{level}.w0":    # the backward's rows, then cond's
+            # the levels of a shared unit add into its one set of gradients
+            for name, gv in g.named(unit_name[level]).items():
+                if name.endswith(".w0"):        # the backward's rows, then cond's
                     grads[name][:k] += gv
                     grads[name][k:] += cond.T @ g0
                 else:
@@ -214,42 +250,65 @@ def _per_draw_step(model, image, gt, rng, lr, weight_decay=0.05):
     for name, gv in vcfr.extract_features_backward(feat_grads, model.cfg, conv32,
                                                    feat_cache).items():
         grads[name] += gv
+    return losses, grads
+
+
+def _per_draw_step(model, image, gt, rng, lr, weight_decay=0.05):
+    """The training step of :func:`_per_draw_grads`; returns the losses."""
+    losses, grads = _per_draw_grads(model, image, gt, rng)
     adamw_step(model.named_params(), grads, model.opt_state, lr, weight_decay=weight_decay)
     return losses
 
 
 class TestStackedTrainStep:
-    """train_step stacks a level's R draws into row blocks and projects the
-    condition once; only the order of its sums differs from the per-draw
-    loop, which runs the same float32 MLP."""
+    """train_step stacks the R draws of every level that runs one unit into
+    row blocks and projects each condition once; only the order of its sums
+    differs from the per-draw loop, which runs the same float32 MLP and sums
+    the levels of a shared unit into its gradients."""
 
     # The two paths differ only in float32 sums taken in another order: the
-    # weight and bias gradients summed over a block's rows, against per-draw
-    # sums added in float64, and the GEMM blocking of a stacked product
-    # against a one-draw product.  A K-term float32 sum moves by at most K u
-    # of its terms' magnitudes (u = 2**-24; Higham, Accuracy and Stability,
-    # 3.1), and the largest block here is K = 512 rows (desk level 2 at
-    # R >= 2), so each sum agrees within 2 K u = 1024 u of its magnitudes
-    # in the two orders.  Both paths run the same float32 conv pyramid, so
-    # its backward's sums meet only that reordering, through the feature
-    # gradients.  AdamW divides each entry by its own gradient's size, so a
-    # parameter moves by lr times that relative change; held in each
-    # tensor's norm, with the losses, to 1024 u (measured over the 3 steps:
-    # losses <= 0.8 u, parameters <= 84 u, desk at R = 4; R = 1 is
-    # bit-identical on both layouts).
+    # weight and bias gradients summed over a block's rows (rows of several
+    # levels, for a shared unit), against per-draw sums added in float64,
+    # and the GEMM blocking of a stacked product against a one-draw product.
+    # A K-term float32 sum moves by at most K u of its terms' magnitudes
+    # (u = 2**-24; Higham, Accuracy and Stability, 3.1), and the largest
+    # block here is K = 512 rows (two level-2 draws of the desk unit at
+    # R >= 2), so each sum agrees within 2 K u = 1024 u of its magnitudes in
+    # the two orders.  Both paths run the same float32 conv pyramid, so its
+    # backward's sums meet only that reordering, through the feature
+    # gradients.  The gradients are held in each tensor's norm to 1024 u
+    # (measured <= 67 u over model seeds 4-8).  AdamW divides each entry by
+    # its own gradient's size, so a parameter moves by lr times that
+    # relative change; held in each tensor's norm, with the losses, to
+    # 1024 u.  Measured over the 3 steps at seed 4: losses <= 2.2 u;
+    # parameters 114, 884 and 43 u on desk at R = 1, 2 and 4 (unit.b0 at
+    # R = 2), <= 6 u on the other layouts, and two_level at R = 1 is
+    # bit-identical.  The unit's gradient entries are sums over three levels
+    # that can cancel, and an entry whose gradient cancels to near its
+    # rounding moves by up to lr either way: at other seeds desk R = 2 reads
+    # up to 1264 u, and conv.b1 19 272 u at seed 7.
     TOL = 1024 * 2.0 ** -24
 
     @staticmethod
     def _model(name, R, seed=4):
+        """Desk (levels 0-2 share a unit), two levels with one MLP each, or
+        three levels whose first two share a unit."""
         if name == "desk":
             return init_model(make_spec(named_scale_config("desk"), 60, (256, 256, 256),
                                         feature_dim=16, time_dim=16, timestep_reuse=R), seed)
-        cfg = ScaleConfig(levels=((2, 1), (8, 2)), d_min=0.1, d_max=10.0)
+        levels = {"two_level": ((2, 1), (8, 2)), "three_level": ((1, 1), (2, 1), (8, 2))}[name]
+        cfg = ScaleConfig(levels=levels, d_min=0.1, d_max=10.0)
         return init_model(make_spec(cfg, 30, (24, 24), feature_dim=4, time_dim=6,
                                     timestep_reuse=R), seed)
 
+    def test_desk_unit(self):
+        model = self._model("desk", 4)
+        assert [(name, levels) for name, _, levels in model.units()] == [
+            ("unit", (0, 1, 2)), ("mlp3", (3,))]
+        assert sum(p.size for p in model.named_params().values()) == 398_617
+
     @pytest.mark.parametrize("R", [1, 2, 4])
-    @pytest.mark.parametrize("name", ["two_level", "desk"])
+    @pytest.mark.parametrize("name", ["two_level", "desk", "three_level"])
     def test_matches_per_draw_loop(self, name, R):
         stacked, reference = self._model(name, R), self._model(name, R)
         res = stacked.cfg.final_resolution
@@ -265,12 +324,29 @@ class TestStackedTrainStep:
         for key, p in stacked.named_params().items():
             assert np.linalg.norm(p - ref[key]) <= self.TOL * np.linalg.norm(ref[key]), key
 
+    @pytest.mark.parametrize("R", [1, 2, 4])
+    @pytest.mark.parametrize("name", ["two_level", "desk", "three_level"])
+    def test_gradients_match_per_draw_loop(self, name, R):
+        # one model, stepped by the reference's gradients, so that both
+        # gradients of a step are taken at the same parameters
+        model = self._model(name, R)
+        rng = RngStream(9, ("stack",))
+        for step in range(3):
+            image, gt = bench.gen_scene(bench.SceneSpec(seed=step,
+                                                        resolution=model.cfg.final_resolution))
+            _, stacked = fractal_mod.loss_and_grads(model, image, gt, rng.child(step))
+            _, reference = _per_draw_grads(model, image, gt, rng.child(step))
+            assert stacked.keys() == reference.keys()
+            for key, g in reference.items():
+                assert np.linalg.norm(stacked[key] - g) <= self.TOL * np.linalg.norm(g), key
+            adamw_step(model.named_params(), reference, model.opt_state, 2e-3, weight_decay=0.05)
+
     def test_no_draws_rejected(self):
         with pytest.raises(ConfigError, match="timestep_reuse"):
             self._model("two_level", 0)
 
     def test_finite_difference(self):
-        model = self._model("two_level", 2, seed=5)
+        model = self._model("three_level", 2, seed=5)
         # a few steps away from the initialisation, so no gradient is trivial
         for step in range(3):
             train_step(model, *scene(20 + step), RngStream(2, ("fd", step)), lr=3e-3,
@@ -279,16 +355,17 @@ class TestStackedTrainStep:
         rng = RngStream(3, ("fd",))          # the same draws on every call
         _, grads = fractal_mod.loss_and_grads(model, image, gt, rng)
         f, td = model.spec.feature_dim, model.spec.time_dim
-        entries = [("gate_w", (1,)), ("gate_b", (0,)), ("gate_b", (1,)),
+        entries = [("gate_w", (1,)), ("gate_b", (0,)), ("gate_b", (1,)), ("gate_w", (2,)),
                    ("conv.w1", (1, 2, 0, 3)), ("conv.w1", (0, 0, 2, 1))]
-        for level, lv in enumerate(model.plan.levels):
-            d = lv.token_dim
+        assert [name for name, _, _ in model.units()] == ["unit", "mlp2"]
+        for name, mlp, levels in model.units():
+            d = model.plan.levels[levels[0]].token_dim
             # token, time, pooled-feature, guidance and (finest) context rows
             rows = [0, d, d + td, d + td + f - 1, d + td + f]
-            if level == model.n_levels - 1:
-                rows.append(model.mlps[level].weights[0].shape[0] - 1)
-            entries += [(f"mlp{level}.w0", (r, 3)) for r in rows]
-            entries += [(f"mlp{level}.b0", (5,)), (f"mlp{level}.w1", (2, 7))]
+            if levels[-1] == model.n_levels - 1:
+                rows.append(mlp.weights[0].shape[0] - 1)
+            entries += [(f"{name}.w0", (r, 3)) for r in rows]
+            entries += [(f"{name}.b0", (5,)), (f"{name}.w1", (2, 7))]
         # The loss runs the conv pyramid and the MLP in float32.  The MLP's
         # outputs y (|y| < 0.1 here) round by about sqrt(K) u |y| (K = 24
         # hidden units, u = 2**-24), and the loss, a float64 mean of N = 136
@@ -789,6 +866,33 @@ class TestPersistence:
         model = load_model(REFERENCE)
         assert model.cfg == named_scale_config("desk")
 
+    def test_reference_loads_per_level(self):
+        # its meta predates shared_unit: one MLP per level, as it was trained
+        model = _reference_model()
+        assert "shared_unit" not in load_checkpoint(REFERENCE)[1]
+        assert model.spec.shared_unit is False
+        assert len({id(m) for m in model.mlps}) == 4
+        assert [name for name, _, _ in model.units()] == ["mlp0", "mlp1", "mlp2", "mlp3"]
+
+    def test_shared_unit_round_trip(self, tmp_path):
+        # one unit object for levels 0-2 after the load, filled once from
+        # the file: the reloaded model generates the in-memory one's bytes
+        model = bench.build_model(bench.RunConfig())
+        image, gt = bench.model_scene(model, 3)
+        train_step(model, image, gt, RngStream(9, ("p",)), lr=1e-3, weight_decay=0.05)
+        path = tmp_path / "m.fadn"
+        save_model(path, model)
+        names = list(load_checkpoint(path)[0])
+        assert names.count("unit.w0") == 1
+        assert not any(n.startswith(("mlp0.", "mlp1.", "mlp2.")) for n in names)
+        loaded = load_model(path)
+        assert loaded.spec.shared_unit is True
+        assert loaded.mlps[0] is loaded.mlps[1] is loaded.mlps[2] is not loaded.mlps[3]
+        a = generate(model, image, RngStream(10, ("q",)), tau=0.0)
+        b = generate(loaded, image, RngStream(10, ("q",)), tau=0.0)
+        for x, y in zip(a.latents + [a.final.values], b.latents + [b.final.values]):
+            assert x.tobytes() == y.tobytes()
+
     def test_load_holds_one_copy(self):
         # the tensors stream into the model's own arrays: the peak is those
         # arrays plus bookkeeping, well below the largest tensor again
@@ -828,14 +932,16 @@ class TestPersistence:
 
     @pytest.mark.parametrize("edit", [
         lambda p, m: p.update({"gate_w": np.ones(1)}),               # would broadcast
-        lambda p, m: p.update({"mlp0.w0": p["mlp0.w0"].T.copy()}),   # transposed
+        lambda p, m: p.update({"unit.w0": p["unit.w0"].T.copy()}),   # transposed
         lambda p, m: p.pop("gate_b"),
         lambda p, m: p.update({"extra": np.zeros(2)}),
         lambda p, m: m.pop("T"),
         lambda p, m: m.update({"levels": [[4, 1], [1, 1]]}),
         lambda p, m: m.update({"hidden": 16}),
+        lambda p, m: m.update({"shared_unit": 1}),
+        lambda p, m: m.update({"shared_unit": False}),       # tensors of the shared layout
     ], ids=["broadcast", "transposed", "missing", "extra", "no_T", "bad_levels",
-            "bad_hidden"])
+            "bad_hidden", "shared_not_bool", "per_level_meta"])
     def test_mismatched_checkpoint_rejected(self, tmp_path, edit):
         path = tmp_path / "m.fadn"
         self._rewrite(path, edit)
@@ -847,11 +953,11 @@ class TestPersistence:
         # check can reject it (not a ZeroDivisionError: nothing is initialised)
         def zero_width(p, m):
             m["hidden"] = [0, 0]
-            for i in range(len(CFG.levels)):
-                p[f"mlp{i}.w0"] = np.zeros((p[f"mlp{i}.w0"].shape[0], 0))
-                p[f"mlp{i}.w1"] = np.zeros((0, 0))
-                p[f"mlp{i}.w2"] = np.zeros((0, p[f"mlp{i}.w2"].shape[1]))
-                p[f"mlp{i}.b0"] = p[f"mlp{i}.b1"] = np.zeros(0)
+            for u in ("unit", "mlp2"):
+                p[f"{u}.w0"] = np.zeros((p[f"{u}.w0"].shape[0], 0))
+                p[f"{u}.w1"] = np.zeros((0, 0))
+                p[f"{u}.w2"] = np.zeros((0, p[f"{u}.w2"].shape[1]))
+                p[f"{u}.b0"] = p[f"{u}.b1"] = np.zeros(0)
 
         path = tmp_path / "m.fadn"
         self._rewrite(path, zero_width)
@@ -863,18 +969,19 @@ class TestPersistence:
         # each w0), so only the time_dim check can reject it
         def odd_time_dim(p, m):
             m["time_dim"] = 3
-            for i in range(len(CFG.levels)):
-                p[f"mlp{i}.w0"] = p[f"mlp{i}.w0"][1:].copy()
+            for u in ("unit", "mlp2"):
+                p[f"{u}.w0"] = p[f"{u}.w0"][1:].copy()
 
         path = tmp_path / "m.fadn"
         self._rewrite(path, odd_time_dim)
         with pytest.raises(ConfigError, match="m.fadn.*time_dim even"):
             load_model(path)
 
-    # SHA-256 of the reference checkpoint re-saved by save_model, recorded
-    # with the hand-written meta dict that asdict(ModelSpec) replaced: its
+    # SHA-256 of the reference checkpoint re-saved by save_model: its
     # tensors, and its meta without the level_index key it was written with
-    RESAVED_SHA256 = "53cc4258fe3564945e9c0e576c68cc680863627950f2bc0e6fd0f79da1b3f0cc"
+    # and with "shared_unit": false, the default its meta lacked (the
+    # tensor bytes are those recorded before the key existed)
+    RESAVED_SHA256 = "8d094bffdab2deb71423212288f808c1520c9619dd175ba2217f780b6ab0bd53"
 
     def test_reference_resaves_unchanged(self, tmp_path):
         path = tmp_path / "ref.fadn"
