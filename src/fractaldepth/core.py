@@ -36,6 +36,14 @@ class DepthMap:
                 raise ShapeError("valid_mask shape must match values")
 
 
+def checked_int(name: str, value) -> int:
+    """``value`` as an int if it is an int or a numpy integer; ``ConfigError``
+    naming ``name`` for anything else, a bool, float or str among them."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an int, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ScaleConfig:
     """Coarse-to-fine level layout plus the metric depth clamp range.
@@ -50,7 +58,9 @@ class ScaleConfig:
     d_max: float = 10.0
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple((int(r), int(p)) for r, p in self.levels))
+        object.__setattr__(self, "levels", tuple(
+            (checked_int(f"levels[{i}] resolution", r), checked_int(f"levels[{i}] patch", p))
+            for i, (r, p) in enumerate(self.levels)))
         if not (2 <= len(self.levels) <= 8):
             raise ConfigError(f"need 2..8 levels, got {len(self.levels)}")
         if self.d_min <= 0:

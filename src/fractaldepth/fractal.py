@@ -8,6 +8,12 @@ from the image features and the depth state handed down from the previous
 level (teacher-forced targets during training, sampled latents during
 generation).  The finest level additionally receives the center patch and
 its 4-neighborhood context of the upsampled previous latent.
+
+Every parameter is float32, the one dtype training, generation and AdamW
+work in: the conv pyramid and the MLPs run on the model's own arrays, with
+no per-call copy.  Float64 remains where a sum needs it: the squared
+errors, the conv bias sums over the pixels, the condition projections, W0's
+condition rows and the ``pre0`` gradient sums, and the chain state.
 """
 
 from __future__ import annotations
@@ -19,9 +25,9 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import imgio, vcfr
-from .core import (DepthMap, ScaleConfig, SchedulePlan, build_schedule_plan, denormalize,
-                   downsample_mean, log_normalize, reassemble_patches, split_patches,
-                   split_patches_with_context, upsample_bilinear)
+from .core import (DepthMap, ScaleConfig, SchedulePlan, build_schedule_plan, checked_int,
+                   denormalize, downsample_mean, log_normalize, reassemble_patches,
+                   split_patches, split_patches_with_context, upsample_bilinear)
 from .diffusion import NoiseSchedule, forward_noise, make_linear_schedule, respace, sample
 # not called here: perfbench/tracer.py times reverse steps by patching this binding
 from .diffusion import reverse_step  # noqa: F401
@@ -41,8 +47,11 @@ class ModelSpec:
     ``shared_unit`` existed lacks the key and loads with its default, one MLP
     per level.
 
-    Construction normalises ``levels`` and ``hidden`` to tuples and raises
-    ``ConfigError`` unless the spec builds a model.
+    Construction normalises ``levels`` and ``hidden`` to tuples of ints and
+    raises ``ConfigError`` unless the spec builds a model; an int field (a
+    level's resolution or patch, ``T``, a hidden width, ``feature_dim``,
+    ``time_dim``, ``timestep_reuse``) takes an int or a numpy integer, and
+    its error names the field.
     """
 
     levels: tuple            # ((res, patch), ...) coarse -> fine
@@ -58,9 +67,12 @@ class ModelSpec:
     shared_unit: bool = False   # levels of equal MLP sizes share one MLP
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(tuple(l) for l in self.levels))
-        object.__setattr__(self, "hidden", tuple(self.hidden))
-        self.scale(), self.schedule()      # each raises ConfigError unless valid
+        for name in ("T", "feature_dim", "time_dim", "timestep_reuse"):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name)))
+        object.__setattr__(self, "hidden", tuple(checked_int("hidden", h) for h in self.hidden))
+        # each raises ConfigError unless valid
+        object.__setattr__(self, "levels", self.scale().levels)
+        self.schedule()
         if self.timestep_reuse < 1:
             raise ConfigError(f"timestep_reuse must be >= 1, got {self.timestep_reuse}")
         if min((self.feature_dim, self.time_dim, *self.hidden)) < 1 or self.time_dim % 2:
@@ -87,6 +99,7 @@ class FractalModel:
     gate_w: np.ndarray          # (L,) fusion gate scales
     gate_b: np.ndarray          # (L,) fusion gate shifts
     mlps: list                  # each level's MlpParams; shared levels hold one object
+    # every parameter array (conv, gate_w, gate_b, mlps) is float32
     opt_state: AdamWState = field(default_factory=AdamWState)
 
     @property
@@ -119,8 +132,8 @@ class FractalModel:
 
 
 def _empty_model(spec: ModelSpec) -> FractalModel:
-    """The model of ``spec`` on uninitialised storage, for an initialisation
-    or a checkpoint to fill."""
+    """The model of ``spec`` on uninitialised float32 storage (the gates at
+    scale 1 and shift 0), for an initialisation or a checkpoint to fill."""
     cfg = spec.scale()
     plan = build_schedule_plan(cfg)
     n = len(plan.levels)
@@ -138,19 +151,23 @@ def _empty_model(spec: ModelSpec) -> FractalModel:
         mlps.append(units[key])
     return FractalModel(spec=spec, cfg=cfg, plan=plan, sched=spec.schedule(),
                         conv=vcfr.ConvPyramidParams.empty(spec.feature_dim),
-                        gate_w=np.ones(n), gate_b=np.zeros(n), mlps=mlps)
+                        gate_w=np.ones(n, np.float32), gate_b=np.zeros(n, np.float32),
+                        mlps=mlps)
 
 
 def init_model(spec: ModelSpec, seed: int) -> FractalModel:
+    """The seeded model of ``spec``: float64 draws, stored rounded to float32."""
     model = _empty_model(spec)
     rng = RngStream(seed, ("init",))
-    model.conv = vcfr.init_conv_pyramid(spec.feature_dim, rng.child("conv"))
+    drawn = vcfr.init_conv_pyramid(spec.feature_dim, rng.child("conv")).named()
     # each MLP is drawn on the path of its first level, a shared unit on
     # level 0's; a small final layer keeps the initial loss near the unit
     # noise variance
-    for _, mlp, levels in model.units():
-        drawn = init_mlp(mlp.sizes, rng.child("mlp", levels[0]), final_scale=0.01)
-        mlp.weights, mlp.biases = drawn.weights, drawn.biases
+    for name, mlp, levels in model.units():
+        drawn.update(init_mlp(mlp.sizes, rng.child("mlp", levels[0]), final_scale=0.01).named(name))
+    params = model.named_params()
+    for name, value in drawn.items():
+        params[name][...] = value
     return model
 
 
@@ -181,22 +198,6 @@ def _build_condition(model: FractalModel, feats: list, state: np.ndarray, level:
         n = center.shape[0]
         cond = np.concatenate([cond, center.reshape(n, -1), ctx.reshape(n, -1)], axis=1)
     return cond, fuse_cache
-
-
-def _float32(params):
-    """A float32 copy of an ``MlpParams`` or a ``vcfr.ConvPyramidParams``.
-
-    Training and generation run the MLPs and the conv pyramid on copies made
-    at each use, so a model changed by training never leaves a stale one,
-    and both see the same float32 weights.  A value beyond float32's range
-    casts to inf without a warning; the non-finite loss or latents it leads
-    to are rejected where they are made.
-    """
-    def cast(a):
-        return [cast(x) for x in a] if isinstance(a, list) else a.astype(np.float32)
-
-    with np.errstate(over="ignore"):
-        return type(params)(**{f.name: cast(getattr(params, f.name)) for f in fields(params)})
 
 
 _F32_MAX = float(np.finfo(np.float32).max)
@@ -242,22 +243,17 @@ def _unit_loss_and_grads(model: FractalModel, mlp: MlpParams, levels: tuple, z_s
     read from its own rows, and the unit's gradient is the sum of its
     levels'.
 
-    Mixed precision over float64 master weights, without loss scaling: the
-    MLP forward and backward run in float32, on a :func:`_float32` copy of
-    the weights, as at generation; so do the conv pyramid and its backward
-    in :func:`loss_and_grads`.  The condition projections are float64 and
-    cast to float32 once.  The squared-error sums, the blocks' weight, bias
-    and ``pre0`` gradient sums, W0's condition rows and the feature
-    gradients are float64, and so is everything returned.
-    ``NumericsError`` names the first level whose loss is not finite (a
-    float32 overflow among them), before that block's backward.
+    The MLP forward and backward run in float32 on the model's own weights,
+    as at generation, without loss scaling, and the unit's weight and bias
+    gradients are float32, summed over the blocks in place.  The condition
+    projections are float64 and cast to float32 once.  The squared-error
+    sums, the ``pre0`` gradient sums over the draws, W0's condition rows
+    (stored into the float32 W0 gradient) and the feature gradients are
+    float64.  ``NumericsError`` names the first level whose loss is not
+    finite (a float32 overflow among them), before that block's backward.
     """
     d = model.plan.levels[levels[0]].token_dim      # equal sizes: one token_dim
     td, R, k = model.spec.time_dim, model.spec.timestep_reuse, d + model.spec.time_dim
-    # a weight beyond float32's range casts to inf, and a float32 overflow
-    # in the forward gives inf or nan: both surface as the non-finite loss
-    # rejected below, before any backward
-    mlp32 = _float32(mlp)
     # each draw's (level, r, first row, rows), packed in order into blocks
     # of at most _BLOCK rows (a longer draw alone)
     blocks, rows = [[]], 0
@@ -279,12 +275,14 @@ def _unit_loss_and_grads(model: FractalModel, mlp: MlpParams, levels: tuple, z_s
     cond_pre = {l: (conds[l] @ w0[k:] + mlp.biases[0]).astype(np.float32) for l in levels}
     sq_sums = dict.fromkeys(levels, 0.0)
     g0 = {l: np.zeros(cond_pre[l].shape) for l in levels}    # float64 sums over draws
-    total = None                           # the blocks' MlpGrads, summed in float64
+    total = None                           # the blocks' MlpGrads, summed in place
     for block in blocks:
         lo, hi = block[0][2], block[-1][2] + block[-1][3]
         pre0 = np.concatenate([cond_pre[draw[0]] for draw in block])
+        # a float32 overflow in the forward gives inf or nan: both surface
+        # as the non-finite loss rejected below, before any backward
         with np.errstate(over="ignore", invalid="ignore"):
-            y, cache = mlp_forward(mlp32, x[lo:hi], pre0)
+            y, cache = mlp_forward(mlp, x[lo:hi], pre0)
             diff = y - eps[lo:hi]           # float64, as the sums of its squares
             for level, _, a, n in block:
                 part = diff[a - lo:a - lo + n]
@@ -293,41 +291,37 @@ def _unit_loss_and_grads(model: FractalModel, mlp: MlpParams, levels: tuple, z_s
         bad = [l for l in levels if not np.isfinite(sq_sums[l])]
         if bad:
             raise NumericsError(f"non-finite loss at level {bad[0]}; step rejected")
-        g = mlp_backward(mlp32, cache, diff)
+        g = mlp_backward(mlp, cache, diff)
         # one block's activations at a time: holding them into the next
         # block's forward raised desk_train's peak RSS by 2-3 MB
         del y, diff, cache, pre0
         for level, _, a, n in block:
             g0[level] += g.pre0[a - lo:a - lo + n]
         if total is None:
-            total = MlpGrads(weights=[w.astype(np.float64) for w in g.weights],
-                             biases=[b.astype(np.float64) for b in g.biases], pre0=None)
+            total = MlpGrads(weights=g.weights, biases=g.biases, pre0=None)
         else:
             for acc, part in zip(total.weights + total.biases, g.weights + g.biases):
                 acc += part
         del g
     # the backward gave W0's [z_t, time] rows; each level's condition rows follow
-    w0_grad = np.empty_like(w0)
-    w0_grad[:k] = total.weights[0]
-    w0_grad[k:] = sum(conds[l].T @ g0[l] for l in levels)
-    total.weights[0] = w0_grad
-    f = model.spec.feature_dim
+    total.weights[0] = np.concatenate([total.weights[0], sum(conds[l].T @ g0[l] for l in levels)],
+                                      dtype=np.float32)
     losses = {l: sq_sums[l] / (model.plan.levels[l].token_count * d * R) for l in levels}
-    return losses, {l: g0[l] @ w0[k:k + f].T for l in levels}, total
+    return losses, {l: g0[l] @ w0[k:k + model.spec.feature_dim].T for l in levels}, total
 
 
 def loss_and_grads(model: FractalModel, image: np.ndarray, gt: DepthMap, rng: RngStream):
     """The per-level losses of one teacher-forced step, and the gradients of
-    their sum by parameter name, all float64; a shared unit's gradient sums
-    those of its levels.  The conv pyramid and its backward run in float32
-    on a :func:`_float32` copy of ``model.conv``, so the features equal those
-    ``generate`` computes from the same weights bit for bit.  ``InputError``
-    for a pixel ``generate`` rejects, and ``NumericsError`` if a loss is not
+    their sum by parameter name; a shared unit's gradient sums those of its
+    levels.  The weight gradients are float32, as the parameters; the gate
+    and conv bias gradients, sums over pixels, are float64.  The conv pyramid
+    and its backward run in float32 on ``model.conv`` itself, so the features
+    equal those ``generate`` computes bit for bit.  ``InputError`` for a
+    pixel ``generate`` rejects, and ``NumericsError`` if a loss is not
     finite, both before any gradient is formed."""
     image = _checked_image(image)
     targets = encode_targets(gt, model)
-    conv32 = _float32(model.conv)
-    feats, feat_cache = vcfr.extract_features(image, model.cfg, conv32)
+    feats, feat_cache = vcfr.extract_features(image, model.cfg, model.conv)
     conds, fuse_caches, z_stars = [], [], []
     for level, lv in enumerate(model.plan.levels):
         state = _level_state(model, level, targets[level - 1] if level > 0 else None)
@@ -339,11 +333,10 @@ def loss_and_grads(model: FractalModel, image: np.ndarray, gt: DepthMap, rng: Rn
     grads = {"gate_w": np.zeros(model.n_levels), "gate_b": np.zeros(model.n_levels)}
     losses, dfeats = {}, {}
     for name, mlp, levels in model.units():
-        unit_losses, unit_dfeats, unit_grads = _unit_loss_and_grads(model, mlp, levels, z_stars,
-                                                                    conds, rng)
-        losses.update(unit_losses)
-        dfeats.update(unit_dfeats)
-        grads.update(unit_grads.named(name))
+        lvl_losses, lvl_dfeats, g = _unit_loss_and_grads(model, mlp, levels, z_stars, conds, rng)
+        losses.update(lvl_losses)
+        dfeats.update(lvl_dfeats)
+        grads.update(g.named(name))
     feat_grads = []
     for level in range(model.n_levels):
         # condition gradient: only the pooled feature block trains upstream
@@ -351,7 +344,7 @@ def loss_and_grads(model: FractalModel, image: np.ndarray, gt: DepthMap, rng: Rn
         df, grads["gate_w"][level], grads["gate_b"][level] = vcfr.refine_condition_backward(
             dfeats[level], fuse_caches[level])
         feat_grads.append(df)
-    grads.update(vcfr.extract_features_backward(feat_grads, model.cfg, conv32, feat_cache))
+    grads.update(vcfr.extract_features_backward(feat_grads, model.cfg, model.conv, feat_cache))
     return [losses[level] for level in range(model.n_levels)], grads
 
 
@@ -393,9 +386,9 @@ def _reverse_chain(model: FractalModel, level: int, cond: np.ndarray, lrngs: lis
     draws its noise from ``lrngs[k]``.  The chain runs on the
     ``sample_steps(model)`` kept timesteps of ``model.sched``.
 
-    The level's MLP runs in float32, on a :func:`_float32` copy of its
-    weights made here.  The chain state and every step around the MLP stay
-    float64; a ``predictor`` is called with float64 arrays.
+    The level's MLP runs in float32 on its own weights.  The chain state and
+    every step around the MLP stay float64; a ``predictor`` is called with
+    float64 arrays.
     """
     lv = model.plan.levels[level]
     sched = respace(model.sched, sample_steps(model))
@@ -412,14 +405,13 @@ def _reverse_chain(model: FractalModel, level: int, cond: np.ndarray, lrngs: lis
                     .astype(np.float32) for r in range(0, cond.shape[0], _BLOCK)]
         time_pre = time_embed(sched.t, td) @ w0[d:d + td]
         time_rows = dict(zip(sched.t.tolist(), time_pre.astype(np.float32)))
-        mlp32 = _float32(mlp)
 
         def pred(z, t):
             # one float32 MLP call per _BLOCK rows, each adding the step's
             # time row to its block of projected conditions; the float64
             # join is exact
             z32 = z.astype(np.float32)
-            blocks = [mlp_forward(mlp32, z32[i * _BLOCK:(i + 1) * _BLOCK],
+            blocks = [mlp_forward(mlp, z32[i * _BLOCK:(i + 1) * _BLOCK],
                                   block + time_rows[t], want_cache=False)[0]
                       for i, block in enumerate(cond_pre)]
             return np.concatenate(blocks, dtype=np.float64)
@@ -459,7 +451,7 @@ def generate(model: FractalModel, image: np.ndarray, rng, tau: float, predictor=
     # the conv pyramid runs in float32, as in training.  [0] drops its
     # cache: held, the rest of it (13 MB at 256 x 256) would stay alive
     # through every chain
-    feats = vcfr.extract_features(image, model.cfg, _float32(model.conv))[0]
+    feats = vcfr.extract_features(image, model.cfg, model.conv)[0]
     latents = [[] for _ in rngs]
     for level, lv in enumerate(model.plan.levels):
         prevs = [l[-1] if l else None for l in latents]
@@ -488,13 +480,14 @@ def save_model(path, model: FractalModel) -> None:
 def load_model(path) -> FractalModel:
     """Rebuild a model from a checkpoint; ``ConfigError`` naming the path if
     its meta or tensors do not describe one, or a tensor holds nan, inf or a
-    value beyond float32's range (the sampler runs in float32).
+    value beyond float32's range (the parameters are float32).
 
     The model is built from the :class:`ModelSpec` fields of the manifest's
     meta (other keys are ignored, and a field with a default may be absent)
     on uninitialised storage, so no random initialisation is drawn, and
-    :func:`nnet.load_checkpoint` reads each tensor's bytes straight into its
-    parameter array, a shared unit's once.
+    :func:`nnet.load_checkpoint` reads each tensor's float64 values, rounded
+    to float32, into its parameter array, a shared unit's once; a value
+    beyond float32's range reads as inf.
     """
     model = None
 

@@ -15,7 +15,6 @@ import json
 import math
 import os
 import struct
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,10 +95,10 @@ class MlpParams:
 
     @classmethod
     def empty(cls, sizes) -> "MlpParams":
-        """Layers of ``sizes`` on uninitialised float64 storage, for a
-        checkpoint to fill."""
-        return cls(weights=[np.empty((a, b)) for a, b in zip(sizes[:-1], sizes[1:])],
-                   biases=[np.empty(b) for b in sizes[1:]])
+        """Layers of ``sizes`` on uninitialised float32 storage, the model's
+        one parameter dtype, for an initialisation or a checkpoint to fill."""
+        return cls(weights=[np.empty((a, b), np.float32) for a, b in zip(sizes[:-1], sizes[1:])],
+                   biases=[np.empty(b, np.float32) for b in sizes[1:]])
 
 
 def _named_layers(weights: list, biases: list, prefix: str) -> dict:
@@ -111,7 +110,7 @@ def _named_layers(weights: list, biases: list, prefix: str) -> dict:
 
 
 def init_mlp(sizes, rng: RngStream, final_scale: float = 1.0) -> MlpParams:
-    """He-style scaled-uniform fan-in initialization."""
+    """He-style scaled-uniform fan-in initialization, drawn in float64."""
     weights, biases = [], []
     for i in range(len(sizes) - 1):
         fan_in, fan_out = sizes[i], sizes[i + 1]
@@ -236,15 +235,18 @@ def adamw_step(params: dict, grads: dict, state: AdamWState, lr: float,
 
     Rejects the whole step (state untouched) if any gradient is non-finite,
     has a norm beyond ``_GRAD_NORM_MAX`` or does not have its parameter's
-    shape.  Mixed precision over float64 master weights: the decoupled decay
-    scales the float64 parameters, the moments m and v are float32 (Dettmers
-    et al., *8-bit Optimizers*, arXiv:2110.02861, keep them narrower still),
-    and the update is formed from the gradient cast to float32, in two
-    float32 scratch arrays the size of the largest tensor.  Its operations
-    and their order are those of
+    shape.  The model's parameters and the moments m and v are float32
+    (Dettmers et al., *8-bit Optimizers*, arXiv:2110.02861, keep the moments
+    narrower still), and the update is formed from the gradient in float32
+    (a float64 one, a bias or gate sum, is cast), in two float32 scratch
+    arrays the size of the largest tensor.  No float64 master copy is kept:
+    the smallest step the schedule takes (lr 1e-5) is still about 170 times
+    float32's unit roundoff relative to a weight of size 1, so updates do not
+    vanish in rounding as they would in half precision.  Its operations and
+    their order are those of the decay ``p *= 1 - lr * weight_decay`` and
     ``p -= (lr / c1) * m / (sqrt(v) * (1 / sqrt(c2)) + _EPS)``, PyTorch's
     AdamW arithmetic with the bias corrections c1, c2 as scalars, so it
-    equals that formula run out of place on float32 moments bit for bit.
+    equals that formula run out of place in float32 bit for bit.
     """
     for name, p in params.items():
         g = grads[name]
@@ -309,10 +311,13 @@ def lr_at(step: int, sched: LrSchedule) -> float:
 # --- Checkpoint container -------------------------------------------------
 
 _MAGIC = b"FADN1"
+# float64 values per read of a checkpoint tensor (64 KB)
+_READ_CHUNK = 8192
 
 
 def save_checkpoint(path, named_params: dict, meta: dict) -> None:
-    """Binary container: magic, JSON manifest, little-endian float64 blobs."""
+    """Binary container: magic, JSON manifest, little-endian float64 blobs.
+    A float32 array widens exactly, so it loads back bit for bit."""
     manifest = {
         "meta": meta,
         "tensors": [{"name": k, "shape": list(v.shape)} for k, v in named_params.items()],
@@ -331,12 +336,15 @@ def load_checkpoint(path, targets=None):
 
     The magic, header and manifest are parsed, and the tensors' byte total is
     checked against the bytes left in the file, before any array is made.
-    The arrays are then ``targets(meta)``, a dict of C-contiguous float64
-    arrays, one per tensor of the file, or new ones without ``targets``; each
-    tensor's bytes are read straight into its array.  A file that is cut
-    short, carries trailing bytes or whose manifest does not parse, and
-    targets whose names or shapes differ from its tensors, raise
-    ``ConfigError`` naming the path.
+    The arrays are then ``targets(meta)``, a dict of C-contiguous float32 or
+    float64 arrays, one per tensor of the file, or new float64 ones without
+    ``targets``.  Each tensor's little-endian float64 values are read in
+    chunks of ``_READ_CHUNK`` values into its array, so a float32 array holds
+    each value rounded to float32 and no tensor is held twice; a value beyond
+    float32's range becomes inf there, without a warning, for the caller to
+    reject.  A file that is cut short, carries trailing bytes or whose
+    manifest does not parse, and targets whose names or shapes differ from
+    its tensors, raise ``ConfigError`` naming the path.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -372,7 +380,9 @@ def load_checkpoint(path, targets=None):
             if out.shape != shape:
                 raise ConfigError(f"{path}: tensor {name!r} has shape {shape}, "
                                   f"the model needs {out.shape}")
-            f.readinto(out)
-            if sys.byteorder != "little":   # the file holds little-endian float64
-                out.byteswap(inplace=True)
+            flat = out.reshape(-1)
+            with np.errstate(over="ignore"):
+                for lo in range(0, flat.size, _READ_CHUNK):
+                    part = flat[lo:lo + _READ_CHUNK]
+                    part[...] = np.frombuffer(f.read(8 * part.size), dtype="<f8")
     return params, meta

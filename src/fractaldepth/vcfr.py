@@ -3,8 +3,8 @@
 A fixed two-layer 3x3 convolutional pyramid (edge-padded, SiLU) produces a
 feature map at the finest resolution, which is the finest level's grid; each
 coarser level's grid is the block mean of a finer one.  The pyramid and its
-backward compute in the dtype of their parameters: generation and training
-pass float32 copies of the float64 parameters, and float64 parameters give
+backward compute in the dtype of their parameters: a model's are float32,
+and generation and training pass them as they are; float64 parameters give
 the float64 pyramid the finite-difference tests check.  Per level, the
 features are fused with the current depth state by a scalar sigmoid gate
 with a residual path, pooled per token, and extended with a guidance scalar
@@ -89,13 +89,15 @@ class ConvPyramidParams:
 
     @classmethod
     def empty(cls, feature_dim: int) -> "ConvPyramidParams":
-        """The pyramid on uninitialised float64 storage, for a checkpoint to fill."""
+        """The pyramid on uninitialised float32 storage, the model's one
+        parameter dtype, for an initialisation or a checkpoint to fill."""
         f = feature_dim
-        return cls(w1=np.empty((3, 3, 3, f)), b1=np.empty(f),
-                   w2=np.empty((3, 3, f, f)), b2=np.empty(f))
+        return cls(w1=np.empty((3, 3, 3, f), np.float32), b1=np.empty(f, np.float32),
+                   w2=np.empty((3, 3, f, f), np.float32), b2=np.empty(f, np.float32))
 
 
 def init_conv_pyramid(feature_dim: int, rng: RngStream) -> ConvPyramidParams:
+    """He-style scaled-uniform fan-in initialization, drawn in float64."""
     def he(shape, fan_in, *ids):
         bound = np.sqrt(6.0 / fan_in)
         return rng.uniform(shape, *ids, low=-bound, high=bound)
@@ -138,9 +140,9 @@ def extract_features(image: np.ndarray, cfg: ScaleConfig, params: ConvPyramidPar
 def extract_features_backward(grad_feats, cfg: ScaleConfig, params: ConvPyramidParams, cache) -> dict:
     """Accumulate per-level feature-grid gradients into conv parameter grads.
 
-    Computes in the dtype of ``params`` and the cache, float32 in training;
-    the bias sums over the pixels run in float64, and every gradient is
-    returned in float64, the dtype of the master weights.  The SiLU
+    Computes in the dtype of ``params`` and the cache, float32 in training,
+    and returns the weight gradients in it; the bias gradients, sums over
+    every pixel, are summed and returned in float64.  The SiLU
     derivatives are formed in the cache, so it serves one backward.  The
     output features ``f`` are also the finest grid the caller holds, so
     layer 2's derivative is formed in a copy of them, and the grids
@@ -160,8 +162,7 @@ def extract_features_backward(grad_feats, cfg: ScaleConfig, params: ConvPyramidP
     da1 = conv3x3_input_grad(da2, params.w2)
     da1 *= silu_grad_inplace(xp2[1:-1, 1:-1], s1)
     dw1, db1 = conv3x3_backward(da1, xp1, params.w1)
-    return {name: g.astype(np.float64, copy=False) for name, g in
-            ConvPyramidParams(w1=dw1, b1=db1, w2=dw2, b2=db2).named().items()}
+    return ConvPyramidParams(w1=dw1, b1=db1, w2=dw2, b2=db2).named()
 
 
 # --- Gated fusion + token pooling -----------------------------------------

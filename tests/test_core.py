@@ -37,6 +37,18 @@ class TestSchedulePlan:
         with pytest.raises(ConfigError):
             ScaleConfig(levels=((4, 1), (4, 1)))
 
+    # int() would read 16.7 as 16, "1" as 1 and True as 1
+    @pytest.mark.parametrize("level, field", [
+        ((16.7, 1), r"levels\[2\] resolution"), (("16", 1), r"levels\[2\] resolution"),
+        ((16, True), r"levels\[2\] patch"), ((16, 1.0), r"levels\[2\] patch")])
+    def test_non_int_level_rejected(self, level, field):
+        with pytest.raises(ConfigError, match=field):
+            ScaleConfig(levels=((1, 1), (4, 1), level, (64, 8)))
+
+    def test_numpy_int_levels_accepted(self):
+        cfg = ScaleConfig(levels=((1, 1), (np.int64(4), np.int32(1))))
+        assert cfg.levels == ((1, 1), (4, 1)) and type(cfg.levels[1][0]) is int
+
 
 class TestResampling:
     def test_downsample_constant(self):

@@ -470,6 +470,26 @@ class TestAdamW:
                          (st_ours.v[k], st_ref.v[k])):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), k
 
+    def test_float32_params_bit_identical_to_out_of_place(self):
+        # a model's parameters are float32, and its gradients float32 but for
+        # the float64 sums over pixels (here "b"): the in-place step equals
+        # the formula run out of place in float32 bit for bit
+        shapes = {"w": (300, 257), "b": (5,), "conv": (3, 3, 2, 4), "one": (1,)}
+        rng = np.random.default_rng(4)
+        ours = {k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()}
+        ref = {k: v.copy() for k, v in ours.items()}
+        st_ours, st_ref = AdamWState(), AdamWState()
+        for step in range(20):
+            grads = {k: (rng.normal(size=s) * 10.0 ** rng.integers(-9, 3))
+                     .astype(np.float64 if k == "b" else np.float32) for k, s in shapes.items()}
+            lr = 1e-3 * (1 + step % 7)
+            adamw_step(ours, grads, st_ours, lr, weight_decay=0.05)
+            self._out_of_place_step(ref, grads, st_ref, lr, weight_decay=0.05)
+        for k in shapes:
+            for a, b in ((ours[k], ref[k]), (st_ours.m[k], st_ref.m[k]),
+                         (st_ours.v[k], st_ref.v[k])):
+                assert a.dtype == b.dtype == np.float32 and a.tobytes() == b.tobytes(), k
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_float32_step_within_k_u(self, seed):
         # One step from a shared state whose moments float32 holds exactly,

@@ -151,7 +151,8 @@ class TestExtractFeatures:
     @pytest.mark.parametrize("F", [4, 16])
     def test_float32_backward_within_k_u(self, F):
         # the backward computes in the dtype of the parameters and cache, as
-        # training runs it, and returns float64.  Against the float64
+        # training runs it, and returns the weight gradients in it and the
+        # bias gradients, sums over the pixels, in float64.  Against the float64
         # pyramid and backward, on the same float64 feature gradients, each
         # gradient is reached through the forward's sums (28 terms at layer
         # 1, 9 F + 1 at layer 2), the sum of the 4 levels' gradients, the
@@ -173,7 +174,8 @@ class TestExtractFeatures:
         ref = extract_features_backward(grad_feats, CFG, params, c64)
         tol = (18 * F + 32 * 32 + 40) * 2.0 ** -24
         for name, a in ours.items():
-            assert a.dtype == ref[name].dtype == np.float64
+            assert ref[name].dtype == np.float64
+            assert a.dtype == (np.float64 if name.startswith("conv.b") else np.float32), name
             assert np.max(np.abs(a - ref[name])) <= tol * np.max(np.abs(ref[name])), name
 
     def test_backward_finite_difference(self):
