@@ -183,7 +183,7 @@ class RunConfig:
                          T=self.timesteps, beta_start=self.beta_start, beta_end=self.beta_end,
                          hidden=(self.hidden_width,) * self.hidden_depth,
                          feature_dim=self.feature_dim, time_dim=self.time_dim,
-                         timestep_reuse=self.timestep_reuse, shared_unit=True)
+                         timestep_reuse=self.timestep_reuse)
 
 
 def load_run_config(path) -> RunConfig:
@@ -194,25 +194,29 @@ def load_run_config(path) -> RunConfig:
     """
     values, lines = {}, {}
     valid = {f.name: f.type for f in fields(RunConfig)}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key not in valid:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in lines:
-                raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
-            lines[key] = lineno
-            convert = {"int": int, "float": float}.get(valid[key], str)
-            try:
-                values[key] = convert(val)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: {key} = {val!r} is not "
-                                  f"{convert.__name__}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw_lines = fh.readlines()
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {e.object[e.start]:#04x})") from None
+    for lineno, raw in enumerate(raw_lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in valid:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
+        lines[key] = lineno
+        convert = {"int": int, "float": float}.get(valid[key], str)
+        try:
+            values[key] = convert(val)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: {key} = {val!r} is not "
+                              f"{convert.__name__}") from None
     try:
         return RunConfig(**values)
     except FractalDepthError as e:

@@ -8,7 +8,7 @@ import sys
 from dataclasses import replace
 
 from . import bench, imgio, urca
-from .core import NAMED_CONFIGS, build_schedule_plan, named_scale_config
+from .core import NAMED_CONFIGS, named_scale_config
 from .errors import FractalDepthError, InputError
 from .fractal import generate, load_model, load_trace_depths, sample_steps, save_trace
 from .rng import RngStream
@@ -27,7 +27,7 @@ def _load_cfg(args) -> bench.RunConfig:
 
 
 def cmd_plan(args) -> int:
-    levels = build_schedule_plan(named_scale_config(args.scale_config)).levels
+    levels = named_scale_config(args.scale_config).levels
     print(f"config: {args.scale_config}")
     print(f"{'level':<6}{'scale':>10}{'input':>8}{'sequence':>10}{'token_dim':>11}")
     for i, lv in enumerate(levels):
@@ -38,11 +38,11 @@ def cmd_plan(args) -> int:
     print(f"sequential stages: {len(levels)} "
           f"(token-wise AR at finest scale: {levels[-1].resolution ** 2} steps)")
     if args.scale_config == "paper":
-        alt = build_schedule_plan(named_scale_config("paper-table"))
+        alt = named_scale_config("paper-table").levels
         print("note: the published table lists sequence length 16 at the 16x16 level; "
               "the patch reading used here gives "
               f"{seq[2]}. The alternative 'paper-table' reading (4x4 patches at that "
-              f"level) gives {alt.levels[2].token_count}; both are exposed as named configs.")
+              f"level) gives {alt[2].token_count}; both are exposed as named configs.")
     return 0
 
 
@@ -84,8 +84,10 @@ def cmd_sample(args) -> int:
     model = load_model(args.checkpoint)
     image, _ = bench.model_scene(model, cfg.seed)
     trace = generate(model, image, RngStream(cfg.seed, ("sample",)), tau=cfg.tau)
+    # the levels as plain tuples: levels=((1, 1), (4, 1), ...)
     save_trace(trace, args.out, {"seed": cfg.seed, "tau": cfg.tau,
-                                 "levels": model.cfg.levels, "steps": sample_steps(model)})
+                                 "levels": tuple(map(tuple, model.cfg.levels)),
+                                 "steps": sample_steps(model)})
     print(f"trace written to {args.out}")
     return 0
 

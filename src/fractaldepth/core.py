@@ -1,4 +1,4 @@
-"""Grids, depth maps, resampling, normalization and schedule planning.
+"""Grids, depth maps, the level layout, resampling and normalization.
 
 Latent grids are plain float64 ``(H, W)`` arrays in a nominal [-1, 1]
 range; depth maps carry metric values in meters plus a validity mask.
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,22 +45,37 @@ def checked_int(name: str, value) -> int:
     return int(value)
 
 
+class Level(NamedTuple):
+    """One level of the hierarchy: a square grid of ``resolution`` cells cut
+    into row-major tokens of ``patch_size`` x ``patch_size`` cells."""
+
+    resolution: int
+    patch_size: int
+
+    @property
+    def token_count(self) -> int:
+        return (self.resolution // self.patch_size) ** 2
+
+    @property
+    def token_dim(self) -> int:
+        return self.patch_size * self.patch_size
+
+
 @dataclass(frozen=True)
 class ScaleConfig:
     """Coarse-to-fine level layout plus the metric depth clamp range.
 
-    ``levels`` is an ordered list of ``(grid_resolution, patch_size)``
-    pairs with strictly increasing square resolutions; the last level is
-    the output resolution.
+    ``levels`` is an ordered tuple of :class:`Level` with strictly
+    increasing resolutions; the last level is the output resolution.
     """
 
-    levels: tuple            # ((res, patch), ...) coarse -> fine
+    levels: tuple            # (Level, ...) coarse -> fine
     d_min: float = 0.1
     d_max: float = 10.0
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(
-            (checked_int(f"levels[{i}] resolution", r), checked_int(f"levels[{i}] patch", p))
+            Level(checked_int(f"levels[{i}] resolution", r), checked_int(f"levels[{i}] patch", p))
             for i, (r, p) in enumerate(self.levels)))
         if not (2 <= len(self.levels) <= 8):
             raise ConfigError(f"need 2..8 levels, got {len(self.levels)}")
@@ -77,50 +93,25 @@ class ScaleConfig:
 
     @property
     def final_resolution(self) -> int:
-        return self.levels[-1][0]
+        return self.levels[-1].resolution
 
 
-# Named hierarchies.  "desk" is the default working configuration; "paper"
-# reproduces the published 1 -> 4 -> 16 -> 256 level layout where the plan
-# formula gives sequence length 256 at the 16x16 level (the published table
-# lists 16 there, which corresponds to the alternative "paper-table" reading
-# with 4x4 patches at that level).
+# Named hierarchies, each on the default depth range.  "desk" is the default
+# working configuration; "paper" reproduces the published 1 -> 4 -> 16 -> 256
+# level layout where the token formula gives sequence length 256 at the
+# 16x16 level (the published table lists 16 there, which corresponds to the
+# alternative "paper-table" reading with 4x4 patches at that level).
 NAMED_CONFIGS = {
-    "desk": (((1, 1), (4, 1), (16, 1), (64, 8)), 0.1, 10.0),
-    "paper": (((1, 1), (4, 1), (16, 1), (256, 16)), 0.1, 10.0),
-    "paper-table": (((1, 1), (4, 1), (16, 4), (256, 16)), 0.1, 10.0),
+    "desk": ((1, 1), (4, 1), (16, 1), (64, 8)),
+    "paper": ((1, 1), (4, 1), (16, 1), (256, 16)),
+    "paper-table": ((1, 1), (4, 1), (16, 4), (256, 16)),
 }
 
 
 def named_scale_config(name: str) -> ScaleConfig:
-    try:
-        levels, d_min, d_max = NAMED_CONFIGS[name]
-    except KeyError:
+    if name not in NAMED_CONFIGS:
         raise ConfigError(f"unknown scale config {name!r}; choose from {sorted(NAMED_CONFIGS)}")
-    return ScaleConfig(levels=levels, d_min=d_min, d_max=d_max)
-
-
-@dataclass(frozen=True)
-class LevelPlan:
-    resolution: int
-    patch_size: int
-    token_count: int
-    token_dim: int
-
-
-@dataclass(frozen=True)
-class SchedulePlan:
-    levels: tuple  # (LevelPlan, ...) coarse -> fine
-
-
-def build_schedule_plan(cfg: ScaleConfig) -> SchedulePlan:
-    """Token counts and dimensions per level: (res/patch)^2 tokens of patch^2 cells."""
-    entries = []
-    for res, patch in cfg.levels:
-        n = res // patch
-        entries.append(LevelPlan(resolution=res, patch_size=patch,
-                                 token_count=n * n, token_dim=patch * patch))
-    return SchedulePlan(levels=tuple(entries))
+    return ScaleConfig(levels=NAMED_CONFIGS[name])
 
 
 def downsample_mean(grid: np.ndarray, target: int) -> np.ndarray:

@@ -1,13 +1,16 @@
 """Coarse-to-fine recursive depth generation.
 
-Each level runs a noise-predictor MLP sized for its token layout, and
-levels whose MLP sizes are equal share one: the base unit the self-similar
+A model is its :class:`ModelSpec` plus its parameters; its scale config and
+noise schedule are derived from the spec.  Each level (a ``core.Level``)
+runs a noise-predictor MLP sized for its token layout, and by default levels
+whose MLP sizes are equal share one: the base unit the self-similar
 hierarchy repeats (the finest level, whose condition carries the patch
 context, keeps its own).  The level condition is built by the VCFR fusion
-from the image features and the depth state handed down from the previous
-level (teacher-forced targets during training, sampled latents during
-generation).  The finest level additionally receives the center patch and
-its 4-neighborhood context of the upsampled previous latent.
+from the image features and the depth state: zeros at level 0, then the
+previous level's latent upsampled (teacher-forced targets during training,
+sampled latents during generation), by one rule for both.  The finest level
+additionally receives the center patch and its 4-neighborhood context of
+that state.
 
 Every parameter is float32, the one dtype training, generation and AdamW
 work in: the conv pyramid and the MLPs run on the model's own arrays, with
@@ -25,9 +28,9 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import imgio, vcfr
-from .core import (DepthMap, ScaleConfig, SchedulePlan, build_schedule_plan, checked_int,
-                   denormalize, downsample_mean, log_normalize, reassemble_patches,
-                   split_patches, split_patches_with_context, upsample_bilinear)
+from .core import (DepthMap, ScaleConfig, checked_int, denormalize, downsample_mean,
+                   log_normalize, reassemble_patches, split_patches, split_patches_with_context,
+                   upsample_bilinear)
 from .diffusion import NoiseSchedule, forward_noise, make_linear_schedule, respace, sample
 # not called here: perfbench/tracer.py times reverse steps by patching this binding
 from .diffusion import reverse_step  # noqa: F401
@@ -43,18 +46,17 @@ class ModelSpec:
     noise schedule, and the sizes of the unit every level repeats (the MLP's
     hidden widths, the conv features, the time embedding) with the timestep
     draws of a training step, and whether levels of equal MLP sizes share
-    one unit.  A checkpoint's meta is ``asdict(spec)``; a meta written before
-    ``shared_unit`` existed lacks the key and loads with its default, one MLP
-    per level.
+    one unit (the default, the layout ``RunConfig`` builds; false gives one
+    MLP per level).  A checkpoint's meta is ``asdict(spec)``.
 
-    Construction normalises ``levels`` and ``hidden`` to tuples of ints and
-    raises ``ConfigError`` unless the spec builds a model; an int field (a
-    level's resolution or patch, ``T``, a hidden width, ``feature_dim``,
-    ``time_dim``, ``timestep_reuse``) takes an int or a numpy integer, and
-    its error names the field.
+    Construction normalises ``levels`` to a tuple of ``core.Level`` and
+    ``hidden`` to a tuple of ints, and raises ``ConfigError`` unless the spec
+    builds a model; an int field (a level's resolution or patch, ``T``, a
+    hidden width, ``feature_dim``, ``time_dim``, ``timestep_reuse``) takes an
+    int or a numpy integer, and its error names the field.
     """
 
-    levels: tuple            # ((res, patch), ...) coarse -> fine
+    levels: tuple            # (Level, ...) coarse -> fine
     d_min: float
     d_max: float
     T: int
@@ -64,7 +66,7 @@ class ModelSpec:
     feature_dim: int
     time_dim: int
     timestep_reuse: int      # timestep draws per condition per example
-    shared_unit: bool = False   # levels of equal MLP sizes share one MLP
+    shared_unit: bool = True    # levels of equal MLP sizes share one MLP
 
     def __post_init__(self):
         for name in ("T", "feature_dim", "time_dim", "timestep_reuse"):
@@ -91,10 +93,10 @@ class ModelSpec:
 
 @dataclass
 class FractalModel:
+    """A model is its spec plus its parameters; its scale config ``cfg`` and
+    noise schedule ``sched`` are derived from the spec, never passed in."""
+
     spec: ModelSpec
-    cfg: ScaleConfig
-    plan: SchedulePlan
-    sched: NoiseSchedule
     conv: vcfr.ConvPyramidParams
     gate_w: np.ndarray          # (L,) fusion gate scales
     gate_b: np.ndarray          # (L,) fusion gate shifts
@@ -102,9 +104,17 @@ class FractalModel:
     # every parameter array (conv, gate_w, gate_b, mlps) is float32
     opt_state: AdamWState = field(default_factory=AdamWState)
 
+    def __post_init__(self):
+        self.cfg = self.spec.scale()
+        self.sched = self.spec.schedule()
+        # the same ScaleConfig under a second name, kept only because the
+        # benchmark's generation check (perfbench/workloads.py) reads
+        # model.plan.levels
+        self.plan = self.cfg
+
     @property
     def n_levels(self) -> int:
-        return len(self.plan.levels)
+        return len(self.cfg.levels)
 
     def units(self) -> list:
         """``(name, mlp, levels)`` for each distinct MLP, in the order of its
@@ -134,12 +144,10 @@ class FractalModel:
 def _empty_model(spec: ModelSpec) -> FractalModel:
     """The model of ``spec`` on uninitialised float32 storage (the gates at
     scale 1 and shift 0), for an initialisation or a checkpoint to fill."""
-    cfg = spec.scale()
-    plan = build_schedule_plan(cfg)
-    n = len(plan.levels)
+    n = len(spec.levels)
     units = {}           # the MLPs by sizes when levels share them, else by level
     mlps = []
-    for i, lv in enumerate(plan.levels):
+    for i, lv in enumerate(spec.levels):
         # [z_t, time] and the condition: pooled features and the guidance
         # token, and at the finest level the center patch and its
         # 4-neighborhood context
@@ -149,8 +157,7 @@ def _empty_model(spec: ModelSpec) -> FractalModel:
         if key not in units:
             units[key] = MlpParams.empty(sizes)
         mlps.append(units[key])
-    return FractalModel(spec=spec, cfg=cfg, plan=plan, sched=spec.schedule(),
-                        conv=vcfr.ConvPyramidParams.empty(spec.feature_dim),
+    return FractalModel(spec=spec, conv=vcfr.ConvPyramidParams.empty(spec.feature_dim),
                         gate_w=np.ones(n, np.float32), gate_b=np.zeros(n, np.float32),
                         mlps=mlps)
 
@@ -177,19 +184,19 @@ def encode_targets(gt: DepthMap, model: FractalModel) -> list:
     if gt.values.shape != (res_final, res_final):
         raise ShapeError(f"gt resolution {gt.values.shape} != ({res_final}, {res_final})")
     z_fine = log_normalize(gt, model.cfg)
-    return [downsample_mean(z_fine, lv.resolution) for lv in model.plan.levels]
+    return [downsample_mean(z_fine, lv.resolution) for lv in model.cfg.levels]
 
 
-def _level_state(model: FractalModel, level: int, prev_latent) -> np.ndarray:
-    res = model.plan.levels[level].resolution
-    if prev_latent is None:
-        return np.zeros((res, res))
-    return upsample_bilinear(prev_latent, res)
+def _build_condition(model: FractalModel, feats: list, prev_latent, level: int):
+    """The level's condition rows, and the cache of its VCFR fusion.
 
-
-def _build_condition(model: FractalModel, feats: list, state: np.ndarray, level: int):
-    """The level's condition rows, and the cache of its VCFR fusion."""
-    lv = model.plan.levels[level]
+    The depth state they are built from is zeros at level 0 (``prev_latent``
+    None), and after it ``prev_latent``, the previous level's latent (its
+    target in training, its sample in generation), upsampled to the level's
+    grid."""
+    lv = model.cfg.levels[level]
+    state = (np.zeros((lv.resolution, lv.resolution)) if prev_latent is None
+             else upsample_bilinear(prev_latent, lv.resolution))
     pooled, fuse_cache = vcfr.refine_condition(feats[level], state, model.gate_w[level],
                                                model.gate_b[level], lv.patch_size)
     cond = vcfr.append_guidance_token(pooled, state, model.cfg)
@@ -252,13 +259,13 @@ def _unit_loss_and_grads(model: FractalModel, mlp: MlpParams, levels: tuple, z_s
     float64.  ``NumericsError`` names the first level whose loss is not
     finite (a float32 overflow among them), before that block's backward.
     """
-    d = model.plan.levels[levels[0]].token_dim      # equal sizes: one token_dim
+    d = model.cfg.levels[levels[0]].token_dim      # equal sizes: one token_dim
     td, R, k = model.spec.time_dim, model.spec.timestep_reuse, d + model.spec.time_dim
     # each draw's (level, r, first row, rows), packed in order into blocks
     # of at most _BLOCK rows (a longer draw alone)
     blocks, rows = [[]], 0
     for level in levels:
-        n = model.plan.levels[level].token_count
+        n = model.cfg.levels[level].token_count
         for r in range(R):
             if blocks[-1] and rows + n - blocks[-1][0][2] > _BLOCK:
                 blocks.append([])
@@ -306,7 +313,7 @@ def _unit_loss_and_grads(model: FractalModel, mlp: MlpParams, levels: tuple, z_s
     # the backward gave W0's [z_t, time] rows; each level's condition rows follow
     total.weights[0] = np.concatenate([total.weights[0], sum(conds[l].T @ g0[l] for l in levels)],
                                       dtype=np.float32)
-    losses = {l: sq_sums[l] / (model.plan.levels[l].token_count * d * R) for l in levels}
+    losses = {l: sq_sums[l] / (model.cfg.levels[l].token_count * d * R) for l in levels}
     return losses, {l: g0[l] @ w0[k:k + model.spec.feature_dim].T for l in levels}, total
 
 
@@ -323,9 +330,9 @@ def loss_and_grads(model: FractalModel, image: np.ndarray, gt: DepthMap, rng: Rn
     targets = encode_targets(gt, model)
     feats, feat_cache = vcfr.extract_features(image, model.cfg, model.conv)
     conds, fuse_caches, z_stars = [], [], []
-    for level, lv in enumerate(model.plan.levels):
-        state = _level_state(model, level, targets[level - 1] if level > 0 else None)
-        cond, fuse_cache = _build_condition(model, feats, state, level)
+    for level, lv in enumerate(model.cfg.levels):
+        cond, fuse_cache = _build_condition(model, feats, targets[level - 1] if level else None,
+                                            level)
         conds.append(cond)
         fuse_caches.append(fuse_cache)
         z_stars.append(split_patches(targets[level], lv.patch_size)
@@ -390,7 +397,7 @@ def _reverse_chain(model: FractalModel, level: int, cond: np.ndarray, lrngs: lis
     every step around the MLP stay float64; a ``predictor`` is called with
     float64 arrays.
     """
-    lv = model.plan.levels[level]
+    lv = model.cfg.levels[level]
     sched = respace(model.sched, sample_steps(model))
     if predictor is None:
         # the condition and the time embeddings do not change along the
@@ -453,10 +460,9 @@ def generate(model: FractalModel, image: np.ndarray, rng, tau: float, predictor=
     # through every chain
     feats = vcfr.extract_features(image, model.cfg, model.conv)[0]
     latents = [[] for _ in rngs]
-    for level, lv in enumerate(model.plan.levels):
+    for level, lv in enumerate(model.cfg.levels):
         prevs = [l[-1] if l else None for l in latents]
-        cond = np.concatenate([_build_condition(model, feats, _level_state(model, level, p),
-                                                level)[0] for p in prevs])
+        cond = np.concatenate([_build_condition(model, feats, p, level)[0] for p in prevs])
         # a huge finite tau overflows the chain (in float32 first, where the
         # MLP casts it); its NaN would decode to a NaN depth
         with np.errstate(over="ignore", invalid="ignore"):
@@ -494,6 +500,10 @@ def load_model(path) -> FractalModel:
     def targets(meta):
         nonlocal model
         try:
+            # a meta written before shared_unit existed (that of the stored
+            # reference, perfbench/desk_seed0.fadn) lacks the key: its
+            # tensors are one MLP per level
+            meta = {"shared_unit": False, **meta}
             model = _empty_model(ModelSpec(**{f.name: meta[f.name] for f in fields(ModelSpec)
                                               if f.name in meta}))
         except (TypeError, ValueError, FractalDepthError) as e:
@@ -521,9 +531,16 @@ def save_trace(trace: GenerationTrace, out_dir, manifest: dict) -> None:
 
 
 def load_trace_depths(trace_dir, model: FractalModel) -> list:
-    """The decoded depth of each level latent :func:`save_trace` wrote to ``trace_dir``."""
+    """The decoded depth of each level latent :func:`save_trace` wrote to
+    ``trace_dir``; ``InputError`` naming the file if a latent is not on its
+    level's grid, before any is decoded."""
     names = [f"latent_level{i}.pfm" for i in range(model.n_levels)]
     found = sorted(fnmatch.filter(os.listdir(trace_dir), "latent_level*.pfm"))
     if found != sorted(names):
         raise InputError(f"{trace_dir}: expected {names}, found {found}")
-    return [decode_level_depth(imgio.read_pfm(os.path.join(trace_dir, n)), model) for n in names]
+    latents = [imgio.read_pfm(os.path.join(trace_dir, n)) for n in names]
+    for name, latent, lv in zip(names, latents, model.cfg.levels):
+        if latent.shape != (lv.resolution, lv.resolution):
+            raise InputError(f"{os.path.join(trace_dir, name)}: latent of shape {latent.shape}, "
+                             f"not the level's {lv.resolution} x {lv.resolution}")
+    return [decode_level_depth(latent, model) for latent in latents]

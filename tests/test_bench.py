@@ -178,6 +178,12 @@ class TestRunConfig:
             with pytest.raises(ConfigError, match="bad.cfg:1: unknown key"):
                 load_run_config(p)
 
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "bad.cfg"
+        p.write_bytes(b"seed = 5\n\xff\xfe = 1\n")
+        with pytest.raises(ConfigError, match=r"bad\.cfg: not UTF-8 text \(byte 0xff\)"):
+            load_run_config(p)
+
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("just words\n")

@@ -228,7 +228,8 @@ class TestModelScale:
         assert read_depth_pfm(tmp_path / "s" / "depth.pfm").values.shape == (256, 256)
         fields = dict(line.split("=", 1)
                       for line in (tmp_path / "s" / "manifest.txt").read_text().splitlines())
-        assert fields["levels"] == str(model.cfg.levels) and "config" not in fields
+        assert fields["levels"] == "((1, 1), (4, 1), (16, 1), (256, 16))"
+        assert "config" not in fields
         code, out = run(capsys, "eval", "--checkpoint", str(ckpt), "--scenes", "1",
                         "--out", str(tmp_path / "e"))
         assert code == 0 and "mean: abs_rel=" in out
@@ -304,6 +305,29 @@ class TestTypedErrors:
         err = self._fails(capsys, argv + out, "FileNotFoundError")
         assert missing in err
         assert not (tmp_path / "o").exists()
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed = 5\n\xff\xfe = 1\n")
+        err = self._fails(capsys, ["train", "--config", str(cfg), "--out", str(tmp_path / "t")],
+                          "ConfigError")
+        assert "bad.cfg" in err and "UTF-8" in err
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("shape", [(16, 16), (4, 8)], ids=["wrong_size", "non_square"])
+    def test_trace_latent_off_grid(self, tiny_run, capsys, shape):
+        # a latent no larger than the final grid would upsample and fuse:
+        # each must be on its level's grid (level 1: 4 x 4)
+        cfg, ckpt, root = tiny_run
+        trace = root / f"grid{shape[0]}x{shape[1]}"
+        main(["sample", "--config", str(cfg), "--checkpoint", str(ckpt), "--out", str(trace)])
+        imgio.write_pfm(trace / "latent_level1.pfm", np.zeros(shape))
+        depth = str(trace / "depth.pfm")
+        err = self._fails(capsys, ["fuse", depth, depth, "--trace-dir", str(trace),
+                                   "--checkpoint", str(ckpt), "--out", str(trace / "fused")],
+                          "InputError")
+        assert "latent_level1.pfm" in err and str(shape) in err and "4 x 4" in err
+        assert not (trace / "fused").exists()
 
     def test_zero_layer_size(self, tmp_path, capsys):
         cfg = tmp_path / "zero.cfg"

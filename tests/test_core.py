@@ -3,27 +3,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractaldepth.core import (DepthMap, ScaleConfig, build_schedule_plan, denormalize,
-                               downsample_mean, downsample_mean_adjoint, log_normalize,
-                               named_scale_config, reassemble_patches, split_patches,
-                               split_patches_with_context, upsample_bilinear)
+from fractaldepth.core import (DepthMap, Level, ScaleConfig, denormalize, downsample_mean,
+                               downsample_mean_adjoint, log_normalize, named_scale_config,
+                               reassemble_patches, split_patches, split_patches_with_context,
+                               upsample_bilinear)
 from fractaldepth.errors import ConfigError, ResampleError
 from fractaldepth.rng import RngStream
 
 
 class TestSchedulePlan:
+    """The level layout of a ScaleConfig: each level a ``Level``, with its
+    token count and dimension."""
+
     def test_paper_config_token_counts(self):
-        plan = build_schedule_plan(named_scale_config("paper"))
-        assert tuple(l.token_count for l in plan.levels) == (1, 16, 256, 256)
+        levels = named_scale_config("paper").levels
+        assert tuple(l.token_count for l in levels) == (1, 16, 256, 256)
 
     def test_paper_table_reading(self):
-        plan = build_schedule_plan(named_scale_config("paper-table"))
-        assert tuple(l.token_count for l in plan.levels) == (1, 16, 16, 256)
+        levels = named_scale_config("paper-table").levels
+        assert tuple(l.token_count for l in levels) == (1, 16, 16, 256)
 
     def test_desk_config(self):
-        plan = build_schedule_plan(named_scale_config("desk"))
-        assert tuple(l.token_count for l in plan.levels) == (1, 16, 256, 64)
-        assert tuple(l.token_dim for l in plan.levels) == (1, 1, 1, 64)
+        levels = named_scale_config("desk").levels
+        assert tuple(l.token_count for l in levels) == (1, 16, 256, 64)
+        assert tuple(l.token_dim for l in levels) == (1, 1, 1, 64)
+
+    def test_levels_are_level_tuples(self):
+        cfg = named_scale_config("desk")
+        assert all(type(l) is Level for l in cfg.levels)
+        # a Level is its (resolution, patch_size) pair
+        assert cfg.levels == ((1, 1), (4, 1), (16, 1), (64, 8))
+        res, patch = cfg.levels[-1]
+        assert (res, patch) == (cfg.levels[-1].resolution, cfg.levels[-1].patch_size) == (64, 8)
+        assert (cfg.d_min, cfg.d_max) == (0.1, 10.0)
 
     def test_single_level_rejected(self):
         with pytest.raises(ConfigError):

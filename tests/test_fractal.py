@@ -3,7 +3,7 @@ import hashlib
 import json
 import tracemalloc
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -227,9 +227,10 @@ def _per_draw_grads(model, image, gt, rng):
     losses = []
     R = model.spec.timestep_reuse
     td = model.spec.time_dim
-    for level, lv in enumerate(model.plan.levels):
-        state = fractal_mod._level_state(model, level, targets[level - 1] if level else None)
-        cond, fuse_cache = fractal_mod._build_condition(model, feats, state, level)
+    for level, lv in enumerate(model.cfg.levels):
+        cond, fuse_cache = fractal_mod._build_condition(model, feats,
+                                                        targets[level - 1] if level else None,
+                                                        level)
         z_star = split_patches(targets[level], lv.patch_size).reshape(lv.token_count, -1)
         mlp = model.mlps[level]
         k = lv.token_dim + td
@@ -387,7 +388,7 @@ class TestStackedTrainStep:
                    ("conv.w1", (1, 2, 0, 3)), ("conv.w1", (0, 0, 2, 1))]
         assert [name for name, _, _ in model.units()] == ["unit", "mlp2"]
         for name, mlp, levels in model.units():
-            d = model.plan.levels[levels[0]].token_dim
+            d = model.cfg.levels[levels[0]].token_dim
             # token, time, pooled-feature, guidance and (finest) context rows
             rows = [0, d, d + td, d + td + f - 1, d + td + f]
             if levels[-1] == model.n_levels - 1:
@@ -530,6 +531,83 @@ class TestOneParameterSet:
             assert params[name].tobytes() == value.astype(np.float32).tobytes(), name
 
 
+class TestTwoSharedUnits:
+    """A five-level layout with two groups of equal MLP sizes: levels 0-1
+    share ``unit``, levels 2-3 share ``unit1``, and the finest level keeps
+    ``mlp4``."""
+
+    CFG5 = ScaleConfig(levels=((1, 1), (2, 1), (4, 2), (8, 2), (16, 4)))
+
+    @classmethod
+    def _model(cls, seed=0):
+        return init_model(make_spec(cls.CFG5, 10, (16, 16), feature_dim=4, time_dim=4,
+                                    timestep_reuse=2), seed)
+
+    @staticmethod
+    def _scene(seed):
+        rng = np.random.default_rng(seed)
+        return (rng.uniform(0, 1, (16, 16, 3)),
+                DepthMap(values=rng.uniform(0.5, 8.0, (16, 16))))
+
+    def test_units(self):
+        model = self._model()
+        assert [(name, levels) for name, _, levels in model.units()] == [
+            ("unit", (0, 1)), ("unit1", (2, 3)), ("mlp4", (4,))]
+        assert model.mlps[0] is model.mlps[1] and model.mlps[2] is model.mlps[3]
+        assert len({id(m) for m in model.mlps}) == 3
+
+    def test_named_params_once(self):
+        params = self._model().named_params()
+        assert len({id(a) for a in params.values()}) == len(params)
+        prefixes = {name.split(".")[0] for name in params if "." in name}
+        assert {"unit", "unit1", "mlp4"} <= prefixes
+        assert not prefixes & {"mlp0", "mlp1", "mlp2", "mlp3"}
+
+    def test_unit1_drawn_on_level2_path(self):
+        model = self._model(seed=5)
+        params = model.named_params()
+        drawn = fractal_mod.init_mlp(model.mlps[2].sizes,
+                                     RngStream(5, ("init",)).child("mlp", 2),
+                                     final_scale=0.01).named("unit1")
+        for name, value in drawn.items():
+            assert params[name].tobytes() == value.astype(np.float32).tobytes(), name
+
+    def test_save_load_save(self, tmp_path):
+        model = self._model(seed=2)
+        image, gt = self._scene(1)
+        train_step(model, image, gt, RngStream(2, ("u1",)), lr=1e-3, weight_decay=0.05)
+        path, again = tmp_path / "m.fadn", tmp_path / "again.fadn"
+        save_model(path, model)
+        loaded = load_model(path)
+        assert [(n, l) for n, _, l in loaded.units()] == [(n, l) for n, _, l in model.units()]
+        save_model(again, loaded)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_train_step_finite(self):
+        model = self._model(seed=3)
+        image, gt = self._scene(2)
+        losses = train_step(model, image, gt, RngStream(3, ("u1",)), lr=1e-3, weight_decay=0.05)
+        assert len(losses) == 5 and all(np.isfinite(l) and l >= 0 for l in losses)
+
+    def test_generate_latent_shapes(self):
+        model = self._model(seed=4)
+        image, _ = self._scene(3)
+        trace = generate(model, image, RngStream(4, ("u1",)), tau=1.0)
+        assert [l.shape for l in trace.latents] == [(r, r) for r in (1, 2, 4, 8, 16)]
+        assert trace.final.values.shape == (16, 16)
+
+    def test_model_derives_views_from_spec(self):
+        # cfg and sched are derived from the spec, never passed in
+        assert [f.name for f in fields(fractal_mod.FractalModel)] == [
+            "spec", "conv", "gate_w", "gate_b", "mlps", "opt_state"]
+        model = self._model()
+        assert model.plan is model.cfg == self.CFG5
+        assert np.array_equal(model.sched.alpha_bar, model.spec.schedule().alpha_bar)
+        with pytest.raises(TypeError):
+            fractal_mod.FractalModel(spec=model.spec, cfg=model.cfg, conv=model.conv,
+                                     gate_w=model.gate_w, gate_b=model.gate_b, mlps=model.mlps)
+
+
 class TestGenerate:
     def test_trace_structure(self):
         model = small_model()
@@ -568,7 +646,7 @@ class TestGenerate:
         targets = encode_targets(DepthMap(values=gt.values), model)
         token_targets = []
         from fractaldepth.core import split_patches
-        for level, lv in enumerate(model.plan.levels):
+        for level, lv in enumerate(model.cfg.levels):
             token_targets.append(split_patches(targets[level], lv.patch_size)
                                  .reshape(lv.token_count, lv.token_dim))
 
@@ -613,7 +691,7 @@ class TestGenerate:
             return np.zeros_like(z)
 
         generate(model, image, RngStream(8, ("c",)), tau=0.0, predictor=count)
-        assert [seen[i] for i in range(3)] == [l.token_count for l in model.plan.levels]
+        assert [seen[i] for i in range(3)] == [l.token_count for l in model.cfg.levels]
 
 
 class TestGenerateHoistedCondition:
@@ -819,7 +897,7 @@ class TestBatchedGenerate:
         n = 3
         token_targets = [split_patches(targets[level], lv.patch_size)
                          .reshape(lv.token_count, lv.token_dim)
-                         for level, lv in enumerate(model.plan.levels)]
+                         for level, lv in enumerate(model.cfg.levels)]
         seen = []
 
         def oracle(level, z, t, cond):
@@ -831,7 +909,7 @@ class TestBatchedGenerate:
         streams = [RngStream(6, ("o",)).child("sample", k) for k in range(n)]
         batch = generate(model, image, streams, tau=1.0, predictor=oracle)
         for level, z_shape, cond_shape in seen:
-            lv = model.plan.levels[level]
+            lv = model.cfg.levels[level]
             assert z_shape == (n * lv.token_count, lv.token_dim)
             # pooled features, guidance token and, at the finest level, the
             # center patch and its 4-neighborhood context
