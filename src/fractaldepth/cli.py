@@ -84,10 +84,11 @@ def cmd_sample(args) -> int:
     model = load_model(args.checkpoint)
     image, _ = bench.model_scene(model, cfg.seed)
     trace = generate(model, image, RngStream(cfg.seed, ("sample",)), tau=cfg.tau)
-    # the levels as plain tuples: levels=((1, 1), (4, 1), ...)
+    # the levels as plain tuples: levels=((1, 1), (4, 1), ...); the reverse
+    # steps per level, coarse -> fine: steps=8,8,8,15
     save_trace(trace, args.out, {"seed": cfg.seed, "tau": cfg.tau,
                                  "levels": tuple(map(tuple, model.cfg.levels)),
-                                 "steps": sample_steps(model)})
+                                 "steps": ",".join(map(str, sample_steps(model)))})
     print(f"trace written to {args.out}")
     return 0
 

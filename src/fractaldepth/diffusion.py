@@ -74,8 +74,15 @@ def make_linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSch
     beta = np.linspace(beta_start, beta_end, T)
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)
+    # a beta_start at which 1 - beta rounds to 1 leaves step 1 no noise to
+    # remove: its posterior variance would be 0 / 0
+    if alpha_bar[0] == 1.0:
+        raise ConfigError(f"beta_start={beta_start} rounds 1 - beta to 1: step 1 adds no noise")
+    sigma = _posterior_sigma(beta, alpha_bar)
+    if not np.all(np.isfinite(sigma)):
+        raise ConfigError(f"schedule ({T}, {beta_start}, {beta_end}) has a non-finite sigma")
     return NoiseSchedule(t=np.arange(1, T + 1), beta=beta, alpha=alpha, alpha_bar=alpha_bar,
-                         sigma=_posterior_sigma(beta, alpha_bar))
+                         sigma=sigma)
 
 
 def respace(sched: NoiseSchedule, steps: int) -> NoiseSchedule:

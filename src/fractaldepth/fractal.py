@@ -35,8 +35,8 @@ from .diffusion import NoiseSchedule, forward_noise, make_linear_schedule, respa
 # not called here: perfbench/tracer.py times reverse steps by patching this binding
 from .diffusion import reverse_step  # noqa: F401
 from .errors import ConfigError, FractalDepthError, InputError, NumericsError, ShapeError
-from .nnet import (AdamWState, MlpGrads, MlpParams, adamw_step, init_mlp, mlp_backward,
-                   mlp_forward, load_checkpoint, save_checkpoint, time_embed)
+from .nnet import (AdamWState, MlpGrads, MlpParams, adamw_step, check_tensor_shapes, init_mlp,
+                   mlp_backward, mlp_forward, load_checkpoint, save_checkpoint, time_embed)
 from .rng import RngStream
 
 
@@ -141,9 +141,10 @@ class FractalModel:
         return out
 
 
-def _empty_model(spec: ModelSpec) -> FractalModel:
+def _empty_model(spec: ModelSpec, alloc=np.empty) -> FractalModel:
     """The model of ``spec`` on uninitialised float32 storage (the gates at
-    scale 1 and shift 0), for an initialisation or a checkpoint to fill."""
+    scale 1 and shift 0), for an initialisation or a checkpoint to fill;
+    ``alloc(shape, dtype)`` makes each conv and MLP array."""
     n = len(spec.levels)
     units = {}           # the MLPs by sizes when levels share them, else by level
     mlps = []
@@ -155,9 +156,9 @@ def _empty_model(spec: ModelSpec) -> FractalModel:
         sizes = (lv.token_dim + spec.time_dim + cond_dim, *spec.hidden, lv.token_dim)
         key = sizes if spec.shared_unit else i
         if key not in units:
-            units[key] = MlpParams.empty(sizes)
+            units[key] = MlpParams.empty(sizes, alloc)
         mlps.append(units[key])
-    return FractalModel(spec=spec, conv=vcfr.ConvPyramidParams.empty(spec.feature_dim),
+    return FractalModel(spec=spec, conv=vcfr.ConvPyramidParams.empty(spec.feature_dim, alloc),
                         gate_w=np.ones(n, np.float32), gate_b=np.zeros(n, np.float32),
                         mlps=mlps)
 
@@ -373,16 +374,23 @@ def decode_level_depth(latent: np.ndarray, model: FractalModel) -> DepthMap:
     return denormalize(upsample_bilinear(latent, model.cfg.final_resolution), model.cfg)
 
 
-# Reverse steps per level at generation: the kept timesteps of
-# ``diffusion.respace``.  On the desk reference checkpoint (16 held-out
-# scenes, tau = 0) 15 steps read RMSE 0.702 against 0.692 with all 60, and
-# 10 steps 0.717 (README "Performance").
+# Reverse steps per level at generation, the kept timesteps of
+# ``diffusion.respace``: every level above the finest runs COARSE_STEPS and
+# the finest SAMPLE_STEPS, each capped at T.  On the desk reference
+# checkpoint (16 held-out scenes, tau = 0) 15 steps at every level read RMSE
+# 0.702 against 0.692 with all 60, and 10 steps 0.717.  Against 15 at every
+# level, 8-8-8-15 read a lower RMSE at tau = 0 (48 validation scenes) and
+# no higher a fused RMSE at tau = 1 (N = 8, 12 scenes) on the reference and
+# two trained models, each over 3 RNG seeds; the finest level needs its 15
+# (README "Performance").
+COARSE_STEPS = 8
 SAMPLE_STEPS = 15
 
 
-def sample_steps(model: FractalModel) -> int:
-    """The reverse steps each level of ``generate`` runs."""
-    return min(SAMPLE_STEPS, model.sched.T)
+def sample_steps(model: FractalModel) -> tuple:
+    """The reverse steps each level of ``generate`` runs, coarse -> fine."""
+    T = model.sched.T
+    return (min(COARSE_STEPS, T),) * (model.n_levels - 1) + (min(SAMPLE_STEPS, T),)
 
 
 def _reverse_chain(model: FractalModel, level: int, cond: np.ndarray, lrngs: list,
@@ -391,14 +399,14 @@ def _reverse_chain(model: FractalModel, level: int, cond: np.ndarray, lrngs: lis
 
     ``cond`` holds the N conditions stacked like the tokens, and sample k
     draws its noise from ``lrngs[k]``.  The chain runs on the
-    ``sample_steps(model)`` kept timesteps of ``model.sched``.
+    ``sample_steps(model)[level]`` kept timesteps of ``model.sched``.
 
     The level's MLP runs in float32 on its own weights.  The chain state and
     every step around the MLP stay float64; a ``predictor`` is called with
     float64 arrays.
     """
     lv = model.cfg.levels[level]
-    sched = respace(model.sched, sample_steps(model))
+    sched = respace(model.sched, sample_steps(model)[level])
     if predictor is None:
         # the condition and the time embeddings do not change along the
         # chain: project them through W0 once (in float64), not at every
@@ -483,31 +491,42 @@ def save_model(path, model: FractalModel) -> None:
     save_checkpoint(path, model.named_params(), asdict(model.spec))
 
 
+def _no_storage(shape, dtype) -> np.ndarray:
+    """A read-only zero-strided stand-in for an array of ``shape``: it
+    allocates nothing, whatever the shape."""
+    return np.broadcast_to(np.zeros((), dtype), shape)
+
+
 def load_model(path) -> FractalModel:
     """Rebuild a model from a checkpoint; ``ConfigError`` naming the path if
     its meta or tensors do not describe one, or a tensor holds nan, inf or a
     value beyond float32's range (the parameters are float32).
 
-    The model is built from the :class:`ModelSpec` fields of the manifest's
-    meta (other keys are ignored, and a field with a default may be absent)
-    on uninitialised storage, so no random initialisation is drawn, and
-    :func:`nnet.load_checkpoint` reads each tensor's float64 values, rounded
-    to float32, into its parameter array, a shared unit's once; a value
-    beyond float32's range reads as inf.
+    The spec is the :class:`ModelSpec` fields of the manifest's meta (other
+    keys are ignored, and a field with a default may be absent).  Its
+    parameter shapes, read from the model built on :func:`_no_storage`, are
+    compared with the manifest's before any parameter is allocated, so a
+    meta that describes a model larger than the file fails without one.  The
+    model is then built on uninitialised storage, so no random
+    initialisation is drawn, and :func:`nnet.load_checkpoint` reads each
+    tensor's float64 values, rounded to float32, into its parameter array, a
+    shared unit's once; a value beyond float32's range reads as inf.
     """
     model = None
 
-    def targets(meta):
+    def targets(meta, shapes):
         nonlocal model
         try:
             # a meta written before shared_unit existed (that of the stored
             # reference, perfbench/desk_seed0.fadn) lacks the key: its
             # tensors are one MLP per level
             meta = {"shared_unit": False, **meta}
-            model = _empty_model(ModelSpec(**{f.name: meta[f.name] for f in fields(ModelSpec)
-                                              if f.name in meta}))
+            spec = ModelSpec(**{f.name: meta[f.name] for f in fields(ModelSpec) if f.name in meta})
+            layout = _empty_model(spec, _no_storage).named_params()
         except (TypeError, ValueError, FractalDepthError) as e:
             raise ConfigError(f"{path}: checkpoint meta does not describe a model: {e!r}") from e
+        check_tensor_shapes(path, shapes, {n: p.shape for n, p in layout.items()})
+        model = _empty_model(spec)
         return model.named_params()
 
     load_checkpoint(path, targets)
@@ -533,7 +552,7 @@ def save_trace(trace: GenerationTrace, out_dir, manifest: dict) -> None:
 def load_trace_depths(trace_dir, model: FractalModel) -> list:
     """The decoded depth of each level latent :func:`save_trace` wrote to
     ``trace_dir``; ``InputError`` naming the file if a latent is not on its
-    level's grid, before any is decoded."""
+    level's grid or holds nan or inf, before any is decoded."""
     names = [f"latent_level{i}.pfm" for i in range(model.n_levels)]
     found = sorted(fnmatch.filter(os.listdir(trace_dir), "latent_level*.pfm"))
     if found != sorted(names):
@@ -543,4 +562,6 @@ def load_trace_depths(trace_dir, model: FractalModel) -> list:
         if latent.shape != (lv.resolution, lv.resolution):
             raise InputError(f"{os.path.join(trace_dir, name)}: latent of shape {latent.shape}, "
                              f"not the level's {lv.resolution} x {lv.resolution}")
+        if not np.all(np.isfinite(latent)):
+            raise InputError(f"{os.path.join(trace_dir, name)}: latent holds nan or inf")
     return [decode_level_depth(latent, model) for latent in latents]

@@ -94,11 +94,12 @@ class MlpParams:
         return _named_layers(self.weights, self.biases, prefix)
 
     @classmethod
-    def empty(cls, sizes) -> "MlpParams":
+    def empty(cls, sizes, alloc=np.empty) -> "MlpParams":
         """Layers of ``sizes`` on uninitialised float32 storage, the model's
-        one parameter dtype, for an initialisation or a checkpoint to fill."""
-        return cls(weights=[np.empty((a, b), np.float32) for a, b in zip(sizes[:-1], sizes[1:])],
-                   biases=[np.empty(b, np.float32) for b in sizes[1:]])
+        one parameter dtype, for an initialisation or a checkpoint to fill;
+        ``alloc(shape, dtype)`` makes each array."""
+        return cls(weights=[alloc((a, b), np.float32) for a, b in zip(sizes[:-1], sizes[1:])],
+                   biases=[alloc(b, np.float32) for b in sizes[1:]])
 
 
 def _named_layers(weights: list, biases: list, prefix: str) -> dict:
@@ -331,13 +332,26 @@ def save_checkpoint(path, named_params: dict, meta: dict) -> None:
             f.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
 
 
+def check_tensor_shapes(path, shapes: dict, wanted: dict) -> None:
+    """``ConfigError`` naming ``path`` unless the checkpoint's tensor
+    ``shapes`` (by name) are those a model ``wanted``."""
+    if set(wanted) != set(shapes):
+        raise ConfigError(f"{path}: checkpoint tensors {sorted(set(shapes) ^ set(wanted))} "
+                          "do not match the model")
+    for name, shape in shapes.items():
+        if wanted[name] != shape:
+            raise ConfigError(f"{path}: tensor {name!r} has shape {shape}, "
+                              f"the model needs {wanted[name]}")
+
+
 def load_checkpoint(path, targets=None):
     """Returns ``(named_params, meta)``; round-trips bit-exactly.
 
     The magic, header and manifest are parsed, and the tensors' byte total is
     checked against the bytes left in the file, before any array is made.
-    The arrays are then ``targets(meta)``, a dict of C-contiguous float32 or
-    float64 arrays, one per tensor of the file, or new float64 ones without
+    The arrays are then ``targets(meta, shapes)``, given the manifest's meta
+    and its tensor shapes by name, a dict of C-contiguous float32 or float64
+    arrays, one per tensor of the file, or new float64 ones without
     ``targets``.  Each tensor's little-endian float64 values are read in
     chunks of ``_READ_CHUNK`` values into its array, so a float32 array holds
     each value rounded to float32 and no tensor is held twice; a value beyond
@@ -371,16 +385,10 @@ def load_checkpoint(path, targets=None):
         if nbytes != left:
             raise ConfigError(f"{path}: checkpoint cut short in its tensors" if nbytes > left
                               else f"{path}: {left - nbytes} trailing bytes after the last tensor")
-        params = targets(meta) if targets else {n: np.empty(s) for n, s in shapes.items()}
-        if set(params) != set(shapes):
-            raise ConfigError(f"{path}: checkpoint tensors {sorted(set(shapes) ^ set(params))} "
-                              "do not match the model")
-        for name, shape in shapes.items():
-            out = params[name]
-            if out.shape != shape:
-                raise ConfigError(f"{path}: tensor {name!r} has shape {shape}, "
-                                  f"the model needs {out.shape}")
-            flat = out.reshape(-1)
+        params = targets(meta, shapes) if targets else {n: np.empty(s) for n, s in shapes.items()}
+        check_tensor_shapes(path, shapes, {n: p.shape for n, p in params.items()})
+        for name in shapes:
+            flat = params[name].reshape(-1)
             with np.errstate(over="ignore"):
                 for lo in range(0, flat.size, _READ_CHUNK):
                     part = flat[lo:lo + _READ_CHUNK]

@@ -88,12 +88,13 @@ class ConvPyramidParams:
         return {"conv.w1": self.w1, "conv.b1": self.b1, "conv.w2": self.w2, "conv.b2": self.b2}
 
     @classmethod
-    def empty(cls, feature_dim: int) -> "ConvPyramidParams":
+    def empty(cls, feature_dim: int, alloc=np.empty) -> "ConvPyramidParams":
         """The pyramid on uninitialised float32 storage, the model's one
-        parameter dtype, for an initialisation or a checkpoint to fill."""
+        parameter dtype, for an initialisation or a checkpoint to fill;
+        ``alloc(shape, dtype)`` makes each array."""
         f = feature_dim
-        return cls(w1=np.empty((3, 3, 3, f), np.float32), b1=np.empty(f, np.float32),
-                   w2=np.empty((3, 3, f, f), np.float32), b2=np.empty(f, np.float32))
+        return cls(w1=alloc((3, 3, 3, f), np.float32), b1=alloc(f, np.float32),
+                   w2=alloc((3, 3, f, f), np.float32), b2=alloc(f, np.float32))
 
 
 def init_conv_pyramid(feature_dim: int, rng: RngStream) -> ConvPyramidParams:

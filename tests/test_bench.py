@@ -126,6 +126,8 @@ _REJECTED = {
     "time_dim_odd": ("time_dim", 3),
     "feature_dim_zero": ("feature_dim", 0),
     "timestep_reuse_zero": ("timestep_reuse", 0),
+    # 1 - beta rounds to 1: step 1 adds no noise, and its sigma would be 0 / 0
+    "beta_start_tiny": ("beta_start", 1e-17),
     # a non-finite rate or decay writes NaN into every weight at the first step
     "base_lr_nan": ("base_lr", math.nan),
     "base_lr_negative": ("base_lr", -1.0),
@@ -287,10 +289,12 @@ class TestRunners:
         # sample k's RNG path is independent of N, so the samples of an N=1
         # or N=2 run are the first samples of the N=8 run
         import fractaldepth.bench as bench_mod
-        from fractaldepth.fractal import SAMPLE_STEPS, sample_steps
+        from fractaldepth.fractal import COARSE_STEPS, SAMPLE_STEPS, sample_steps
         cfg = _tiny_cfg(timesteps=60)
         model = build_model(cfg)
-        assert sample_steps(model) == SAMPLE_STEPS < model.sched.T   # respaced chains
+        # respaced chains at every level
+        assert sample_steps(model) == (COARSE_STEPS,) * 3 + (SAMPLE_STEPS,)
+        assert max(sample_steps(model)) < model.sched.T
         runs = {}
         generate = bench_mod.generate
 

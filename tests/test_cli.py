@@ -89,8 +89,9 @@ class TestPipelines:
         fields = dict(line.split("=", 1)
                       for line in (root / "trace" / "manifest.txt").read_text().splitlines())
         assert fields["tau"] == "1.0"
-        # the reverse steps run per level: the tiny config has T = 10
-        assert fields["steps"] == str(min(fractal.SAMPLE_STEPS, 10))
+        # the reverse steps of each level, coarse -> fine: COARSE_STEPS and
+        # SAMPLE_STEPS, each capped at the tiny config's T = 10
+        assert fields["steps"] == "8,8,8,10"
 
     def test_sample_nonfinite_tau(self, tiny_run, capsys):
         cfg, ckpt, root = tiny_run
@@ -327,6 +328,20 @@ class TestTypedErrors:
                                    "--checkpoint", str(ckpt), "--out", str(trace / "fused")],
                           "InputError")
         assert "latent_level1.pfm" in err and str(shape) in err and "4 x 4" in err
+        assert not (trace / "fused").exists()
+
+    def test_trace_latent_nonfinite(self, tiny_run, capsys):
+        # a latent on its grid that holds nan fails naming its file, before
+        # the fusion sees it
+        cfg, ckpt, root = tiny_run
+        trace = root / "nan_latent"
+        main(["sample", "--config", str(cfg), "--checkpoint", str(ckpt), "--out", str(trace)])
+        imgio.write_pfm(trace / "latent_level1.pfm", np.full((4, 4), np.nan))
+        depth = str(trace / "depth.pfm")
+        err = self._fails(capsys, ["fuse", depth, depth, "--trace-dir", str(trace),
+                                   "--checkpoint", str(ckpt), "--out", str(trace / "fused")],
+                          "InputError")
+        assert str(trace / "latent_level1.pfm") in err and "nan" in err
         assert not (trace / "fused").exists()
 
     def test_zero_layer_size(self, tmp_path, capsys):

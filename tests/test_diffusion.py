@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,23 @@ class TestSchedule:
             make_linear_schedule(10, 0.0, 0.02)
         with pytest.raises(ConfigError):
             make_linear_schedule(0, 1e-4, 0.02)
+
+    @pytest.mark.parametrize("beta_start", [1e-17, 5e-324])
+    def test_noiseless_first_step_rejected(self, beta_start):
+        # 1 - beta rounds to 1, so step 1's posterior variance would be
+        # 0 / 0: a nan sigma, with a RuntimeWarning, that every respaced
+        # schedule would inherit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="beta_start"):
+                make_linear_schedule(60, beta_start, 0.12)
+
+    def test_nonfinite_sigma_rejected(self, monkeypatch):
+        import fractaldepth.diffusion as diffusion_mod
+        monkeypatch.setattr(diffusion_mod, "_posterior_sigma",
+                            lambda beta, alpha_bar: np.full_like(beta, np.nan))
+        with pytest.raises(ConfigError, match="non-finite sigma"):
+            make_linear_schedule(60, 1e-4, 0.02)
 
 
 class TestRespace:

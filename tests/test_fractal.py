@@ -770,6 +770,7 @@ class TestRespacedReference:
         import hashlib
         from fractaldepth import bench
         model = _reference_model()
+        monkeypatch.setattr(fractal_mod, "COARSE_STEPS", model.sched.T)
         monkeypatch.setattr(fractal_mod, "SAMPLE_STEPS", model.sched.T)
         cfg = bench.RunConfig()
 
@@ -805,6 +806,36 @@ class TestRespacedReference:
         assert mean.rmse <= 1.02 * self.FULL_CHAIN_RMSE
         ((_, fused, _),) = bench.run_multisample(cfg, model, [8], None, 4)
         assert fused.rmse <= self.FULL_CHAIN_FUSED_RMSE
+
+
+class TestStepBudget:
+    """Each level's reverse chain runs its own budget: COARSE_STEPS above the
+    finest level, SAMPLE_STEPS at it, each capped at T."""
+
+    @pytest.mark.parametrize("layout, T", [("desk", 60), ("small", 10), ("two_level", 60),
+                                           ("two_level", 5)])
+    def test_predictor_sees_each_levels_steps(self, layout, T):
+        cfg = {"desk": named_scale_config("desk"), "small": CFG,
+               "two_level": ScaleConfig(levels=((4, 1), (8, 2)), d_min=0.1, d_max=10.0)}[layout]
+        model = init_model(make_spec(cfg, T, (8,), feature_dim=4, time_dim=4, timestep_reuse=1),
+                           seed=0)
+        image, _ = bench.model_scene(model, 5)
+        seen = []
+
+        def oracle(level, z, t, cond):
+            seen.append((level, t))
+            return np.zeros_like(z)
+
+        generate(model, image, RngStream(0, ("budget",)), tau=1.0, predictor=oracle)
+        n = model.n_levels
+        want = [min(8, T)] * (n - 1) + [min(15, T)]
+        assert list(fractal_mod.sample_steps(model)) == want
+        assert [level for level, _ in seen] == sorted(level for level, _ in seen)
+        for level in range(n):
+            ts = [t for l, t in seen if l == level]
+            # one call per kept timestep, distinct, from T down to 1
+            assert len(set(ts)) == len(ts) == want[level]
+            assert ts == sorted(ts, reverse=True) and ts[0] == T and ts[-1] == 1
 
 
 class TestFloat32Pyramid:
@@ -915,8 +946,8 @@ class TestBatchedGenerate:
             # center patch and its 4-neighborhood context
             cond_dim = model.spec.feature_dim + 1 + 5 * lv.token_dim * (level == model.n_levels - 1)
             assert cond_shape == (n * lv.token_count, cond_dim)
-        # one call per kept step of the respaced chain
-        assert len(seen) == model.n_levels * min(fractal_mod.SAMPLE_STEPS, model.sched.T)
+        # one call per kept step of each level's respaced chain: 8 + 8 + 15
+        assert len(seen) == sum(fractal_mod.sample_steps(model)) == 31
         for stream, trace in zip(streams, batch):
             alone = generate(model, image, stream, tau=1.0, predictor=oracle)
             for a, b in zip(alone.latents, trace.latents):
@@ -1208,6 +1239,22 @@ class TestPersistence:
         self._rewrite(path, odd_time_dim)
         with pytest.raises(ConfigError, match="m.fadn.*time_dim even"):
             load_model(path)
+
+    @pytest.mark.parametrize("width", [4096, 1_000_000])
+    def test_oversized_meta_rejected_before_allocating(self, tmp_path, width):
+        # the small model's tensors under a meta of far wider layers: the
+        # shapes are compared before any parameter exists (the 4096-wide
+        # hidden layer alone is 64 MB, and at 10**6 the unit is 3.6 TiB)
+        path = tmp_path / "m.fadn"
+        self._rewrite(path, lambda p, m: m.update({"hidden": [width, width]}))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"m\.fadn: tensor 'unit\.w0' has shape"):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     # SHA-256 of the reference checkpoint re-saved by save_model: its
     # tensors as the float32 parameters hold them (each stored float64 value

@@ -638,7 +638,7 @@ class TestCheckpoint:
         (lambda d: d[:-1], "cut short"), (lambda d: d + b"\0" * 8, "8 trailing bytes")],
         ids=["cut", "trailing"])
     def test_size_checked_before_targets(self, tmp_path, change, match):
-        def never_called(meta):
+        def never_called(meta, shapes):
             raise AssertionError("targets called for a checkpoint of the wrong size")
 
         path, data = self._small(tmp_path)
