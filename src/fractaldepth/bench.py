@@ -12,8 +12,8 @@ import numpy as np
 from .core import DepthMap, ScaleConfig, named_scale_config
 from .errors import ConfigError, FractalDepthError, InputError, ShapeError
 # load_model is not called here, but perfbench/tracer.py patches this binding
-from .fractal import (FractalModel, ModelSpec, decode_level_depth, generate,  # noqa: F401
-                      init_model, load_model, save_model, train_step)
+from .fractal import (MAX_HIDDEN_LAYERS, MAX_T, FractalModel, ModelSpec,  # noqa: F401
+                      decode_level_depth, generate, init_model, load_model, save_model, train_step)
 from .nnet import LrSchedule, lr_at
 from .rng import RngStream
 from .urca import URCAConfig, fuse, uncertainty_stats
@@ -176,8 +176,13 @@ class RunConfig:
         return SceneSpec(seed=seed, resolution=self.scale().final_resolution)
 
     def model_spec(self) -> ModelSpec:
-        if self.hidden_depth < 0:
-            raise ConfigError(f"hidden_depth must be >= 0, got {self.hidden_depth}")
+        """The spec of the run's model, which checks it.  ``timesteps`` is
+        its ``T`` and ``hidden_depth`` the length of its ``hidden``: each is
+        checked against the spec's bound here first, so that the error names
+        the run's key and no widths tuple of an absurd depth is built."""
+        for key, low, high in (("timesteps", 1, MAX_T), ("hidden_depth", 0, MAX_HIDDEN_LAYERS)):
+            if not low <= getattr(self, key) <= high:
+                raise ConfigError(f"{key} must be in {low}..{high}, got {getattr(self, key)}")
         scale = self.scale()
         return ModelSpec(levels=scale.levels, d_min=scale.d_min, d_max=scale.d_max,
                          T=self.timesteps, beta_start=self.beta_start, beta_end=self.beta_end,

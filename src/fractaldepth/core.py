@@ -132,10 +132,17 @@ def downsample_mean(grid: np.ndarray, target: int) -> np.ndarray:
     return grid.reshape((target, b, target, b) + grid.shape[2:]).mean(axis=(1, 3))
 
 
-def downsample_mean_adjoint(grad: np.ndarray, block: int) -> np.ndarray:
+def downsample_mean_adjoint(grad: np.ndarray, block: int, out: np.ndarray = None) -> np.ndarray:
     """Adjoint of ``downsample_mean`` with ``block`` x ``block`` blocks: each
-    output gradient spreads uniformly over the cells of its block."""
-    return np.repeat(np.repeat(grad, block, axis=0), block, axis=1) / (block * block)
+    output gradient spreads uniformly over the cells of its block.  Written
+    into ``out`` when given, a C-contiguous array of the result's shape."""
+    grad = np.asarray(grad)
+    n, m = grad.shape[:2]
+    if out is None:
+        out = np.empty((n * block, m * block) + grad.shape[2:], np.result_type(grad, 1.0))
+    out.reshape((n, block, m, block) + grad.shape[2:])[...] = grad[:, None, :, None]
+    out /= block * block
+    return out
 
 
 def upsample_bilinear(grid: np.ndarray, target: int) -> np.ndarray:

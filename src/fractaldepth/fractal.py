@@ -35,9 +35,28 @@ from .diffusion import NoiseSchedule, forward_noise, make_linear_schedule, respa
 # not called here: perfbench/tracer.py times reverse steps by patching this binding
 from .diffusion import reverse_step  # noqa: F401
 from .errors import ConfigError, FractalDepthError, InputError, NumericsError, ShapeError
-from .nnet import (AdamWState, MlpGrads, MlpParams, adamw_step, check_tensor_shapes, init_mlp,
-                   mlp_backward, mlp_forward, load_checkpoint, save_checkpoint, time_embed)
+from .nnet import (AdamWState, MlpGrads, MlpParams, Workspace, adamw_step, check_tensor_shapes,
+                   init_mlp, mlp_backward, mlp_forward, load_checkpoint, reserve_mlp,
+                   save_checkpoint, time_embed)
 from .rng import RngStream
+
+
+# Bounds on a spec's sizes, each checked before any array of its model or
+# its noise schedule exists, so that a typo in a config or a checkpoint's
+# meta fails with ConfigError, not in the allocator:
+# - MAX_T: each of the schedule's five float64 arrays holds T values.
+#   100 000 steps (0.8 MB an array) are 25 times the 4000-step chains of
+#   Nichol & Dhariwal (arXiv:2102.09672).
+# - MAX_HIDDEN_LAYERS: every hidden layer is one more GEMM in each MLP call
+#   of a training step and of every reverse step.  The unit has 3
+#   (RunConfig's default), and 64 leaves room for any depth study.
+# - MAX_PARAMS: training holds four float32 copies of the parameters (the
+#   weights, their gradients and AdamW's two moments), 1 GiB at 2**26; the
+#   desk model has 0.4M and the paper-scale one 0.7M.  Counted from the
+#   sizes (ModelSpec.param_count), never allocated.
+MAX_T = 100_000
+MAX_HIDDEN_LAYERS = 64
+MAX_PARAMS = 2 ** 26
 
 
 @dataclass(frozen=True)
@@ -51,7 +70,8 @@ class ModelSpec:
 
     Construction normalises ``levels`` to a tuple of ``core.Level`` and
     ``hidden`` to a tuple of ints, and raises ``ConfigError`` unless the spec
-    builds a model; an int field (a level's resolution or patch, ``T``, a
+    builds a model within ``MAX_T``, ``MAX_HIDDEN_LAYERS`` and
+    ``MAX_PARAMS``; an int field (a level's resolution or patch, ``T``, a
     hidden width, ``feature_dim``, ``time_dim``, ``timestep_reuse``) takes an
     int or a numpy integer, and its error names the field.
     """
@@ -71,9 +91,14 @@ class ModelSpec:
     def __post_init__(self):
         for name in ("T", "feature_dim", "time_dim", "timestep_reuse"):
             object.__setattr__(self, name, checked_int(name, getattr(self, name)))
+        if len(self.hidden) > MAX_HIDDEN_LAYERS:
+            raise ConfigError(f"hidden has {len(self.hidden)} layers, beyond "
+                              f"MAX_HIDDEN_LAYERS = {MAX_HIDDEN_LAYERS}")
         object.__setattr__(self, "hidden", tuple(checked_int("hidden", h) for h in self.hidden))
         # each raises ConfigError unless valid
         object.__setattr__(self, "levels", self.scale().levels)
+        if self.T > MAX_T:
+            raise ConfigError(f"T = {self.T} is beyond MAX_T = {MAX_T}")
         self.schedule()
         if self.timestep_reuse < 1:
             raise ConfigError(f"timestep_reuse must be >= 1, got {self.timestep_reuse}")
@@ -83,12 +108,35 @@ class ModelSpec:
                               f"time_dim={self.time_dim}")
         if not isinstance(self.shared_unit, bool):
             raise ConfigError(f"shared_unit must be a bool, got {self.shared_unit!r}")
+        if self.param_count() > MAX_PARAMS:
+            raise ConfigError(f"hidden widths {self.hidden} with feature_dim={self.feature_dim}, "
+                              f"time_dim={self.time_dim} on these levels make "
+                              f"{self.param_count():,} parameters, beyond "
+                              f"MAX_PARAMS = {MAX_PARAMS:,}")
 
     def scale(self) -> ScaleConfig:
         return ScaleConfig(levels=self.levels, d_min=self.d_min, d_max=self.d_max)
 
     def schedule(self) -> NoiseSchedule:
         return make_linear_schedule(self.T, self.beta_start, self.beta_end)
+
+    def mlp_sizes(self) -> list:
+        """Each level's MLP sizes: the input ([z_t, time] and the condition:
+        pooled features and the guidance token, and at the finest level the
+        center patch and its 4-neighborhood context), the hidden widths and
+        the token."""
+        last = len(self.levels) - 1
+        return [(lv.token_dim + self.time_dim + self.feature_dim + 1
+                 + (5 * lv.token_dim if i == last else 0), *self.hidden, lv.token_dim)
+                for i, lv in enumerate(self.levels)]
+
+    def param_count(self) -> int:
+        """The parameters of the spec's model, counted from its sizes: the
+        conv pyramid, two gate scalars per level and each distinct MLP."""
+        f = self.feature_dim
+        mlps = set(self.mlp_sizes()) if self.shared_unit else self.mlp_sizes()
+        return (27 * f + f + 9 * f * f + f + 2 * len(self.levels)
+                + sum(a * b + b for sizes in mlps for a, b in zip(sizes[:-1], sizes[1:])))
 
 
 @dataclass
@@ -107,6 +155,10 @@ class FractalModel:
     def __post_init__(self):
         self.cfg = self.spec.scale()
         self.sched = self.spec.schedule()
+        # train_step's scratch arrays, reused from step to step: not a field,
+        # so never saved or compared, not a parameter, and empty in a new,
+        # loaded or copied model
+        self.workspace = Workspace()
         # the same ScaleConfig under a second name, kept only because the
         # benchmark's generation check (perfbench/workloads.py) reads
         # model.plan.levels
@@ -148,12 +200,7 @@ def _empty_model(spec: ModelSpec, alloc=np.empty) -> FractalModel:
     n = len(spec.levels)
     units = {}           # the MLPs by sizes when levels share them, else by level
     mlps = []
-    for i, lv in enumerate(spec.levels):
-        # [z_t, time] and the condition: pooled features and the guidance
-        # token, and at the finest level the center patch and its
-        # 4-neighborhood context
-        cond_dim = spec.feature_dim + 1 + (5 * lv.token_dim if i == n - 1 else 0)
-        sizes = (lv.token_dim + spec.time_dim + cond_dim, *spec.hidden, lv.token_dim)
+    for i, sizes in enumerate(spec.mlp_sizes()):
         key = sizes if spec.shared_unit else i
         if key not in units:
             units[key] = MlpParams.empty(sizes, alloc)
@@ -167,15 +214,13 @@ def init_model(spec: ModelSpec, seed: int) -> FractalModel:
     """The seeded model of ``spec``: float64 draws, stored rounded to float32."""
     model = _empty_model(spec)
     rng = RngStream(seed, ("init",))
-    drawn = vcfr.init_conv_pyramid(spec.feature_dim, rng.child("conv")).named()
+    for name, value in vcfr.init_conv_pyramid(spec.feature_dim, rng.child("conv")).named().items():
+        model.named_params()[name][...] = value
     # each MLP is drawn on the path of its first level, a shared unit on
-    # level 0's; a small final layer keeps the initial loss near the unit
-    # noise variance
-    for name, mlp, levels in model.units():
-        drawn.update(init_mlp(mlp.sizes, rng.child("mlp", levels[0]), final_scale=0.01).named(name))
-    params = model.named_params()
-    for name, value in drawn.items():
-        params[name][...] = value
+    # level 0's, and stored layer by layer; a small final layer keeps the
+    # initial loss near the unit noise variance
+    for _, mlp, levels in model.units():
+        init_mlp(mlp.sizes, rng.child("mlp", levels[0]), final_scale=0.01, into=mlp)
     return model
 
 
@@ -188,8 +233,10 @@ def encode_targets(gt: DepthMap, model: FractalModel) -> list:
     return [downsample_mean(z_fine, lv.resolution) for lv in model.cfg.levels]
 
 
-def _build_condition(model: FractalModel, feats: list, prev_latent, level: int):
-    """The level's condition rows, and the cache of its VCFR fusion.
+def _build_condition(model: FractalModel, feats: list, prev_latent, level: int,
+                     ws: Workspace = None):
+    """The level's condition rows, and the cache of its VCFR fusion (whose
+    scratch array is a region of ``ws``).
 
     The depth state they are built from is zeros at level 0 (``prev_latent``
     None), and after it ``prev_latent``, the previous level's latent (its
@@ -199,7 +246,7 @@ def _build_condition(model: FractalModel, feats: list, prev_latent, level: int):
     state = (np.zeros((lv.resolution, lv.resolution)) if prev_latent is None
              else upsample_bilinear(prev_latent, lv.resolution))
     pooled, fuse_cache = vcfr.refine_condition(feats[level], state, model.gate_w[level],
-                                               model.gate_b[level], lv.patch_size)
+                                               model.gate_b[level], lv.patch_size, ws)
     cond = vcfr.append_guidance_token(pooled, state, model.cfg)
     if level == model.n_levels - 1:
         center, ctx = split_patches_with_context(state, lv.patch_size)
@@ -236,10 +283,11 @@ def _checked_image(image) -> np.ndarray:
 _BLOCK = 512
 
 
-def _unit_loss_and_grads(model: FractalModel, mlp: MlpParams, levels: tuple, z_stars: list,
-                         conds: list, rng: RngStream):
-    """The denoising losses of the levels that run ``mlp``, each averaged
-    over its R timestep draws, and the gradients of their sum.
+def _unit_loss_and_grads(model: FractalModel, name: str, mlp: MlpParams, levels: tuple,
+                         z_stars: list, conds: list, rng: RngStream, ws: Workspace):
+    """The denoising losses of the levels that run ``mlp``, the unit
+    ``name``, each averaged over its R timestep draws, and the gradients of
+    their sum.
 
     Returns each level's loss and its condition's pooled-feature gradient,
     by level, and the unit's :class:`MlpGrads`.  The rows of every draw of
@@ -251,14 +299,21 @@ def _unit_loss_and_grads(model: FractalModel, mlp: MlpParams, levels: tuple, z_s
     read from its own rows, and the unit's gradient is the sum of its
     levels'.
 
+    Its large arrays are regions of the workspace ``ws``, in a frame of
+    their own, so every unit of a step runs in the same memory; the MLP's
+    are bound at the size of the largest block, so that every block reuses
+    them.  The unit's gradients, ``("grad", name, ...)``, are bound in the
+    caller's frame and outlive the call.
+
     The MLP forward and backward run in float32 on the model's own weights,
     as at generation, without loss scaling, and the unit's weight and bias
-    gradients are float32, summed over the blocks in place.  The condition
-    projections are float64 and cast to float32 once.  The squared-error
-    sums, the ``pre0`` gradient sums over the draws, W0's condition rows
-    (stored into the float32 W0 gradient) and the feature gradients are
-    float64.  ``NumericsError`` names the first level whose loss is not
-    finite (a float32 overflow among them), before that block's backward.
+    gradients are float32: the first block's copied in, the later blocks'
+    added in place.  The condition projections are float64 and cast to
+    float32 once.  The squared-error sums, the ``pre0`` gradient sums over
+    the draws, W0's condition rows (stored into the float32 W0 gradient)
+    and the feature gradients are float64.  ``NumericsError`` names the
+    first level whose loss is not finite (a float32 overflow among them),
+    before that block's backward.
     """
     d = model.cfg.levels[levels[0]].token_dim      # equal sizes: one token_dim
     td, R, k = model.spec.time_dim, model.spec.timestep_reuse, d + model.spec.time_dim
@@ -272,68 +327,99 @@ def _unit_loss_and_grads(model: FractalModel, mlp: MlpParams, levels: tuple, z_s
                 blocks.append([])
             blocks[-1].append((level, r, rows, n))
             rows += n
-    x = np.empty((rows, k), dtype=np.float32)    # each draw's [z_t, time] rows
-    eps = np.empty((rows, d))
-    for level, r, lo, n in (draw for block in blocks for draw in block):
-        t = int(rng.integers(1, model.sched.T + 1, "t", level, r))
-        eps[lo:lo + n] = rng.normal((n, d), "eps", level, r)
-        x[lo:lo + n, :d] = forward_noise(z_stars[level], t, eps[lo:lo + n], model.sched)
-        x[lo:lo + n, d:] = time_embed(float(t), td)
-    w0 = mlp.weights[0]
-    cond_pre = {l: (conds[l] @ w0[k:] + mlp.biases[0]).astype(np.float32) for l in levels}
-    sq_sums = dict.fromkeys(levels, 0.0)
-    g0 = {l: np.zeros(cond_pre[l].shape) for l in levels}    # float64 sums over draws
-    total = None                           # the blocks' MlpGrads, summed in place
-    for block in blocks:
-        lo, hi = block[0][2], block[-1][2] + block[-1][3]
-        pre0 = np.concatenate([cond_pre[draw[0]] for draw in block])
-        # a float32 overflow in the forward gives inf or nan: both surface
-        # as the non-finite loss rejected below, before any backward
-        with np.errstate(over="ignore", invalid="ignore"):
-            y, cache = mlp_forward(mlp, x[lo:hi], pre0)
-            diff = y - eps[lo:hi]           # float64, as the sums of its squares
+    total = MlpGrads(weights=[ws.get(("grad", name, "w", i), w.shape, w.dtype)
+                              for i, w in enumerate(mlp.weights)],
+                     biases=[ws.get(("grad", name, "b", i), b.shape, b.dtype)
+                             for i, b in enumerate(mlp.biases)], pre0=None)
+    with ws.scope():
+        x = ws.get("x", (rows, k))                       # each draw's [z_t, time] rows
+        eps = ws.get("eps", (rows, d), np.float64)
+        for level, r, lo, n in (draw for block in blocks for draw in block):
+            t = int(rng.integers(1, model.sched.T + 1, "t", level, r))
+            eps[lo:lo + n] = rng.normal((n, d), "eps", level, r)
+            x[lo:lo + n, :d] = forward_noise(z_stars[level], t, eps[lo:lo + n], model.sched)
+            x[lo:lo + n, d:] = time_embed(float(t), td)
+        w0 = mlp.weights[0]
+        cond_pre, g0 = {}, {}              # g0: float64 sums over draws
+        for j, l in enumerate(levels):
+            cond_pre[l] = ws.get(("cond.pre0", j), (conds[l].shape[0], w0.shape[1]))
+            g0[l] = ws.get(("cond.dpre0", j), cond_pre[l].shape, np.float64)
+            g0[l].fill(0.0)
+        # each level's condition projected through W0's condition rows (cast
+        # to float64 once, as the mixed product would) plus b0, in float32
+        with ws.scope():
+            w0_cond = ws.get("w0.cond", w0[k:].shape, np.float64)
+            w0_cond[...] = w0[k:]
+            for l in levels:
+                proj = np.matmul(conds[l], w0_cond, out=ws.get("cond.proj", cond_pre[l].shape,
+                                                                 np.float64))
+                proj += mlp.biases[0]
+                cond_pre[l][...] = proj
+        sq_sums = dict.fromkeys(levels, 0.0)
+        # the backward gives W0's [z_t, time] rows; the condition rows follow
+        sums = [total.weights[0][:k], *total.weights[1:], *total.biases]
+        # every block's arrays in the regions of the largest
+        most = max(b[-1][2] + b[-1][3] - b[0][2] for b in blocks)
+        reserve_mlp(ws, mlp, most)
+        pre0_rows = ws.get("pre0", (most, w0.shape[1]))
+        for j, block in enumerate(blocks):
+            lo, hi = block[0][2], block[-1][2] + block[-1][3]
+            pre0 = np.concatenate([cond_pre[draw[0]] for draw in block], out=pre0_rows[:hi - lo])
+            # a float32 overflow in the forward gives inf or nan: both surface
+            # as the non-finite loss rejected below, before any backward
+            with np.errstate(over="ignore", invalid="ignore"):
+                y, cache = mlp_forward(mlp, x[lo:hi], pre0, ws=ws)
+                # float64, as the sums of its squares, over the block's noise
+                # rows: nothing reads them after
+                diff = np.subtract(y, eps[lo:hi], out=eps[lo:hi])
+                for level, _, a, n in block:
+                    part = diff[a - lo:a - lo + n]
+                    sq_sums[level] += float(np.vdot(part, part))
+                    part *= 2.0 / (n * d * R)
+            bad = [l for l in levels if not np.isfinite(sq_sums[l])]
+            if bad:
+                raise NumericsError(f"non-finite loss at level {bad[0]}; step rejected")
+            g = mlp_backward(mlp, cache, diff, ws)
             for level, _, a, n in block:
-                part = diff[a - lo:a - lo + n]
-                sq_sums[level] += float(np.vdot(part, part))
-                part *= 2.0 / (n * d * R)
-        bad = [l for l in levels if not np.isfinite(sq_sums[l])]
-        if bad:
-            raise NumericsError(f"non-finite loss at level {bad[0]}; step rejected")
-        g = mlp_backward(mlp, cache, diff)
-        # one block's activations at a time: holding them into the next
-        # block's forward raised desk_train's peak RSS by 2-3 MB
-        del y, diff, cache, pre0
-        for level, _, a, n in block:
-            g0[level] += g.pre0[a - lo:a - lo + n]
-        if total is None:
-            total = MlpGrads(weights=g.weights, biases=g.biases, pre0=None)
-        else:
-            for acc, part in zip(total.weights + total.biases, g.weights + g.biases):
-                acc += part
-        del g
-    # the backward gave W0's [z_t, time] rows; each level's condition rows follow
-    total.weights[0] = np.concatenate([total.weights[0], sum(conds[l].T @ g0[l] for l in levels)],
-                                      dtype=np.float32)
-    losses = {l: sq_sums[l] / (model.cfg.levels[l].token_count * d * R) for l in levels}
-    return losses, {l: g0[l] @ w0[k:k + model.spec.feature_dim].T for l in levels}, total
+                g0[level] += g.pre0[a - lo:a - lo + n]
+            for acc, part in zip(sums, g.weights + g.biases):
+                if j:
+                    acc += part
+                else:
+                    acc[...] = part
+        # W0's condition rows: each level's product, summed in float64
+        dw0_cond = ws.get("dw0.cond", w0[k:].shape, np.float64)
+        for j, l in enumerate(levels):
+            if j:
+                dw0_cond += np.matmul(conds[l].T, g0[l],
+                                      out=ws.get("dw0.cond.part", dw0_cond.shape, np.float64))
+            else:
+                np.matmul(conds[l].T, g0[l], out=dw0_cond)
+        total.weights[0][k:] = dw0_cond
+        losses = {l: sq_sums[l] / (model.cfg.levels[l].token_count * d * R) for l in levels}
+        return losses, {l: g0[l] @ w0[k:k + model.spec.feature_dim].T for l in levels}, total
 
 
-def loss_and_grads(model: FractalModel, image: np.ndarray, gt: DepthMap, rng: RngStream):
+def loss_and_grads(model: FractalModel, image: np.ndarray, gt: DepthMap, rng: RngStream,
+                   ws: Workspace = None):
     """The per-level losses of one teacher-forced step, and the gradients of
     their sum by parameter name; a shared unit's gradient sums those of its
-    levels.  The weight gradients are float32, as the parameters; the gate
-    and conv bias gradients, sums over pixels, are float64.  The conv pyramid
-    and its backward run in float32 on ``model.conv`` itself, so the features
+    levels.  Every large array is a region of the workspace ``ws`` (a new
+    array when none is given); the MLP gradients returned stay valid until
+    the frame open at the call exits.  The weight gradients are float32, as
+    the parameters; the gate and conv bias gradients, sums over pixels, are
+    float64.  The conv pyramid and its backward run in float32 on ``model.conv`` itself, so the features
     equal those ``generate`` computes bit for bit.  ``InputError`` for a
     pixel ``generate`` rejects, and ``NumericsError`` if a loss is not
     finite, both before any gradient is formed."""
     image = _checked_image(image)
+    ws = Workspace(pooled=False) if ws is None else ws
     targets = encode_targets(gt, model)
-    feats, feat_cache = vcfr.extract_features(image, model.cfg, model.conv)
+    feats, feat_cache = vcfr.extract_features(image, model.cfg, model.conv, ws)
     conds, fuse_caches, z_stars = [], [], []
     for level, lv in enumerate(model.cfg.levels):
         cond, fuse_cache = _build_condition(model, feats, targets[level - 1] if level else None,
-                                            level)
+                                            level, ws)
         conds.append(cond)
         fuse_caches.append(fuse_cache)
         z_stars.append(split_patches(targets[level], lv.patch_size)
@@ -341,26 +427,33 @@ def loss_and_grads(model: FractalModel, image: np.ndarray, gt: DepthMap, rng: Rn
     grads = {"gate_w": np.zeros(model.n_levels), "gate_b": np.zeros(model.n_levels)}
     losses, dfeats = {}, {}
     for name, mlp, levels in model.units():
-        lvl_losses, lvl_dfeats, g = _unit_loss_and_grads(model, mlp, levels, z_stars, conds, rng)
+        lvl_losses, lvl_dfeats, g = _unit_loss_and_grads(model, name, mlp, levels, z_stars, conds,
+                                                         rng, ws)
         losses.update(lvl_losses)
         dfeats.update(lvl_dfeats)
         grads.update(g.named(name))
     feat_grads = []
-    for level in range(model.n_levels):
-        # condition gradient: only the pooled feature block trains upstream
-        # parameters (guidance and patch context come from fixed targets)
-        df, grads["gate_w"][level], grads["gate_b"][level] = vcfr.refine_condition_backward(
-            dfeats[level], fuse_caches[level])
-        feat_grads.append(df)
-    grads.update(vcfr.extract_features_backward(feat_grads, model.cfg, model.conv, feat_cache))
+    with ws.scope():
+        for level in range(model.n_levels):
+            # condition gradient: only the pooled feature block trains upstream
+            # parameters (guidance and patch context come from fixed targets)
+            df, grads["gate_w"][level], grads["gate_b"][level] = vcfr.refine_condition_backward(
+                dfeats[level], fuse_caches[level], ws)
+            feat_grads.append(df)
+        grads.update(vcfr.extract_features_backward(feat_grads, model.cfg, model.conv, feat_cache,
+                                                    ws))
     return [losses[level] for level in range(model.n_levels)], grads
 
 
 def train_step(model: FractalModel, image: np.ndarray, gt: DepthMap, rng: RngStream,
                lr: float, weight_decay: float) -> list:
-    """One teacher-forced optimizer step; returns the per-level losses."""
-    losses, grads = loss_and_grads(model, image, gt, rng)
-    adamw_step(model.named_params(), grads, model.opt_state, lr, weight_decay)
+    """One teacher-forced optimizer step; returns the per-level losses.  Its
+    large arrays are regions of ``model.workspace``, in one frame that exits
+    with the step, so the next step reuses them."""
+    ws = model.workspace
+    with ws.scope():
+        losses, grads = loss_and_grads(model, image, gt, rng, ws)
+        adamw_step(model.named_params(), grads, model.opt_state, lr, weight_decay, ws)
     return losses
 
 

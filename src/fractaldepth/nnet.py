@@ -6,7 +6,8 @@ optionally takes the layer-0 pre-activation of hoisted input columns and
 optionally keeps the activations its backward needs.  Backward passes are
 written out explicitly and validated against central finite differences; no
 autodiff framework is involved.  The in-place SiLU and its derivative also
-serve the conv pyramid of :mod:`vcfr`.
+serve the conv pyramid of :mod:`vcfr`, and :class:`Workspace` holds the
+large arrays of a training step from one step to the next.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,11 +29,12 @@ from .rng import RngStream
 # The sigmoid 1 / (1 + inf) is then 0 and silu(x) = x / inf is -0, their
 # limits, so the overflow is not reported.
 
-def silu_inplace(a: np.ndarray, keep_sigmoid: bool):
-    """silu(a) = a / (1 + exp(-a)) into ``a``, through one scratch array, bit
-    for bit the out-of-place result; returns the sigmoid 1 / (1 + exp(-a))
-    in that array when ``keep_sigmoid``, else ``None``."""
-    e = np.negative(a)
+def silu_inplace(a: np.ndarray, keep_sigmoid: bool, out: np.ndarray = None):
+    """silu(a) = a / (1 + exp(-a)) into ``a``, through one scratch array
+    (``out`` when given, else a new one), bit for bit the out-of-place
+    result; returns the sigmoid 1 / (1 + exp(-a)) in that array when
+    ``keep_sigmoid``, else ``None``."""
+    e = np.negative(a, out=out)
     with np.errstate(over="ignore"):
         np.exp(e, out=e)
     e += 1.0
@@ -50,12 +53,106 @@ def silu_grad_inplace(h: np.ndarray, s: np.ndarray) -> np.ndarray:
     return h
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for 2-D arrays, through BLAS when ``a`` has one column too:
-    ``np.matmul`` takes numpy's own loop for such a product, several times
-    slower than the GEMM ``np.dot`` calls.  Each entry of a one-column
-    product is one rounded multiply, so both give the same bytes."""
-    return np.dot(a, b) if a.shape[1] == 1 else a @ b
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """``a @ b`` for 2-D arrays, into ``out`` when given, through BLAS when
+    ``a`` has one column too: ``np.matmul`` takes numpy's own loop for such a
+    product, several times slower than the GEMM ``np.dot`` calls.  Each entry
+    of a one-column product is one rounded multiply, so both give the same
+    bytes."""
+    return np.dot(a, b, out=out) if a.shape[1] == 1 else np.matmul(a, b, out=out)
+
+
+# Requests under this size get a new array: malloc serves them from its
+# heap without page faults.
+_POOLED_MIN = 128 * 1024
+# The byte alignment of every region (a cache line), and the smallest
+# chunk: a desk training step fills six 1 MiB chunks, where 0.5 and 2 MiB
+# chunks, whose tails fit fewer regions, held 7.7 and 8 MiB.
+_ALIGN = 64
+_CHUNK = 1 << 20
+
+
+class Workspace:
+    """Scratch memory that outlives a call, so that a loop of equal calls
+    (the training steps) reuses its large arrays instead of having the
+    allocator hand them back to the operating system and fault them in again.
+
+    The arrays are laid out as a stack of :meth:`scope` frames over byte
+    chunks that the workspace keeps.  ``get(key, shape, dtype)`` returns a
+    C-contiguous array of ``shape``: a new one when it is smaller than
+    ``_POOLED_MIN``, else the region ``key`` is bound to in an open frame if
+    it is large enough, else a new region on top of the stack, bound to
+    ``key`` in the innermost frame.  A region that does not fit in what is
+    left of its chunk starts the next chunk, which is allocated (at least
+    ``_CHUNK`` bytes) the first time the stack reaches it.  Keys name a role
+    and a layer, so calls of different sizes (blocks, units) that play one
+    role share a region.  When a frame exits, its keys are unbound and the
+    stack returns to where the frame began, so the arrays of frames whose
+    lives do not overlap share memory: an array is valid until the frame it
+    was bound in exits.  A loop of equal steps lays its regions out the same
+    way each time, so after its first step it allocates only arrays under
+    ``_POOLED_MIN``.
+
+    ``Workspace(pooled=False)`` gives every request a new array, for a call
+    that runs once (generation): it allocates as code without a workspace.
+    """
+
+    def __init__(self, pooled: bool = True):
+        self.pooled = pooled
+        self._chunks = []     # the stack's byte chunks, in order
+        self._top = (0, 0)    # (chunk, byte) where the next region may start
+        self._frames = []     # per open frame: (its top at entry, [(key, previous binding)])
+        self._bound = {}      # key -> its region, the innermost binding
+
+    def get(self, key, shape, dtype=np.float32) -> np.ndarray:
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        if nbytes < _POOLED_MIN or not self.pooled:
+            return np.empty(shape, dtype)
+        region = self._bound.get(key)
+        if region is None or region.size < nbytes:
+            chunk, start = self._top
+            start = -(-start // _ALIGN) * _ALIGN
+            while chunk < len(self._chunks) and start + nbytes > self._chunks[chunk].size:
+                chunk, start = chunk + 1, 0
+            if chunk == len(self._chunks):
+                raw = np.empty(max(nbytes, _CHUNK) + _ALIGN, np.uint8)
+                skip = -raw.ctypes.data % _ALIGN      # chunks start aligned
+                self._chunks.append(raw[skip:skip + max(nbytes, _CHUNK)])
+            region = self._chunks[chunk][start:start + nbytes]
+            self._top = (chunk, start + nbytes)
+            if self._frames:
+                self._frames[-1][1].append((key, self._bound.get(key)))
+            self._bound[key] = region
+        return region[:nbytes].view(dtype).reshape(shape)
+
+    @contextmanager
+    def scope(self):
+        """A frame: unbinds, on exit, the keys bound inside it and frees
+        their regions for the next frame."""
+        self._frames.append((self._top, []))
+        try:
+            yield self
+        finally:
+            self._top, bound = self._frames.pop()
+            for key, previous in reversed(bound):
+                if previous is None:
+                    del self._bound[key]
+                else:
+                    self._bound[key] = previous
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes of the chunks the workspace holds."""
+        return sum(c.size for c in self._chunks)
+
+    def __deepcopy__(self, memo) -> "Workspace":
+        return Workspace(self.pooled)     # scratch, not state: a copy starts empty
+
+
+def _out(ws: Workspace, key, shape, dtype):
+    """The ``out=`` array of a result: ``ws``'s array for ``key``, or
+    ``None`` (numpy makes a new array) without a workspace."""
+    return None if ws is None else ws.get(key, shape, dtype)
 
 
 def time_embed(t, dim: int) -> np.ndarray:
@@ -110,8 +207,11 @@ def _named_layers(weights: list, biases: list, prefix: str) -> dict:
     return out
 
 
-def init_mlp(sizes, rng: RngStream, final_scale: float = 1.0) -> MlpParams:
-    """He-style scaled-uniform fan-in initialization, drawn in float64."""
+def init_mlp(sizes, rng: RngStream, final_scale: float = 1.0, into: MlpParams = None) -> MlpParams:
+    """He-style scaled-uniform fan-in initialization, drawn in float64.
+    With ``into``, each layer is stored into its arrays (rounded to their
+    dtype) as it is drawn, so one layer's draw is held at a time, and
+    ``into`` is returned."""
     weights, biases = [], []
     for i in range(len(sizes) - 1):
         fan_in, fan_out = sizes[i], sizes[i + 1]
@@ -119,13 +219,17 @@ def init_mlp(sizes, rng: RngStream, final_scale: float = 1.0) -> MlpParams:
         w = rng.uniform((fan_in, fan_out), "w", i, low=-bound, high=bound)
         if i == len(sizes) - 2:
             w = w * final_scale
-        weights.append(w)
-        biases.append(np.zeros(fan_out))
-    return MlpParams(weights=weights, biases=biases)
+        if into is None:
+            weights.append(w)
+            biases.append(np.zeros(fan_out))
+        else:
+            into.weights[i][...] = w
+            into.biases[i][...] = 0.0
+    return MlpParams(weights=weights, biases=biases) if into is None else into
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray, pre0: np.ndarray = None,
-                want_cache: bool = True):
+                want_cache: bool = True, ws: Workspace = None):
     """Returns (output, cache) for a (batch, dim) input ``x``.
 
     Layer 0 computes ``x @ W0[:k] + pre0``, ``k`` being the columns of
@@ -141,7 +245,11 @@ def mlp_forward(params: MlpParams, x: np.ndarray, pre0: np.ndarray = None,
     keeps neither and returns ``None`` as the cache.
 
     ``x`` and ``pre0`` are cast to the dtype of the weights, so float32
-    weights give a float32 forward and output.
+    weights give a float32 forward and output.  With a workspace ``ws``,
+    layer i's activation (the output at the last layer) and sigmoid are
+    written into its regions ``("act", i)`` and ``("sig", i)``, not into new
+    arrays: the output and the cache are then valid until the next forward
+    on ``ws`` in that frame, or the frame's exit.
     """
     w0 = params.weights[0]
     x = np.asarray(x, dtype=w0.dtype)
@@ -161,12 +269,28 @@ def mlp_forward(params: MlpParams, x: np.ndarray, pre0: np.ndarray = None,
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         if want_cache:
             inputs.append(h)
-        a = _matmul(h, w[:h.shape[1]])
+        shape = (h.shape[0], w.shape[1])
+        a = _matmul(h, w[:h.shape[1]], _out(ws, ("act", i), shape, w.dtype))
         a += pre0 if i == 0 else b
         if i != n_layers - 1:
-            sigmoids.append(silu_inplace(a, want_cache))
+            sigmoids.append(silu_inplace(a, want_cache, _out(ws, ("sig", i), shape, w.dtype)))
         h = a
     return h, ((inputs, sigmoids) if want_cache else None)
+
+
+def reserve_mlp(ws: Workspace, params: MlpParams, rows: int) -> None:
+    """Binds in ``ws``'s innermost frame the regions :func:`mlp_forward` and
+    :func:`mlp_backward` take from it, at their sizes for ``rows`` rows, so
+    that a loop over blocks of up to ``rows`` rows reuses them."""
+    for i, w in enumerate(params.weights):
+        n_in, n_out = w.shape
+        if i == len(params.weights) - 1:
+            ws.get(("act", i), (rows, n_out), w.dtype)
+            break
+        # a hidden layer's activation, then its SiLU derivative and weight
+        # gradient; its sigmoid, then the gradient of its output
+        ws.get(("act", i), (max(rows, n_in) if i else rows, n_out), w.dtype)
+        ws.get(("sig", i), (rows, n_out), w.dtype)
 
 
 @dataclass
@@ -179,7 +303,7 @@ class MlpGrads:
         return _named_layers(self.weights, self.biases, prefix)
 
 
-def mlp_backward(params: MlpParams, cache, grad_out: np.ndarray) -> MlpGrads:
+def mlp_backward(params: MlpParams, cache, grad_out: np.ndarray, ws: Workspace = None) -> MlpGrads:
     """Exact reverse-mode gradients for :func:`mlp_forward`.
 
     ``weights[0]`` is ``inputs[0].T @ g``: the rows of ``W0`` that ``x``
@@ -192,10 +316,16 @@ def mlp_backward(params: MlpParams, cache, grad_out: np.ndarray) -> MlpGrads:
     serves one backward.  It computes in the dtype of the weights, as the
     forward does: ``grad_out`` is cast to it, and every gradient returned has
     it.  Float32 weights give a float32 backward; float64 weights the float64
-    one.
+    one.  With a workspace ``ws``, the backward writes over the forward's
+    regions, each once it has read it: hidden layer i's SiLU derivative and
+    then its weight gradient go into ``("act", i)`` (its activation), and
+    the gradient of its output into ``("sig", i)`` (its sigmoid).  The
+    gradients returned are then valid until the next forward on ``ws`` in
+    that frame, or the frame's exit.
     """
     inputs, sigmoids = cache
-    g = np.asarray(grad_out, dtype=params.weights[0].dtype)
+    dtype = params.weights[0].dtype
+    g = np.asarray(grad_out, dtype=dtype)
     out_shape = (inputs[0].shape[0], params.weights[-1].shape[1])
     if g.shape != out_shape:
         raise ShapeError(f"output grad shape {g.shape} != {out_shape}")
@@ -204,13 +334,13 @@ def mlp_backward(params: MlpParams, cache, grad_out: np.ndarray) -> MlpGrads:
     dbs = [None] * n_layers
     for i in range(n_layers - 1, -1, -1):
         if i != n_layers - 1:
-            # no later step reads inputs[i + 1] or sigmoids[i]; g is this
-            # call's own array here
-            g *= silu_grad_inplace(inputs[i + 1], sigmoids[i])
-        dws[i] = inputs[i].T @ g
+            # no later step reads inputs[i + 1] or sigmoids[i]
+            d = silu_grad_inplace(inputs[i + 1], sigmoids[i])
+            g = _matmul(g, params.weights[i + 1].T, _out(ws, ("sig", i), d.shape, dtype))
+            g *= d
+        dws[i] = np.matmul(inputs[i].T, g, out=_out(ws, ("act", i), params.weights[i].shape, dtype)
+                           if 0 < i < n_layers - 1 else None)
         dbs[i] = g.sum(axis=0)
-        if i:
-            g = _matmul(g, params.weights[i].T)
     return MlpGrads(weights=dws, biases=dbs, pre0=g)
 
 
@@ -231,7 +361,7 @@ _GRAD_NORM_MAX = 2.0 ** 61
 
 
 def adamw_step(params: dict, grads: dict, state: AdamWState, lr: float,
-               weight_decay: float) -> None:
+               weight_decay: float, ws: Workspace = None) -> None:
     """One decoupled-weight-decay Adam step over a dict of parameter arrays.
 
     Rejects the whole step (state untouched) if any gradient is non-finite,
@@ -240,8 +370,9 @@ def adamw_step(params: dict, grads: dict, state: AdamWState, lr: float,
     (Dettmers et al., *8-bit Optimizers*, arXiv:2110.02861, keep the moments
     narrower still), and the update is formed from the gradient in float32
     (a float64 one, a bias or gate sum, is cast), in two float32 scratch
-    arrays the size of the largest tensor.  No float64 master copy is kept:
-    the smallest step the schedule takes (lr 1e-5) is still about 170 times
+    arrays the size of the largest tensor (regions ``("adamw", 0)`` and
+    ``("adamw", 1)`` of a workspace ``ws`` when one is given).  No float64
+    master copy is kept: the smallest step the schedule takes (lr 1e-5) is still about 170 times
     float32's unit roundoff relative to a weight of size 1, so updates do not
     vanish in rounding as they would in half precision.  Its operations and
     their order are those of the decay ``p *= 1 - lr * weight_decay`` and
@@ -264,7 +395,8 @@ def adamw_step(params: dict, grads: dict, state: AdamWState, lr: float,
     # Python scalars meet float32 arrays below, so each rounds to float32
     step_size, root_c2 = lr / (1 - b1 ** t), math.sqrt(1 - b2 ** t)
     size = max((p.size for p in params.values()), default=0)
-    scratch_a, scratch_b = np.empty(size, np.float32), np.empty(size, np.float32)
+    ws = Workspace(pooled=False) if ws is None else ws
+    scratch_a, scratch_b = ws.get(("adamw", 0), (size,)), ws.get(("adamw", 1), (size,))
     for name, p in params.items():
         if name not in state.m:
             state.m[name] = np.zeros(p.shape, np.float32)

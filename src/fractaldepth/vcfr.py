@@ -22,53 +22,74 @@ import numpy as np
 
 from .core import ScaleConfig, downsample_mean, downsample_mean_adjoint, latent_to_log_depth
 from .errors import ShapeError
-from .nnet import silu_grad_inplace, silu_inplace
+from .nnet import Workspace, silu_grad_inplace, silu_inplace
 from .rng import RngStream
 
 
 # --- 3x3 convolution with edge padding ------------------------------------
 
-def conv3x3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+def conv3x3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, ws: Workspace = None,
+                    layer: int = 0):
     """x: (H, W, Cin), w: (3, 3, Cin, Cout), b: (Cout). Edge padding keeps
-    constant inputs constant. Returns (pre-activation, padded input)."""
-    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)), mode="edge")
-    h, wd, _ = x.shape
+    constant inputs constant. Returns (pre-activation, padded input): the
+    regions ``("conv.a", layer)`` and ``("conv.xp", layer)`` of the
+    workspace ``ws``, or new arrays when none is given."""
+    ws = Workspace(pooled=False) if ws is None else ws
+    h, wd, cin = x.shape
+    # edge padding: the interior, then the top and bottom rows, then the
+    # left and right columns (corners included), each a copy
+    xp = ws.get(("conv.xp", layer), (h + 2, wd + 2, cin), x.dtype)
+    xp[1:-1, 1:-1] = x
+    xp[0, 1:-1], xp[-1, 1:-1] = x[0], x[-1]
+    xp[:, 0], xp[:, -1] = xp[:, 1], xp[:, -2]
+    a = ws.get(("conv.a", layer), (h, wd, w.shape[3]), b.dtype)
+    a[...] = b
     # one GEMM per kernel offset over the shifted input, accumulated in place
-    a = np.broadcast_to(b, (h, wd, w.shape[3])).copy()
-    for di in range(3):
-        for dj in range(3):
-            a += xp[di:di + h, dj:dj + wd] @ w[di, dj]
+    with ws.scope():
+        tmp = ws.get("conv.tmp", a.shape, np.result_type(x, w))
+        for di in range(3):
+            for dj in range(3):
+                a += np.matmul(xp[di:di + h, dj:dj + wd], w[di, dj], out=tmp)
     return a, xp
 
 
-def conv3x3_backward(grad_a: np.ndarray, xp: np.ndarray, w: np.ndarray):
+def conv3x3_backward(grad_a: np.ndarray, xp: np.ndarray, w: np.ndarray, ws: Workspace = None):
     """Gradients of the pre-activation wrt (w, b); ``xp`` is the padded
     input returned by :func:`conv3x3_forward`.  ``dw`` has the dtype of
     ``w``; ``db``, a sum over every pixel, is summed in float64."""
+    ws = Workspace(pooled=False) if ws is None else ws
     h, wd, cin = xp.shape[0] - 2, xp.shape[1] - 2, xp.shape[2]
     g2 = grad_a.reshape(h * wd, -1)
     db = g2.sum(axis=0, dtype=np.float64)
     dw = np.empty_like(w)
-    for di in range(3):
-        for dj in range(3):
-            dw[di, dj] = xp[di:di + h, dj:dj + wd].reshape(h * wd, cin).T @ g2
+    with ws.scope():
+        # each offset's window of xp, copied C-contiguous
+        win = ws.get("conv.window", (h, wd, cin), xp.dtype)
+        for di in range(3):
+            for dj in range(3):
+                win[...] = xp[di:di + h, dj:dj + wd]
+                dw[di, dj] = win.reshape(h * wd, cin).T @ g2
     return dw, db
 
 
-def conv3x3_input_grad(grad_a: np.ndarray, w: np.ndarray) -> np.ndarray:
+def conv3x3_input_grad(grad_a: np.ndarray, w: np.ndarray, ws: Workspace = None) -> np.ndarray:
     """Gradient of the pre-activation wrt the unpadded input x, in the dtype
-    of ``grad_a`` and ``w``."""
+    of ``grad_a`` and ``w``: the interior of the region ``"conv.dxp"`` of
+    the workspace ``ws``, or of a new array when none is given."""
+    ws = Workspace(pooled=False) if ws is None else ws
     h, wd, cout = grad_a.shape
     dtype = np.result_type(grad_a, w)
     g2 = grad_a.reshape(h * wd, cout)
-    dxp = np.zeros((h + 2, wd + 2, w.shape[2]), dtype=dtype)
+    dxp = ws.get("conv.dxp", (h + 2, wd + 2, w.shape[2]), dtype)
+    dxp.fill(0)
     # one 2-D GEMM per kernel offset into one scratch array: the grad wrt
     # padded x at offset (di, dj) of each window
-    tmp = np.empty((h * wd, w.shape[2]), dtype=dtype)
-    for di in range(3):
-        for dj in range(3):
-            np.matmul(g2, w[di, dj].T, out=tmp)
-            dxp[di:di + h, dj:dj + wd] += tmp.reshape(h, wd, -1)
+    with ws.scope():
+        tmp = ws.get("conv.tmp", (h * wd, w.shape[2]), dtype)
+        for di in range(3):
+            for dj in range(3):
+                np.matmul(g2, w[di, dj].T, out=tmp)
+                dxp[di:di + h, dj:dj + wd] += tmp.reshape(h, wd, -1)
     # fold the edge-padding border onto the interior: rows, then columns
     dxp[1] += dxp[0]
     dxp[-2] += dxp[-1]
@@ -111,7 +132,8 @@ def init_conv_pyramid(feature_dim: int, rng: RngStream) -> ConvPyramidParams:
     )
 
 
-def extract_features(image: np.ndarray, cfg: ScaleConfig, params: ConvPyramidParams):
+def extract_features(image: np.ndarray, cfg: ScaleConfig, params: ConvPyramidParams,
+                     ws: Workspace = None):
     """Per-level feature grids from an (H, W, 3) image in [0, 1], and the
     cache :func:`extract_features_backward` reads.
 
@@ -121,16 +143,26 @@ def extract_features(image: np.ndarray, cfg: ScaleConfig, params: ConvPyramidPar
     the coarsest finer grid its resolution divides (the next finer one on
     every named layout).  The cache holds each layer's padded input and
     sigmoid and the output features (layer 2's padded input holds layer 1's
-    output); a caller with no backward drops it.
+    output); a caller with no backward drops it.  The layers' arrays are
+    regions of the workspace ``ws`` (new arrays when none is given), bound
+    in the frame open at the call.
     """
+    ws = Workspace(pooled=False) if ws is None else ws
     image = np.asarray(image, dtype=params.w1.dtype)
     res_final = cfg.final_resolution
     if image.shape != (res_final, res_final, 3):
         raise ShapeError(f"image shape {image.shape} != ({res_final}, {res_final}, 3)")
-    h1, xp1 = conv3x3_forward(image, params.w1, params.b1)
-    s1 = silu_inplace(h1, True)
-    f, xp2 = conv3x3_forward(h1, params.w2, params.b2)
-    s2 = silu_inplace(f, True)
+    shape, dtype = (res_final, res_final, params.b1.shape[0]), params.b1.dtype
+    # layer 1's output is read only into layer 2's padded input: what
+    # outlives it is bound first, and it is freed with its frame
+    ws.get(("conv.xp", 2), (res_final + 2, res_final + 2, shape[2]), dtype)
+    ws.get(("conv.a", 2), shape, dtype)
+    s1 = ws.get(("conv.sig", 1), shape, dtype)
+    with ws.scope():
+        h1, xp1 = conv3x3_forward(image, params.w1, params.b1, ws, layer=1)
+        silu_inplace(h1, True, s1)
+        f, xp2 = conv3x3_forward(h1, params.w2, params.b2, ws, layer=2)
+    s2 = silu_inplace(f, True, ws.get(("conv.sig", 2), f.shape, f.dtype))
     grids = [f]
     for res, _ in reversed(cfg.levels[:-1]):
         src = next((g for g in reversed(grids) if g.shape[0] % res == 0), f)
@@ -138,7 +170,8 @@ def extract_features(image: np.ndarray, cfg: ScaleConfig, params: ConvPyramidPar
     return grids[::-1], (xp1, s1, xp2, s2, f)
 
 
-def extract_features_backward(grad_feats, cfg: ScaleConfig, params: ConvPyramidParams, cache) -> dict:
+def extract_features_backward(grad_feats, cfg: ScaleConfig, params: ConvPyramidParams, cache,
+                              ws: Workspace = None) -> dict:
     """Accumulate per-level feature-grid gradients into conv parameter grads.
 
     Computes in the dtype of ``params`` and the cache, float32 in training,
@@ -147,60 +180,78 @@ def extract_features_backward(grad_feats, cfg: ScaleConfig, params: ConvPyramidP
     derivatives are formed in the cache, so it serves one backward.  The
     output features ``f`` are also the finest grid the caller holds, so
     layer 2's derivative is formed in a copy of them, and the grids
-    :func:`extract_features` returned are never written.
+    :func:`extract_features` returned are never written.  Its scratch arrays
+    are regions of ``ws`` in a frame that exits with the call.
     """
     xp1, s1, xp2, s2, f = cache
+    ws = Workspace(pooled=False) if ws is None else ws
     res_final = cfg.final_resolution
-    da2 = np.zeros(f.shape, dtype=f.dtype)
-    for (res, _), g in zip(cfg.levels, grad_feats):
-        # the adjoint of a block mean, downsample_mean_adjoint's values,
-        # broadcast over each block of da2 with no full-size temporary
-        b = res_final // res
-        blocks = da2.reshape(res, b, res, b, -1)
-        np.add(blocks, (g / (b * b))[:, None, :, None], out=blocks, casting="same_kind")
-    da2 *= silu_grad_inplace(f.copy(), s2)
-    dw2, db2 = conv3x3_backward(da2, xp2, params.w2)
-    da1 = conv3x3_input_grad(da2, params.w2)
-    da1 *= silu_grad_inplace(xp2[1:-1, 1:-1], s1)
-    dw1, db1 = conv3x3_backward(da1, xp1, params.w1)
+    with ws.scope():
+        da2 = ws.get("conv.da2", f.shape, f.dtype)
+        da2.fill(0)
+        for (res, _), g in zip(cfg.levels, grad_feats):
+            # the adjoint of a block mean, downsample_mean_adjoint's values,
+            # broadcast over each block of da2 with no full-size temporary
+            b = res_final // res
+            blocks = da2.reshape(res, b, res, b, -1)
+            g = np.divide(g, b * b, out=ws.get("conv.dfeat", g.shape, np.result_type(g, 1.0)))
+            np.add(blocks, g[:, None, :, None], out=blocks, casting="same_kind")
+        fc = ws.get("conv.f", f.shape, f.dtype)
+        fc[...] = f
+        da2 *= silu_grad_inplace(fc, s2)
+        dw2, db2 = conv3x3_backward(da2, xp2, params.w2, ws)
+        da1 = conv3x3_input_grad(da2, params.w2, ws)
+        da1 *= silu_grad_inplace(xp2[1:-1, 1:-1], s1)
+        dw1, db1 = conv3x3_backward(da1, xp1, params.w1, ws)
     return ConvPyramidParams(w1=dw1, b1=db1, w2=dw2, b2=db2).named()
 
 
 # --- Gated fusion + token pooling -----------------------------------------
 
 def refine_condition(f: np.ndarray, z: np.ndarray, gate_w: float, gate_b: float,
-                     patch: int):
+                     patch: int, ws: Workspace = None):
     """Per-cell gated fusion g = f * sigmoid(w z + b) + f, pooled per token.
 
     ``f`` is (res, res, F), ``z`` is (res, res); tokens follow the level's
     row-major patch partition.  Returns the (n_tokens, F) pooled tokens and
     the cache :func:`refine_condition_backward` reads.  ``f`` may be float32:
-    it is widened to float64 first, so the tokens are float64, and the
-    product is formed in place, with the bytes of the mixed product.
+    it is widened to float64 first, into a scratch region of ``ws``, so the
+    tokens are float64, and the product is formed in place, with the bytes
+    of the mixed product.
     """
     f = np.asarray(f)
     z = np.asarray(z, dtype=np.float64)
     if f.shape[:2] != z.shape:
         raise ShapeError(f"feature grid {f.shape[:2]} != depth state {z.shape}")
+    ws = Workspace(pooled=False) if ws is None else ws
     res = z.shape[0]
     # exp(-a) overflows below a = -709, where the gate 1 / (1 + inf) is 0,
     # its limit, as in nnet.silu_inplace; the overflow is not reported
     with np.errstate(over="ignore"):
         s = 1.0 / (1.0 + np.exp(-(gate_w * z + gate_b)))
-    g = f.astype(np.float64)
-    g *= (1.0 + s)[:, :, None]
     n = res // patch
-    return downsample_mean(g, n).reshape(n * n, -1), (f, z, s, patch)
+    with ws.scope():
+        g = ws.get("fuse.g", f.shape, np.float64)
+        g[...] = f
+        g *= (1.0 + s)[:, :, None]
+        pooled = downsample_mean(g, n).reshape(n * n, -1)
+    return pooled, (f, z, s, patch)
 
 
-def refine_condition_backward(grad_tokens: np.ndarray, cache):
-    """Gradients wrt (f, gate_w, gate_b); the depth state is not trained."""
+def refine_condition_backward(grad_tokens: np.ndarray, cache, ws: Workspace = None):
+    """Gradients wrt (f, gate_w, gate_b); the depth state is not trained.
+    The gradient wrt ``f`` is the region ``("fuse.df", res)`` of the
+    workspace ``ws`` (a new array when none is given)."""
     f, z, s, patch = cache
+    ws = Workspace(pooled=False) if ws is None else ws
     res = z.shape[0]
     n = res // patch
-    dg = downsample_mean_adjoint(grad_tokens.reshape(n, n, -1), patch)
-    df = dg * (1.0 + s)[:, :, None]
-    ds = (dg * f).sum(axis=2)
+    df = downsample_mean_adjoint(grad_tokens.reshape(n, n, -1), patch,
+                                 out=ws.get(("fuse.df", res), f.shape, np.float64))
+    # the upstream gradient dg, before it is scaled into df in place
+    with ws.scope():
+        ds = np.multiply(df, f, out=ws.get("fuse.dg_f", f.shape, np.float64)).sum(axis=2)
+    df *= (1.0 + s)[:, :, None]
     dpre = ds * s * (1.0 - s)
     dw = float((dpre * z).sum())
     db = float(dpre.sum())

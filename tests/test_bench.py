@@ -4,13 +4,15 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fractaldepth.bench import (RunConfig, SceneSpec, build_model, gen_scene,
                                 load_run_config, metrics, multisample_scene, run_eval,
                                 run_multisample, run_train)
 from fractaldepth.core import DepthMap
 from fractaldepth.errors import ConfigError, InputError, ShapeError
-from fractaldepth.fractal import load_model
+from fractaldepth.fractal import MAX_PARAMS, MAX_T, load_model
 from fractaldepth.rng import RngStream
 from fractaldepth.urca import URCAConfig
 
@@ -140,6 +142,12 @@ _REJECTED = {
     "epochs_negative": ("epochs", -1),
     "train_scenes_zero": ("train_scenes", 0),
     "warmup_epochs_negative": ("warmup_epochs", -1),
+    # past the spec's bounds: each failed untyped, or allocated, before them
+    "hidden_depth_huge": ("hidden_depth", 10 ** 20),        # OverflowError
+    "hidden_depth_over_bound": ("hidden_depth", 65),
+    "hidden_width_huge": ("hidden_width", 10 ** 7),         # a 364 TiB unit
+    "timesteps_huge": ("timesteps", 10 ** 20),              # ValueError in linspace
+    "timesteps_over_bound": ("timesteps", 10 ** 6),
 }
 
 
@@ -254,6 +262,67 @@ class TestRunConfig:
         # rejected at build time, not at the first time_embed of a step
         with pytest.raises(ConfigError, match="time_dim even"):
             build_model(_tiny_cfg(time_dim=time_dim))
+
+
+# config text: lines of a key (a run key, a mutated one or any text) and a
+# value (an int, a float, a spelling of one, a scale name or any text), or
+# the default config with a few values replaced by such values
+_KEYS = st.one_of(st.sampled_from([f.name for f in fields(RunConfig)]),
+                  st.sampled_from([f.name for f in fields(RunConfig)]).map(lambda k: k[:-1]),
+                  st.text(alphabet="abcdefghijklmnopqrstuvwxyz_ =#", max_size=14))
+_VALUES = st.one_of(
+    st.integers(-10 ** 22, 10 ** 22).map(str), st.integers(-3, 300).map(str),
+    st.integers(0, 24).map(lambda e: str(10 ** e)),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "-inf", "1e-17", "1e400", "0", "0.0", "2.5", "1_000", "0x10",
+                     "desk", "paper", "paper-table", "", "  7  ", "99999999999999999999"]),
+    st.text(max_size=12).map(lambda t: t.replace("\n", " ").replace("\r", " ")))
+_DEFAULTS = {f.name: str(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
+_LINES = st.one_of(
+    # the default config with one to three values replaced
+    st.dictionaries(st.sampled_from(sorted(_DEFAULTS)), _VALUES, min_size=1, max_size=3)
+    .map(lambda d: [f"{k} = {v}" for k, v in {**_DEFAULTS, **d}.items()]),
+    st.lists(st.tuples(_KEYS, _VALUES).map(lambda kv: f"{kv[0]} = {kv[1]}"), max_size=6))
+
+
+class TestRunConfigProperties:
+    """Whatever a config file holds, ``load_run_config`` raises ConfigError
+    or returns a config whose model spec is within its bounds, with a finite
+    schedule."""
+
+    @staticmethod
+    def _check(path):
+        try:
+            cfg = load_run_config(path)
+        except ConfigError:
+            return
+        spec = cfg.model_spec()
+        sched = spec.schedule()
+        for a in (sched.beta, sched.alpha, sched.alpha_bar, sched.sigma):
+            assert np.all(np.isfinite(a))
+        assert spec.param_count() <= MAX_PARAMS and spec.T <= MAX_T
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=_LINES)
+    def test_key_value_lines(self, tmp_path, lines):
+        p = tmp_path / "run.cfg"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        self._check(p)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=st.binary(max_size=60))
+    def test_raw_bytes(self, tmp_path, raw):
+        p = tmp_path / "run.cfg"
+        p.write_bytes(raw)
+        self._check(p)
+
+    def test_paths(self, tmp_path):
+        # a path that names no file is the one error that is not a ConfigError
+        for path in (tmp_path / "missing.cfg", tmp_path):
+            with pytest.raises(OSError):
+                load_run_config(path)
 
 
 def _tiny_cfg(**kw):

@@ -369,6 +369,24 @@ class TestTypedErrors:
         assert "model.cfg" in err and line.split()[0] in err
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("command, line, named", [
+        ("train", "hidden_width = 10000000", "hidden widths"),       # a 364 TiB unit
+        ("sample", "hidden_depth = 99999999999999999999", "hidden_depth"),
+        ("train", "timesteps = 99999999999999999999", "timesteps"),
+        ("train", "timesteps = 1000000000", "timesteps")],          # 8 GB a schedule array
+        ids=["train_width", "sample_depth", "train_T_huge", "train_T"])
+    def test_model_past_bounds(self, tmp_path, capsys, command, line, named):
+        # rejected with the config, before any array of the model exists
+        # and before --out is made
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(f"{line}\n")
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+        if command == "sample":
+            argv += ["--checkpoint", str(tmp_path / "never_read.fadn")]
+        err = self._fails(capsys, argv, "ConfigError")
+        assert "big.cfg" in err and named in err
+        assert not (tmp_path / "o").exists()
+
     def test_diverged_chain(self, tiny_run, capsys):
         # a huge finite tau overflows the reverse chain
         cfg, ckpt, root = tiny_run

@@ -1,3 +1,4 @@
+import copy
 import functools
 import hashlib
 import json
@@ -19,8 +20,8 @@ from fractaldepth.diffusion import forward_noise
 from fractaldepth.errors import ConfigError, InputError, NumericsError, ShapeError
 from fractaldepth.fractal import (ModelSpec, decode_level_depth, encode_targets, generate,
                                   init_model, load_model, save_model, save_trace, train_step)
-from fractaldepth.nnet import (adamw_step, load_checkpoint, mlp_backward, mlp_forward,
-                               save_checkpoint, time_embed)
+from fractaldepth.nnet import (Workspace, adamw_step, load_checkpoint, mlp_backward,
+                               mlp_forward, save_checkpoint, time_embed)
 from fractaldepth.rng import RngStream
 
 CFG = ScaleConfig(levels=((1, 1), (4, 1), (8, 2)), d_min=0.1, d_max=10.0)
@@ -462,6 +463,50 @@ class TestModelSpec:
                    weight_decay=0.05)
 
 
+class TestSpecBounds:
+    """A spec past a bound fails with ConfigError naming it, before any
+    array of its schedule or model exists."""
+
+    @staticmethod
+    def _fields(**change):
+        fields = asdict(make_spec(CFG, 10, (16, 16), feature_dim=4, time_dim=4, timestep_reuse=2))
+        fields.update(change)
+        return fields
+
+    @pytest.mark.parametrize("name, layout, shared", [
+        ("desk", "desk", True), ("paper", "paper", True), ("paper_table", "paper-table", True),
+        ("desk_per_level", "desk", False)])
+    def test_param_count_is_the_model_size(self, name, layout, shared):
+        cfg = named_scale_config(layout)
+        spec = make_spec(cfg, 10, (256, 256, 256), feature_dim=16, time_dim=16, timestep_reuse=4,
+                         shared_unit=shared)
+        model = fractal_mod._empty_model(spec, fractal_mod._no_storage)
+        assert spec.param_count() == sum(p.size for p in model.named_params().values())
+
+    @pytest.mark.parametrize("change, match", [
+        ({"T": fractal_mod.MAX_T + 1}, "MAX_T"),
+        ({"T": 10 ** 20}, "MAX_T"),
+        ({"hidden": (1,) * (fractal_mod.MAX_HIDDEN_LAYERS + 1)}, "MAX_HIDDEN_LAYERS"),
+        ({"hidden": (10 ** 7,) * 3}, "hidden widths .* MAX_PARAMS"),
+        ({"hidden": (10 ** 20,)}, "hidden widths .* MAX_PARAMS"),
+        ({"feature_dim": 10 ** 6}, "feature_dim=1000000.* MAX_PARAMS")],
+        ids=["T", "T_huge", "depth", "width", "width_huge", "feature_dim"])
+    def test_past_bound_rejected_before_allocating(self, change, match):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=match):
+                ModelSpec(**self._fields(**change))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_at_bounds_accepted(self):
+        spec = ModelSpec(**self._fields(T=fractal_mod.MAX_T,
+                                        hidden=(1,) * fractal_mod.MAX_HIDDEN_LAYERS))
+        assert spec.schedule().T == fractal_mod.MAX_T
+
+
 class TestOneParameterSet:
     """Every parameter is float32, and training and generation run the MLPs
     and the conv pyramid on the model's own arrays, copying none."""
@@ -885,8 +930,8 @@ class TestFloat32Pyramid:
         extract = vcfr.extract_features
         seen = []
 
-        def recorded(image, cfg, params):
-            feats, cache = extract(image, cfg, params)
+        def recorded(image, cfg, params, *ws):
+            feats, cache = extract(image, cfg, params, *ws)
             seen.append((params.w1.dtype, b"".join(f.tobytes() for f in feats)))
             return feats, cache
 
@@ -1240,16 +1285,19 @@ class TestPersistence:
         with pytest.raises(ConfigError, match="m.fadn.*time_dim even"):
             load_model(path)
 
-    @pytest.mark.parametrize("width", [4096, 1_000_000])
-    def test_oversized_meta_rejected_before_allocating(self, tmp_path, width):
+    @pytest.mark.parametrize("width, match", [
+        (4096, r"m\.fadn: tensor 'unit\.w0' has shape"),
+        (1_000_000, r"m\.fadn: .*MAX_PARAMS")], ids=["4096", "1000000"])
+    def test_oversized_meta_rejected_before_allocating(self, tmp_path, width, match):
         # the small model's tensors under a meta of far wider layers: the
         # shapes are compared before any parameter exists (the 4096-wide
-        # hidden layer alone is 64 MB, and at 10**6 the unit is 3.6 TiB)
+        # hidden layer alone is 64 MB); at 10**6 (a 3.6 TiB unit) the spec's
+        # parameter bound rejects the meta before that
         path = tmp_path / "m.fadn"
         self._rewrite(path, lambda p, m: m.update({"hidden": [width, width]}))
         tracemalloc.start()
         try:
-            with pytest.raises(ConfigError, match=r"m\.fadn: tensor 'unit\.w0' has shape"):
+            with pytest.raises(ConfigError, match=match):
                 load_model(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -1300,3 +1348,73 @@ class TestPersistence:
         assert (out / "latent_level0.pfm").exists()
         manifest = (out / "manifest.txt").read_text()
         assert "seed=11" in manifest and "tau=0.0" in manifest
+
+
+class TestTrainWorkspace:
+    """train_step's large arrays live in the model's workspace, reused from
+    step to step; it is scratch, not model state."""
+
+    @staticmethod
+    def _desk():
+        return bench.build_model(bench.RunConfig())
+
+    @staticmethod
+    def _steps(model, steps, empty_first=False):
+        losses = []
+        for i in steps:
+            if empty_first:
+                model.workspace = Workspace()
+            image, gt = bench.gen_scene(bench.RunConfig().scene_spec(i))
+            losses.append(train_step(model, image, gt, RngStream(9, ("ws",)).child(i), lr=2e-3,
+                                     weight_decay=0.05))
+        return losses
+
+    def test_warm_step_allocates_little(self):
+        # the peak of new allocations in a warm desk step: 7.83 MiB when every
+        # step made its own arrays, 0.96 MiB (numpy 2.4) with the workspace,
+        # whose arrays under 128 KiB are still made anew
+        model = self._desk()
+        self._steps(model, range(2))
+        tracemalloc.start()
+        try:
+            self._steps(model, [2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2 ** 20, peak / 2 ** 20
+
+    def test_warm_equals_emptied(self):
+        # the same bytes whether each step meets the regions of the last or
+        # new ones
+        warm, emptied = self._desk(), self._desk()
+        assert self._steps(warm, range(3)) == self._steps(emptied, range(3), empty_first=True)
+        a, b = warm.named_params(), emptied.named_params()
+        for name in a:
+            assert a[name].tobytes() == b[name].tobytes(), name
+            assert warm.opt_state.m[name].tobytes() == emptied.opt_state.m[name].tobytes(), name
+            assert warm.opt_state.v[name].tobytes() == emptied.opt_state.v[name].tobytes(), name
+
+    def test_not_model_state(self, tmp_path):
+        # trained through the workspace or through loss_and_grads and
+        # adamw_step without one (which allocate as they did before it), a
+        # model has the same parameters and writes the same checkpoint
+        model, plain = self._desk(), self._desk()
+        self._steps(model, range(2))
+        assert model.workspace.nbytes > 0
+        for i in range(2):
+            image, gt = bench.gen_scene(bench.RunConfig().scene_spec(i))
+            _, grads = fractal_mod.loss_and_grads(plain, image, gt,
+                                                  RngStream(9, ("ws",)).child(i))
+            adamw_step(plain.named_params(), grads, plain.opt_state, 2e-3, 0.05)
+        assert model.named_params().keys() == plain.named_params().keys()
+        save_model(tmp_path / "a.fadn", model)
+        save_model(tmp_path / "b.fadn", plain)
+        assert (tmp_path / "a.fadn").read_bytes() == (tmp_path / "b.fadn").read_bytes()
+        # a copy (the benchmark's snapshot) starts with an empty workspace,
+        # and generation neither reads nor fills it
+        copied = copy.deepcopy(model)
+        assert copied.workspace.nbytes == 0
+        image, _ = bench.gen_scene(bench.RunConfig().scene_spec(7))
+        traces = [generate(m, image, RngStream(3, ("g",)), tau=1.0) for m in (model, copied)]
+        assert [l.tobytes() for l in traces[0].latents] == [l.tobytes() for l in traces[1].latents]
+        assert copied.workspace.nbytes == 0

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 import struct
@@ -10,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractaldepth.errors import ConfigError, NumericsError, ShapeError
-from fractaldepth.nnet import (AdamWState, LrSchedule, MlpParams, _matmul, adamw_step,
-                               init_mlp, load_checkpoint, lr_at, mlp_backward, mlp_forward,
-                               save_checkpoint, time_embed)
+from fractaldepth.nnet import (AdamWState, LrSchedule, MlpParams, Workspace, _matmul,
+                               adamw_step, init_mlp, load_checkpoint, lr_at, mlp_backward,
+                               mlp_forward, reserve_mlp, save_checkpoint, time_embed)
 from fractaldepth.core import ScaleConfig
 from fractaldepth.rng import RngStream
 from fractaldepth.vcfr import ConvPyramidParams, extract_features, extract_features_backward
@@ -556,6 +557,83 @@ class TestAdamW:
             losses.append(0.5 * float(np.sum(g * g)))
             adamw_step(p, {"w": g}, st, lr=0.02, weight_decay=0.0)
         assert all(b <= a + 1e-12 for a, b in zip(losses[10:], losses[11:]))
+
+
+class TestWorkspace:
+    """A workspace lays its regions out as a stack of frames."""
+
+    BIG = (256, 256)              # float32: 256 KiB, over the pooled minimum
+
+    def test_sibling_frames_share_memory(self):
+        ws = Workspace()
+        with ws.scope():
+            a = ws.get("a", self.BIG)
+            with ws.scope():
+                b = ws.get("b", self.BIG)
+            with ws.scope():
+                c = ws.get("c", self.BIG)
+            assert np.shares_memory(b, c) and not np.shares_memory(a, b)
+            assert all(x.flags.c_contiguous and x.dtype == np.float32 for x in (a, b, c))
+
+    def test_key_reused_within_its_frame(self):
+        ws = Workspace()
+        with ws.scope():
+            big = ws.get("k", (512, 256))
+            small = ws.get("k", self.BIG, np.float64)
+            assert small.dtype == np.float64 and np.shares_memory(big, small)
+            with ws.scope():
+                # too small a region for this request: a new one, bound in
+                # the inner frame only
+                bigger = ws.get("k", (1024, 256))
+                assert not np.shares_memory(big, bigger)
+            assert np.shares_memory(big, ws.get("k", self.BIG))
+
+    def test_equal_steps_allocate_once(self):
+        ws = Workspace()
+        held = []
+        for _ in range(3):
+            with ws.scope():
+                for i in range(6):
+                    ws.get(("layer", i), (64 * (i + 2), 256))
+            held.append(ws.nbytes)
+        assert held[0] > 0 and held == [held[0]] * 3
+
+    def test_small_and_unpooled_requests_are_new(self):
+        ws, fresh = Workspace(), Workspace(pooled=False)
+        with ws.scope(), fresh.scope():
+            assert not np.shares_memory(ws.get("s", (16, 16)), ws.get("s", (16, 16)))
+            assert not np.shares_memory(fresh.get("b", self.BIG), fresh.get("b", self.BIG))
+        assert fresh.nbytes == 0
+
+    def test_copy_starts_empty(self):
+        ws = Workspace()
+        with ws.scope():
+            ws.get("a", self.BIG)
+        copied = copy.deepcopy(ws)
+        assert ws.nbytes > 0 and copied.nbytes == 0 and copied.pooled
+
+    def test_mlp_through_workspace_same_bytes(self):
+        # blocks of 300 and 512 rows through one workspace's regions give the
+        # gradients of a backward that makes its own arrays
+        params = init_mlp([24, 256, 256, 256, 4], RngStream(3, ("ws",)))
+        params = MlpParams(weights=[w.astype(np.float32) for w in params.weights],
+                           biases=[b.astype(np.float32) for b in params.biases])
+        rng = RngStream(4, ("ws",))
+        ws = Workspace()
+        with ws.scope():
+            reserve_mlp(ws, params, 512)
+            for rows in (300, 512):
+                x = rng.normal((rows, 24), "x", rows)
+                g_out = rng.normal((rows, 4), "g", rows)
+                y, cache = mlp_forward(params, x, ws=ws)
+                y_ref, cache_ref = mlp_forward(params, x)
+                assert y.tobytes() == y_ref.tobytes()
+                got, want = mlp_backward(params, cache, g_out, ws), mlp_backward(params, cache_ref,
+                                                                                 g_out)
+                for a, b in zip(got.weights + got.biases + [got.pre0],
+                                want.weights + want.biases + [want.pre0]):
+                    assert a.tobytes() == b.tobytes()
+        assert ws.nbytes < 8 * 512 * 256 * 4
 
 
 class TestLrSchedule:
