@@ -36,8 +36,8 @@ from .diffusion import NoiseSchedule, forward_noise, make_linear_schedule, respa
 from .diffusion import reverse_step  # noqa: F401
 from .errors import ConfigError, FractalDepthError, InputError, NumericsError, ShapeError
 from .nnet import (AdamWState, MlpGrads, MlpParams, Workspace, adamw_step, check_tensor_shapes,
-                   init_mlp, mlp_backward, mlp_forward, load_checkpoint, reserve_mlp,
-                   save_checkpoint, time_embed)
+                   frame, init_mlp, mlp_backward, mlp_forward, load_checkpoint, save_checkpoint,
+                   scratch, time_embed)
 from .rng import RngStream
 
 
@@ -47,9 +47,13 @@ from .rng import RngStream
 # - MAX_T: each of the schedule's five float64 arrays holds T values.
 #   100 000 steps (0.8 MB an array) are 25 times the 4000-step chains of
 #   Nichol & Dhariwal (arXiv:2102.09672).
-# - MAX_HIDDEN_LAYERS: every hidden layer is one more GEMM in each MLP call
-#   of a training step and of every reverse step.  The unit has 3
-#   (RunConfig's default), and 64 leaves room for any depth study.
+# - MAX_HIDDEN_LAYERS: a layer costs what its parameter count does not
+#   show.  Per distinct MLP it holds about 1 KB of Python objects (its
+#   arrays, their AdamW moments, gradients and names), and it adds one
+#   Python-level GEMM call to each MLP call.  Layers of width 1 add 2
+#   parameters each, so MAX_PARAMS alone would admit some 16M of them on a
+#   two-MLP model: about 30 GB of objects, and hours per training step.
+#   The unit has 3 (RunConfig's default); 64 leaves room for any depth study.
 # - MAX_PARAMS: training holds four float32 copies of the parameters (the
 #   weights, their gradients and AdamW's two moments), 1 GiB at 2**26; the
 #   desk model has 0.4M and the paper-scale one 0.7M.  Counted from the
@@ -327,13 +331,13 @@ def _unit_loss_and_grads(model: FractalModel, name: str, mlp: MlpParams, levels:
                 blocks.append([])
             blocks[-1].append((level, r, rows, n))
             rows += n
-    total = MlpGrads(weights=[ws.get(("grad", name, "w", i), w.shape, w.dtype)
+    total = MlpGrads(weights=[scratch(ws, ("grad", name, "w", i), w.shape, w.dtype)
                               for i, w in enumerate(mlp.weights)],
-                     biases=[ws.get(("grad", name, "b", i), b.shape, b.dtype)
+                     biases=[scratch(ws, ("grad", name, "b", i), b.shape, b.dtype)
                              for i, b in enumerate(mlp.biases)], pre0=None)
-    with ws.scope():
-        x = ws.get("x", (rows, k))                       # each draw's [z_t, time] rows
-        eps = ws.get("eps", (rows, d), np.float64)
+    with frame(ws):
+        x = scratch(ws, "x", (rows, k))                  # each draw's [z_t, time] rows
+        eps = scratch(ws, "eps", (rows, d), np.float64)
         for level, r, lo, n in (draw for block in blocks for draw in block):
             t = int(rng.integers(1, model.sched.T + 1, "t", level, r))
             eps[lo:lo + n] = rng.normal((n, d), "eps", level, r)
@@ -342,17 +346,17 @@ def _unit_loss_and_grads(model: FractalModel, name: str, mlp: MlpParams, levels:
         w0 = mlp.weights[0]
         cond_pre, g0 = {}, {}              # g0: float64 sums over draws
         for j, l in enumerate(levels):
-            cond_pre[l] = ws.get(("cond.pre0", j), (conds[l].shape[0], w0.shape[1]))
-            g0[l] = ws.get(("cond.dpre0", j), cond_pre[l].shape, np.float64)
+            cond_pre[l] = scratch(ws, ("cond.pre0", j), (conds[l].shape[0], w0.shape[1]))
+            g0[l] = scratch(ws, ("cond.dpre0", j), cond_pre[l].shape, np.float64)
             g0[l].fill(0.0)
         # each level's condition projected through W0's condition rows (cast
         # to float64 once, as the mixed product would) plus b0, in float32
-        with ws.scope():
-            w0_cond = ws.get("w0.cond", w0[k:].shape, np.float64)
+        with frame(ws):
+            w0_cond = scratch(ws, "w0.cond", w0[k:].shape, np.float64)
             w0_cond[...] = w0[k:]
             for l in levels:
-                proj = np.matmul(conds[l], w0_cond, out=ws.get("cond.proj", cond_pre[l].shape,
-                                                                 np.float64))
+                proj = np.matmul(conds[l], w0_cond,
+                                 out=scratch(ws, "cond.proj", cond_pre[l].shape, np.float64))
                 proj += mlp.biases[0]
                 cond_pre[l][...] = proj
         sq_sums = dict.fromkeys(levels, 0.0)
@@ -360,15 +364,14 @@ def _unit_loss_and_grads(model: FractalModel, name: str, mlp: MlpParams, levels:
         sums = [total.weights[0][:k], *total.weights[1:], *total.biases]
         # every block's arrays in the regions of the largest
         most = max(b[-1][2] + b[-1][3] - b[0][2] for b in blocks)
-        reserve_mlp(ws, mlp, most)
-        pre0_rows = ws.get("pre0", (most, w0.shape[1]))
+        pre0_rows = scratch(ws, "pre0", (most, w0.shape[1]))
         for j, block in enumerate(blocks):
             lo, hi = block[0][2], block[-1][2] + block[-1][3]
             pre0 = np.concatenate([cond_pre[draw[0]] for draw in block], out=pre0_rows[:hi - lo])
             # a float32 overflow in the forward gives inf or nan: both surface
             # as the non-finite loss rejected below, before any backward
             with np.errstate(over="ignore", invalid="ignore"):
-                y, cache = mlp_forward(mlp, x[lo:hi], pre0, ws=ws)
+                y, cache = mlp_forward(mlp, x[lo:hi], pre0, ws=ws, rows=most)
                 # float64, as the sums of its squares, over the block's noise
                 # rows: nothing reads them after
                 diff = np.subtract(y, eps[lo:hi], out=eps[lo:hi])
@@ -388,11 +391,11 @@ def _unit_loss_and_grads(model: FractalModel, name: str, mlp: MlpParams, levels:
                 else:
                     acc[...] = part
         # W0's condition rows: each level's product, summed in float64
-        dw0_cond = ws.get("dw0.cond", w0[k:].shape, np.float64)
+        dw0_cond = scratch(ws, "dw0.cond", w0[k:].shape, np.float64)
         for j, l in enumerate(levels):
             if j:
-                dw0_cond += np.matmul(conds[l].T, g0[l],
-                                      out=ws.get("dw0.cond.part", dw0_cond.shape, np.float64))
+                part = scratch(ws, "dw0.cond.part", dw0_cond.shape, np.float64)
+                dw0_cond += np.matmul(conds[l].T, g0[l], out=part)
             else:
                 np.matmul(conds[l].T, g0[l], out=dw0_cond)
         total.weights[0][k:] = dw0_cond
@@ -408,12 +411,12 @@ def loss_and_grads(model: FractalModel, image: np.ndarray, gt: DepthMap, rng: Rn
     array when none is given); the MLP gradients returned stay valid until
     the frame open at the call exits.  The weight gradients are float32, as
     the parameters; the gate and conv bias gradients, sums over pixels, are
-    float64.  The conv pyramid and its backward run in float32 on ``model.conv`` itself, so the features
-    equal those ``generate`` computes bit for bit.  ``InputError`` for a
-    pixel ``generate`` rejects, and ``NumericsError`` if a loss is not
-    finite, both before any gradient is formed."""
+    float64.  The conv pyramid and its backward run in float32 on
+    ``model.conv`` itself, so the features equal those ``generate``
+    computes bit for bit.  ``InputError`` for a pixel ``generate`` rejects,
+    and ``NumericsError`` if a loss is not finite, both before any gradient
+    is formed."""
     image = _checked_image(image)
-    ws = Workspace(pooled=False) if ws is None else ws
     targets = encode_targets(gt, model)
     feats, feat_cache = vcfr.extract_features(image, model.cfg, model.conv, ws)
     conds, fuse_caches, z_stars = [], [], []
@@ -433,7 +436,7 @@ def loss_and_grads(model: FractalModel, image: np.ndarray, gt: DepthMap, rng: Rn
         dfeats.update(lvl_dfeats)
         grads.update(g.named(name))
     feat_grads = []
-    with ws.scope():
+    with frame(ws):
         for level in range(model.n_levels):
             # condition gradient: only the pooled feature block trains upstream
             # parameters (guidance and patch context come from fixed targets)

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import struct
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,14 +91,12 @@ class Workspace:
     lives do not overlap share memory: an array is valid until the frame it
     was bound in exits.  A loop of equal steps lays its regions out the same
     way each time, so after its first step it allocates only arrays under
-    ``_POOLED_MIN``.
-
-    ``Workspace(pooled=False)`` gives every request a new array, for a call
-    that runs once (generation): it allocates as code without a workspace.
+    ``_POOLED_MIN``.  A function that takes a workspace takes ``None`` too,
+    and then allocates as code without one (:func:`scratch`, :func:`frame`):
+    generation, which runs each call once, passes none.
     """
 
-    def __init__(self, pooled: bool = True):
-        self.pooled = pooled
+    def __init__(self):
         self._chunks = []     # the stack's byte chunks, in order
         self._top = (0, 0)    # (chunk, byte) where the next region may start
         self._frames = []     # per open frame: (its top at entry, [(key, previous binding)])
@@ -106,7 +104,7 @@ class Workspace:
 
     def get(self, key, shape, dtype=np.float32) -> np.ndarray:
         nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-        if nbytes < _POOLED_MIN or not self.pooled:
+        if nbytes < _POOLED_MIN:
             return np.empty(shape, dtype)
         region = self._bound.get(key)
         if region is None or region.size < nbytes:
@@ -146,13 +144,17 @@ class Workspace:
         return sum(c.size for c in self._chunks)
 
     def __deepcopy__(self, memo) -> "Workspace":
-        return Workspace(self.pooled)     # scratch, not state: a copy starts empty
+        return Workspace()     # scratch, not state: a copy starts empty
 
 
-def _out(ws: Workspace, key, shape, dtype):
-    """The ``out=`` array of a result: ``ws``'s array for ``key``, or
-    ``None`` (numpy makes a new array) without a workspace."""
-    return None if ws is None else ws.get(key, shape, dtype)
+def scratch(ws: Workspace, key, shape, dtype=np.float32) -> np.ndarray:
+    """``ws.get(key, shape, dtype)``, or a new array when ``ws`` is None."""
+    return np.empty(shape, dtype) if ws is None else ws.get(key, shape, dtype)
+
+
+def frame(ws: Workspace):
+    """``ws.scope()``, or a frame that does nothing when ``ws`` is None."""
+    return nullcontext() if ws is None else ws.scope()
 
 
 def time_embed(t, dim: int) -> np.ndarray:
@@ -229,7 +231,7 @@ def init_mlp(sizes, rng: RngStream, final_scale: float = 1.0, into: MlpParams = 
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray, pre0: np.ndarray = None,
-                want_cache: bool = True, ws: Workspace = None):
+                want_cache: bool = True, ws: Workspace = None, rows: int = 0):
     """Returns (output, cache) for a (batch, dim) input ``x``.
 
     Layer 0 computes ``x @ W0[:k] + pre0``, ``k`` being the columns of
@@ -249,7 +251,11 @@ def mlp_forward(params: MlpParams, x: np.ndarray, pre0: np.ndarray = None,
     layer i's activation (the output at the last layer) and sigmoid are
     written into its regions ``("act", i)`` and ``("sig", i)``, not into new
     arrays: the output and the cache are then valid until the next forward
-    on ``ws`` in that frame, or the frame's exit.
+    on ``ws`` in that frame, or the frame's exit.  The regions are bound at
+    their sizes for ``rows`` rows, or ``x``'s if more, so that a loop over
+    blocks of up to ``rows`` rows reuses them, and a hidden layer's
+    activation region also holds the weight gradient :func:`mlp_backward`
+    writes into it.
     """
     w0 = params.weights[0]
     x = np.asarray(x, dtype=w0.dtype)
@@ -266,31 +272,22 @@ def mlp_forward(params: MlpParams, x: np.ndarray, pre0: np.ndarray = None,
     inputs, sigmoids = [], []
     h = x
     n_layers = len(params.weights)
+    n = x.shape[0]
+    held = n if ws is None else max(rows, n)
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         if want_cache:
             inputs.append(h)
-        shape = (h.shape[0], w.shape[1])
-        a = _matmul(h, w[:h.shape[1]], _out(ws, ("act", i), shape, w.dtype))
+        n_in, n_out = w.shape
+        # a hidden layer's activation region takes its (n_in, n_out) weight
+        # gradient in the backward
+        act_rows = max(held, n_in) if ws is not None and 0 < i < n_layers - 1 else held
+        a = _matmul(h, w[:h.shape[1]], scratch(ws, ("act", i), (act_rows, n_out), w.dtype)[:n])
         a += pre0 if i == 0 else b
         if i != n_layers - 1:
-            sigmoids.append(silu_inplace(a, want_cache, _out(ws, ("sig", i), shape, w.dtype)))
+            sig = scratch(ws, ("sig", i), (held, n_out), w.dtype)[:n]
+            sigmoids.append(silu_inplace(a, want_cache, sig))
         h = a
     return h, ((inputs, sigmoids) if want_cache else None)
-
-
-def reserve_mlp(ws: Workspace, params: MlpParams, rows: int) -> None:
-    """Binds in ``ws``'s innermost frame the regions :func:`mlp_forward` and
-    :func:`mlp_backward` take from it, at their sizes for ``rows`` rows, so
-    that a loop over blocks of up to ``rows`` rows reuses them."""
-    for i, w in enumerate(params.weights):
-        n_in, n_out = w.shape
-        if i == len(params.weights) - 1:
-            ws.get(("act", i), (rows, n_out), w.dtype)
-            break
-        # a hidden layer's activation, then its SiLU derivative and weight
-        # gradient; its sigmoid, then the gradient of its output
-        ws.get(("act", i), (max(rows, n_in) if i else rows, n_out), w.dtype)
-        ws.get(("sig", i), (rows, n_out), w.dtype)
 
 
 @dataclass
@@ -336,10 +333,11 @@ def mlp_backward(params: MlpParams, cache, grad_out: np.ndarray, ws: Workspace =
         if i != n_layers - 1:
             # no later step reads inputs[i + 1] or sigmoids[i]
             d = silu_grad_inplace(inputs[i + 1], sigmoids[i])
-            g = _matmul(g, params.weights[i + 1].T, _out(ws, ("sig", i), d.shape, dtype))
+            g = _matmul(g, params.weights[i + 1].T, scratch(ws, ("sig", i), d.shape, dtype))
             g *= d
-        dws[i] = np.matmul(inputs[i].T, g, out=_out(ws, ("act", i), params.weights[i].shape, dtype)
-                           if 0 < i < n_layers - 1 else None)
+        out = (scratch(ws, ("act", i), params.weights[i].shape, dtype)
+               if 0 < i < n_layers - 1 else None)
+        dws[i] = np.matmul(inputs[i].T, g, out=out)
         dbs[i] = g.sum(axis=0)
     return MlpGrads(weights=dws, biases=dbs, pre0=g)
 
@@ -395,8 +393,7 @@ def adamw_step(params: dict, grads: dict, state: AdamWState, lr: float,
     # Python scalars meet float32 arrays below, so each rounds to float32
     step_size, root_c2 = lr / (1 - b1 ** t), math.sqrt(1 - b2 ** t)
     size = max((p.size for p in params.values()), default=0)
-    ws = Workspace(pooled=False) if ws is None else ws
-    scratch_a, scratch_b = ws.get(("adamw", 0), (size,)), ws.get(("adamw", 1), (size,))
+    scratch_a, scratch_b = scratch(ws, ("adamw", 0), (size,)), scratch(ws, ("adamw", 1), (size,))
     for name, p in params.items():
         if name not in state.m:
             state.m[name] = np.zeros(p.shape, np.float32)

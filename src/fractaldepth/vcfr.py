@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import ScaleConfig, downsample_mean, downsample_mean_adjoint, latent_to_log_depth
 from .errors import ShapeError
-from .nnet import Workspace, silu_grad_inplace, silu_inplace
+from .nnet import Workspace, frame, scratch, silu_grad_inplace, silu_inplace
 from .rng import RngStream
 
 
@@ -34,19 +34,18 @@ def conv3x3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, ws: Workspace =
     constant inputs constant. Returns (pre-activation, padded input): the
     regions ``("conv.a", layer)`` and ``("conv.xp", layer)`` of the
     workspace ``ws``, or new arrays when none is given."""
-    ws = Workspace(pooled=False) if ws is None else ws
     h, wd, cin = x.shape
     # edge padding: the interior, then the top and bottom rows, then the
     # left and right columns (corners included), each a copy
-    xp = ws.get(("conv.xp", layer), (h + 2, wd + 2, cin), x.dtype)
+    xp = scratch(ws, ("conv.xp", layer), (h + 2, wd + 2, cin), x.dtype)
     xp[1:-1, 1:-1] = x
     xp[0, 1:-1], xp[-1, 1:-1] = x[0], x[-1]
     xp[:, 0], xp[:, -1] = xp[:, 1], xp[:, -2]
-    a = ws.get(("conv.a", layer), (h, wd, w.shape[3]), b.dtype)
+    a = scratch(ws, ("conv.a", layer), (h, wd, w.shape[3]), b.dtype)
     a[...] = b
     # one GEMM per kernel offset over the shifted input, accumulated in place
-    with ws.scope():
-        tmp = ws.get("conv.tmp", a.shape, np.result_type(x, w))
+    with frame(ws):
+        tmp = scratch(ws, "conv.tmp", a.shape, np.result_type(x, w))
         for di in range(3):
             for dj in range(3):
                 a += np.matmul(xp[di:di + h, dj:dj + wd], w[di, dj], out=tmp)
@@ -57,14 +56,13 @@ def conv3x3_backward(grad_a: np.ndarray, xp: np.ndarray, w: np.ndarray, ws: Work
     """Gradients of the pre-activation wrt (w, b); ``xp`` is the padded
     input returned by :func:`conv3x3_forward`.  ``dw`` has the dtype of
     ``w``; ``db``, a sum over every pixel, is summed in float64."""
-    ws = Workspace(pooled=False) if ws is None else ws
     h, wd, cin = xp.shape[0] - 2, xp.shape[1] - 2, xp.shape[2]
     g2 = grad_a.reshape(h * wd, -1)
     db = g2.sum(axis=0, dtype=np.float64)
     dw = np.empty_like(w)
-    with ws.scope():
+    with frame(ws):
         # each offset's window of xp, copied C-contiguous
-        win = ws.get("conv.window", (h, wd, cin), xp.dtype)
+        win = scratch(ws, "conv.window", (h, wd, cin), xp.dtype)
         for di in range(3):
             for dj in range(3):
                 win[...] = xp[di:di + h, dj:dj + wd]
@@ -76,16 +74,15 @@ def conv3x3_input_grad(grad_a: np.ndarray, w: np.ndarray, ws: Workspace = None) 
     """Gradient of the pre-activation wrt the unpadded input x, in the dtype
     of ``grad_a`` and ``w``: the interior of the region ``"conv.dxp"`` of
     the workspace ``ws``, or of a new array when none is given."""
-    ws = Workspace(pooled=False) if ws is None else ws
     h, wd, cout = grad_a.shape
     dtype = np.result_type(grad_a, w)
     g2 = grad_a.reshape(h * wd, cout)
-    dxp = ws.get("conv.dxp", (h + 2, wd + 2, w.shape[2]), dtype)
+    dxp = scratch(ws, "conv.dxp", (h + 2, wd + 2, w.shape[2]), dtype)
     dxp.fill(0)
     # one 2-D GEMM per kernel offset into one scratch array: the grad wrt
     # padded x at offset (di, dj) of each window
-    with ws.scope():
-        tmp = ws.get("conv.tmp", (h * wd, w.shape[2]), dtype)
+    with frame(ws):
+        tmp = scratch(ws, "conv.tmp", (h * wd, w.shape[2]), dtype)
         for di in range(3):
             for dj in range(3):
                 np.matmul(g2, w[di, dj].T, out=tmp)
@@ -147,22 +144,25 @@ def extract_features(image: np.ndarray, cfg: ScaleConfig, params: ConvPyramidPar
     regions of the workspace ``ws`` (new arrays when none is given), bound
     in the frame open at the call.
     """
-    ws = Workspace(pooled=False) if ws is None else ws
     image = np.asarray(image, dtype=params.w1.dtype)
     res_final = cfg.final_resolution
     if image.shape != (res_final, res_final, 3):
         raise ShapeError(f"image shape {image.shape} != ({res_final}, {res_final}, 3)")
     shape, dtype = (res_final, res_final, params.b1.shape[0]), params.b1.dtype
-    # layer 1's output is read only into layer 2's padded input: what
-    # outlives it is bound first, and it is freed with its frame
-    ws.get(("conv.xp", 2), (res_final + 2, res_final + 2, shape[2]), dtype)
-    ws.get(("conv.a", 2), shape, dtype)
-    s1 = ws.get(("conv.sig", 1), shape, dtype)
-    with ws.scope():
+    # layer 1's output is read only into layer 2's padded input, so it is
+    # bound in a frame of its own, which exits before layer 2's sigmoid is
+    # bound.  Every array the cache holds outlives that frame: each is bound
+    # in the frame open at the call, before it.
+    if ws is not None:
+        ws.get(("conv.xp", 1), (res_final + 2, res_final + 2, 3), image.dtype)
+        ws.get(("conv.xp", 2), (res_final + 2, res_final + 2, shape[2]), dtype)
+        ws.get(("conv.a", 2), shape, dtype)
+    s1 = scratch(ws, ("conv.sig", 1), shape, dtype)
+    with frame(ws):
         h1, xp1 = conv3x3_forward(image, params.w1, params.b1, ws, layer=1)
         silu_inplace(h1, True, s1)
         f, xp2 = conv3x3_forward(h1, params.w2, params.b2, ws, layer=2)
-    s2 = silu_inplace(f, True, ws.get(("conv.sig", 2), f.shape, f.dtype))
+    s2 = silu_inplace(f, True, scratch(ws, ("conv.sig", 2), f.shape, f.dtype))
     grids = [f]
     for res, _ in reversed(cfg.levels[:-1]):
         src = next((g for g in reversed(grids) if g.shape[0] % res == 0), f)
@@ -184,19 +184,18 @@ def extract_features_backward(grad_feats, cfg: ScaleConfig, params: ConvPyramidP
     are regions of ``ws`` in a frame that exits with the call.
     """
     xp1, s1, xp2, s2, f = cache
-    ws = Workspace(pooled=False) if ws is None else ws
     res_final = cfg.final_resolution
-    with ws.scope():
-        da2 = ws.get("conv.da2", f.shape, f.dtype)
+    with frame(ws):
+        da2 = scratch(ws, "conv.da2", f.shape, f.dtype)
         da2.fill(0)
         for (res, _), g in zip(cfg.levels, grad_feats):
             # the adjoint of a block mean, downsample_mean_adjoint's values,
             # broadcast over each block of da2 with no full-size temporary
             b = res_final // res
             blocks = da2.reshape(res, b, res, b, -1)
-            g = np.divide(g, b * b, out=ws.get("conv.dfeat", g.shape, np.result_type(g, 1.0)))
+            g = np.divide(g, b * b, out=scratch(ws, "conv.dfeat", g.shape, np.result_type(g, 1.0)))
             np.add(blocks, g[:, None, :, None], out=blocks, casting="same_kind")
-        fc = ws.get("conv.f", f.shape, f.dtype)
+        fc = scratch(ws, "conv.f", f.shape, f.dtype)
         fc[...] = f
         da2 *= silu_grad_inplace(fc, s2)
         dw2, db2 = conv3x3_backward(da2, xp2, params.w2, ws)
@@ -223,15 +222,14 @@ def refine_condition(f: np.ndarray, z: np.ndarray, gate_w: float, gate_b: float,
     z = np.asarray(z, dtype=np.float64)
     if f.shape[:2] != z.shape:
         raise ShapeError(f"feature grid {f.shape[:2]} != depth state {z.shape}")
-    ws = Workspace(pooled=False) if ws is None else ws
     res = z.shape[0]
     # exp(-a) overflows below a = -709, where the gate 1 / (1 + inf) is 0,
     # its limit, as in nnet.silu_inplace; the overflow is not reported
     with np.errstate(over="ignore"):
         s = 1.0 / (1.0 + np.exp(-(gate_w * z + gate_b)))
     n = res // patch
-    with ws.scope():
-        g = ws.get("fuse.g", f.shape, np.float64)
+    with frame(ws):
+        g = scratch(ws, "fuse.g", f.shape, np.float64)
         g[...] = f
         g *= (1.0 + s)[:, :, None]
         pooled = downsample_mean(g, n).reshape(n * n, -1)
@@ -243,14 +241,13 @@ def refine_condition_backward(grad_tokens: np.ndarray, cache, ws: Workspace = No
     The gradient wrt ``f`` is the region ``("fuse.df", res)`` of the
     workspace ``ws`` (a new array when none is given)."""
     f, z, s, patch = cache
-    ws = Workspace(pooled=False) if ws is None else ws
     res = z.shape[0]
     n = res // patch
     df = downsample_mean_adjoint(grad_tokens.reshape(n, n, -1), patch,
-                                 out=ws.get(("fuse.df", res), f.shape, np.float64))
+                                 out=scratch(ws, ("fuse.df", res), f.shape, np.float64))
     # the upstream gradient dg, before it is scaled into df in place
-    with ws.scope():
-        ds = np.multiply(df, f, out=ws.get("fuse.dg_f", f.shape, np.float64)).sum(axis=2)
+    with frame(ws):
+        ds = np.multiply(df, f, out=scratch(ws, "fuse.dg_f", f.shape, np.float64)).sum(axis=2)
     df *= (1.0 + s)[:, :, None]
     dpre = ds * s * (1.0 - s)
     dw = float((dpre * z).sum())

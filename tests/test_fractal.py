@@ -1394,6 +1394,24 @@ class TestTrainWorkspace:
             assert warm.opt_state.m[name].tobytes() == emptied.opt_state.m[name].tobytes(), name
             assert warm.opt_state.v[name].tobytes() == emptied.opt_state.v[name].tobytes(), name
 
+    @pytest.mark.parametrize("feature_dim", [4, 16])
+    def test_paper_layout_equals_no_workspace(self, feature_dim):
+        # at final resolution 256 every conv array is pooled; with 4
+        # features layer 2's sigmoid is exactly one chunk, the size of the
+        # one layer 1's padded input, which the backward reads, is laid in
+        cfg = bench.RunConfig(scale_config="paper", hidden_width=16, hidden_depth=1,
+                              feature_dim=feature_dim, timestep_reuse=1)
+        model = bench.build_model(cfg)
+        image, gt = bench.gen_scene(cfg.scene_spec(0))
+        ws = Workspace()
+        with ws.scope():
+            pooled = fractal_mod.loss_and_grads(model, image, gt, RngStream(4, ("p",)), ws)
+            plain = fractal_mod.loss_and_grads(model, image, gt, RngStream(4, ("p",)))
+            assert pooled[0] == plain[0]
+            assert pooled[1].keys() == plain[1].keys()
+            for name, g in plain[1].items():
+                assert np.asarray(pooled[1][name]).tobytes() == np.asarray(g).tobytes(), name
+
     def test_not_model_state(self, tmp_path):
         # trained through the workspace or through loss_and_grads and
         # adamw_step without one (which allocate as they did before it), a

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from fractaldepth.errors import ConfigError, NumericsError, ShapeError
 from fractaldepth.nnet import (AdamWState, LrSchedule, MlpParams, Workspace, _matmul,
-                               adamw_step, init_mlp, load_checkpoint, lr_at, mlp_backward,
-                               mlp_forward, reserve_mlp, save_checkpoint, time_embed)
+                               adamw_step, frame, init_mlp, load_checkpoint, lr_at,
+                               mlp_backward, mlp_forward, save_checkpoint, scratch, time_embed)
 from fractaldepth.core import ScaleConfig
 from fractaldepth.rng import RngStream
 from fractaldepth.vcfr import ConvPyramidParams, extract_features, extract_features_backward
@@ -598,34 +598,35 @@ class TestWorkspace:
             held.append(ws.nbytes)
         assert held[0] > 0 and held == [held[0]] * 3
 
-    def test_small_and_unpooled_requests_are_new(self):
-        ws, fresh = Workspace(), Workspace(pooled=False)
-        with ws.scope(), fresh.scope():
+    def test_small_requests_and_no_workspace_are_new(self):
+        ws = Workspace()
+        with ws.scope():
             assert not np.shares_memory(ws.get("s", (16, 16)), ws.get("s", (16, 16)))
-            assert not np.shares_memory(fresh.get("b", self.BIG), fresh.get("b", self.BIG))
-        assert fresh.nbytes == 0
+        with frame(None):
+            a, b = scratch(None, "b", self.BIG), scratch(None, "b", self.BIG)
+            assert a.shape == self.BIG and a.dtype == np.float32 and not np.shares_memory(a, b)
 
     def test_copy_starts_empty(self):
         ws = Workspace()
         with ws.scope():
             ws.get("a", self.BIG)
         copied = copy.deepcopy(ws)
-        assert ws.nbytes > 0 and copied.nbytes == 0 and copied.pooled
+        assert ws.nbytes > 0 and copied.nbytes == 0
 
     def test_mlp_through_workspace_same_bytes(self):
-        # blocks of 300 and 512 rows through one workspace's regions give the
-        # gradients of a backward that makes its own arrays
+        # blocks of 300 and 512 rows through one workspace's regions, bound
+        # at 512 rows by the first forward, give the gradients of a backward
+        # that makes its own arrays
         params = init_mlp([24, 256, 256, 256, 4], RngStream(3, ("ws",)))
         params = MlpParams(weights=[w.astype(np.float32) for w in params.weights],
                            biases=[b.astype(np.float32) for b in params.biases])
         rng = RngStream(4, ("ws",))
         ws = Workspace()
         with ws.scope():
-            reserve_mlp(ws, params, 512)
             for rows in (300, 512):
                 x = rng.normal((rows, 24), "x", rows)
                 g_out = rng.normal((rows, 4), "g", rows)
-                y, cache = mlp_forward(params, x, ws=ws)
+                y, cache = mlp_forward(params, x, ws=ws, rows=512)
                 y_ref, cache_ref = mlp_forward(params, x)
                 assert y.tobytes() == y_ref.tobytes()
                 got, want = mlp_backward(params, cache, g_out, ws), mlp_backward(params, cache_ref,
